@@ -87,8 +87,8 @@ let tests =
 (* --- ESPRESSO kernel benchmark → BENCH_espresso.json ------------------- *)
 
 (* Machine-readable snapshot of the minimizer: per benchmark the runtime,
-   minimized cover size and the instrumentation registries (kernel timers,
-   operation counters, recursion-depth histograms). Encodings are fixed
+   minimized cover size and the kernel probes read back from the metrics
+   registry (section timings, operation counts). Encodings are fixed
    (random, seed 0, minimum width) so runs are comparable across
    commits. *)
 
@@ -105,20 +105,20 @@ let espresso_bench_machines ~quick =
   in
   List.map (fun nm -> Benchmarks.Suite.find nm) named @ [ generated ]
 
-let timer_seconds name =
-  match List.find_opt (fun (n, _, _) -> n = name) (Instrument.timers ()) with
-  | Some (_, s, _) -> s
+let section_seconds name =
+  match List.assoc_opt name (Metrics.spans ()) with
+  | Some h -> Metrics.Histogram.sum h
   | None -> 0.
 
 let espresso_bench_one (m : Fsm.t) =
-  Instrument.reset ();
+  Metrics.Registry.reset ();
   let n = Fsm.num_states ~m in
   let nbits = Ihybrid.min_code_length n in
   let e = Encoding.random (Random.State.make [| 0 |]) ~num_states:n ~nbits in
   let r = Encoded.implement m e in
-  let minimize_s = timer_seconds "espresso.minimize" in
-  let taut_s = timer_seconds "logic.tautology" in
-  let compl_s = timer_seconds "logic.complement" in
+  let minimize_s = section_seconds "espresso.minimize" in
+  let taut_s = section_seconds "logic.tautology" in
+  let compl_s = section_seconds "logic.complement" in
   Format.printf "%-12s states=%3d rows=%4d  minimize=%8.4fs taut=%8.4fs compl=%8.4fs cubes=%4d lits=%5d@."
     m.Fsm.name n (List.length m.Fsm.transitions) minimize_s taut_s compl_s r.Encoded.num_cubes
     (Logic.Cover.literal_cost r.Encoded.cover);
@@ -129,16 +129,14 @@ let espresso_bench_one (m : Fsm.t) =
       (List.length m.Fsm.transitions)
       nbits minimize_s r.Encoded.num_cubes
       (Logic.Cover.literal_cost r.Encoded.cover)
-      r.Encoded.area taut_s compl_s (Instrument.to_json ())
+      r.Encoded.area taut_s compl_s
+      (Json_min.render (Harness.Telemetry.instrument_block ()))
   in
   (json, minimize_s, taut_s, compl_s)
 
 let run_espresso ~quick () =
-  let was_on = Instrument.enabled () in
-  Instrument.enable ();
   Format.printf "@.== ESPRESSO kernel benchmark (%s) ==@." (if quick then "quick" else "full");
   let rows = List.map espresso_bench_one (espresso_bench_machines ~quick) in
-  if not was_on then Instrument.disable ();
   let total f = List.fold_left (fun acc r -> acc +. f r) 0. rows in
   let t_min = total (fun (_, m, _, _) -> m)
   and t_taut = total (fun (_, _, t, _) -> t)
@@ -160,30 +158,12 @@ let run_espresso ~quick () =
    reference path) and iexact under a 50 ms wall-clock deadline (the
    graceful-degradation path — the fallback ladder must still produce an
    encoding). Each row records which rung produced the encoding, the
-   degradations along the way, and the per-stage Instrument spans. *)
+   degradations along the way, and the per-stage section timings. *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 32 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let pipeline_stage_spans () =
-  Instrument.timers ()
-  |> List.filter (fun (n, _, _) ->
-         (String.length n >= 9 && String.sub n 0 9 = "pipeline.") || n = "espresso.minimize")
-  |> List.map (fun (n, s, calls) ->
-         Printf.sprintf "{\"name\":\"%s\",\"seconds\":%.6f,\"calls\":%d}" (json_escape n) s calls)
-  |> String.concat ","
+let pipeline_stage_spans () = Json_min.render (Harness.Telemetry.pipeline_stages ())
 
 let pipeline_bench_one (m : Fsm.t) ~mode ~algo ~budget =
-  Instrument.reset ();
+  Metrics.Registry.reset ();
   let n = Fsm.num_states ~m in
   let t0 = Unix.gettimeofday () in
   let outcome = Harness.Driver.report ~budget m algo in
@@ -193,18 +173,18 @@ let pipeline_bench_one (m : Fsm.t) ~mode ~algo ~budget =
       Format.printf "%-12s %-12s %-8s FAILED: %s@." m.Fsm.name (Harness.Driver.name algo) mode
         (Nova_error.to_string err);
       Printf.sprintf
-        "{\"name\":\"%s\",\"mode\":\"%s\",\"algorithm\":\"%s\",\"states\":%d,\"rows\":%d,\"wall_s\":%.6f,\"error\":\"%s\",\"stages\":[%s]}"
+        "{\"name\":\"%s\",\"mode\":\"%s\",\"algorithm\":\"%s\",\"states\":%d,\"rows\":%d,\"wall_s\":%.6f,\"error\":%s,\"stages\":%s}"
         m.Fsm.name mode (Harness.Driver.name algo) n
         (List.length m.Fsm.transitions)
         wall
-        (json_escape (Nova_error.to_string err))
+        (Json_min.quote (Nova_error.to_string err))
         (pipeline_stage_spans ())
   | Ok (o, r) ->
       let degradations =
         List.map
           (fun (rung, err) ->
-            Printf.sprintf "{\"rung\":\"%s\",\"error\":\"%s\"}" (Harness.Driver.rung_name rung)
-              (json_escape (Nova_error.to_string err)))
+            Printf.sprintf "{\"rung\":\"%s\",\"error\":%s}" (Harness.Driver.rung_name rung)
+              (Json_min.quote (Nova_error.to_string err)))
           o.Harness.Driver.degradations
       in
       Format.printf
@@ -214,7 +194,7 @@ let pipeline_bench_one (m : Fsm.t) ~mode ~algo ~budget =
         (List.length o.Harness.Driver.degradations)
         o.Harness.Driver.encoding.Encoding.nbits r.Encoded.num_cubes r.Encoded.area;
       Printf.sprintf
-        "{\"name\":\"%s\",\"mode\":\"%s\",\"algorithm\":\"%s\",\"states\":%d,\"rows\":%d,\"wall_s\":%.6f,\"produced_by\":\"%s\",\"degradations\":[%s],\"nbits\":%d,\"num_cubes\":%d,\"area\":%d,\"stages\":[%s]}"
+        "{\"name\":\"%s\",\"mode\":\"%s\",\"algorithm\":\"%s\",\"states\":%d,\"rows\":%d,\"wall_s\":%.6f,\"produced_by\":\"%s\",\"degradations\":[%s],\"nbits\":%d,\"num_cubes\":%d,\"area\":%d,\"stages\":%s}"
         m.Fsm.name mode (Harness.Driver.name algo) n
         (List.length m.Fsm.transitions)
         wall
@@ -224,8 +204,6 @@ let pipeline_bench_one (m : Fsm.t) ~mode ~algo ~budget =
         (pipeline_stage_spans ())
 
 let run_pipeline ~quick () =
-  let was_on = Instrument.enabled () in
-  Instrument.enable ();
   Format.printf "@.== staged pipeline benchmark (%s) ==@." (if quick then "quick" else "full");
   let rows =
     List.concat_map
@@ -241,7 +219,6 @@ let run_pipeline ~quick () =
         [ unlimited; deadline ])
       (espresso_bench_machines ~quick)
   in
-  if not was_on then Instrument.disable ();
   let oc = open_out "BENCH_pipeline.json" in
   Printf.fprintf oc "{\"schema\":\"nova-bench-pipeline/v1\",\"mode\":\"%s\",\"runs\":[%s]}\n"
     (if quick then "quick" else "full")
@@ -268,9 +245,9 @@ let check_bench_one (m : Fsm.t) algo =
   | Error err ->
       Format.printf "%-12s %-10s FAILED: %s@." m.Fsm.name (Harness.Driver.name algo)
         (Nova_error.to_string err);
-      Printf.sprintf "{\"name\":\"%s\",\"algorithm\":\"%s\",\"error\":\"%s\"}" m.Fsm.name
+      Printf.sprintf "{\"name\":\"%s\",\"algorithm\":\"%s\",\"error\":%s}" m.Fsm.name
         (Harness.Driver.name algo)
-        (json_escape (Nova_error.to_string err))
+        (Json_min.quote (Nova_error.to_string err))
   | Ok (o, r) ->
       let cert = Harness.Certify.run m o r in
       let total_span =

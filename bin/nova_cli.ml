@@ -144,8 +144,9 @@ let pla_arg =
 
 let instrument_arg =
   let doc =
-    "Collect kernel counters, phase timers and recursion-depth histograms during encoding \
-     and minimization, and print the report to stderr (same switch as NOVA_INSTRUMENT=1)."
+    "Print the metrics registry to stderr when done, in the Prometheus text format that \
+     $(b,client metrics) returns: kernel operation counts (nova_events_total), section \
+     timings (nova_span_seconds) and every other series."
   in
   Arg.(value & flag & info [ "instrument" ] ~doc)
 
@@ -276,9 +277,10 @@ let certify_and_report m outcome r inject =
       | None -> 0
       | Some err -> fail_with err)
 
+let s_cli_encode = Metrics.section "cli.encode"
+
 let encode algo bits seed pla instrument budget_ms max_work fallback no_fallback certify inject
     quiet trace path =
-  if instrument then Instrument.enable ();
   if quiet then Harness.Driver.quiet := true;
   with_machine path @@ fun m ->
   run_traced trace
@@ -298,7 +300,7 @@ let encode algo bits seed pla instrument budget_ms max_work fallback no_fallback
   (* The root span of the whole subcommand: the espresso phases of the
      1-hot reference and the certification checks run outside the
      driver's own spans, and inherit machine/algorithm from here. *)
-  Trace.with_span "cli.encode"
+  Metrics.span s_cli_encode
     ~attrs:
       [
         ("machine", Trace.String m.Fsm.name);
@@ -331,7 +333,7 @@ let encode algo bits seed pla instrument budget_ms max_work fallback no_fallback
       let code =
         if certify || inject <> None then certify_and_report m outcome r inject else 0
       in
-      if instrument || Instrument.enabled () then Instrument.report Format.err_formatter ();
+      if instrument then prerr_string (Metrics.Expose.prometheus ());
       code
 
 let encode_cmd =
@@ -424,7 +426,6 @@ let report_machines names heavy =
    --jobs levels and cold/warm cache runs. *)
 let report jobs race cache_dir no_cache heavy instrument quiet trace chaos chaos_seed
     machines =
-  if instrument then Instrument.enable ();
   if quiet then begin
     Harness.Driver.quiet := true;
     Exec.Supervise.quiet := true
@@ -488,7 +489,7 @@ let report jobs race cache_dir no_cache heavy instrument quiet trace chaos chaos
           Printf.eprintf "cache: %d hits, %d misses, %d stores, %d rejected (%s)\n"
             s.Exec.Cache.hits s.Exec.Cache.misses s.Exec.Cache.stores s.Exec.Cache.rejected
             (Exec.Cache.dir c));
-      if instrument || Instrument.enabled () then Instrument.report Format.err_formatter ();
+      if instrument then prerr_string (Metrics.Expose.prometheus ());
       (* Racing cancellations are the protocol working, not failures;
          any other error row (a crash that exhausted its retries, a
          quarantined rung, a budget trip outside racing) makes the

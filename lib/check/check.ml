@@ -45,23 +45,22 @@ type outcome = {
 
 type t = { ok : bool; checks : outcome list }
 
-(* Every check runs under its own wall-clock span and an Instrument
-   timer, and must not raise: an exception inside a check is itself a
-   certification failure, never a crash of the checker. *)
+(* Every check is a timed section of its own, and must not raise: an
+   exception inside a check is itself a certification failure, never a
+   crash of the checker. *)
+let check_section =
+  Metrics.sections ~prefix:"check." (List.map check_name all_checks)
+
 let run_check id f =
-  let timer = Instrument.timer ("check." ^ check_name id) in
   let t0 = Unix.gettimeofday () in
   let run () =
-    match Instrument.time timer f with
+    match f () with
     | r -> r
     | exception e -> (false, Printf.sprintf "checker exception: %s" (Printexc.to_string e))
   in
   let pass, detail =
-    if not (Trace.enabled ()) then run ()
-    else
-      Trace.with_span_result ("check." ^ check_name id) (fun () ->
-          let ((pass, _) as r) = run () in
-          (r, [ ("pass", Trace.Bool pass) ]))
+    Metrics.span (check_section (check_name id)) run
+      ~end_attrs:(fun (pass, _) -> [ ("pass", Trace.Bool pass) ])
   in
   { id; pass; detail; span_s = Unix.gettimeofday () -. t0 }
 
@@ -209,22 +208,10 @@ let summary c =
       (String.concat "; "
          (List.map (fun o -> Printf.sprintf "%s (%s)" (check_name o.id) o.detail) (failures c)))
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | ch when Char.code ch < 32 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code ch))
-      | ch -> Buffer.add_char b ch)
-    s;
-  Buffer.contents b
-
 let to_json c =
   let check o =
-    Printf.sprintf "{\"name\":\"%s\",\"pass\":%b,\"span_s\":%.6f,\"detail\":\"%s\"}"
-      (check_name o.id) o.pass o.span_s (json_escape o.detail)
+    Printf.sprintf "{\"name\":\"%s\",\"pass\":%b,\"span_s\":%.6f,\"detail\":%s}"
+      (check_name o.id) o.pass o.span_s (Json_min.quote o.detail)
   in
   Printf.sprintf "{\"ok\":%b,\"checks\":[%s]}" c.ok
     (String.concat "," (List.map check c.checks))

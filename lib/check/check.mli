@@ -90,8 +90,8 @@ type t = { ok : bool; checks : outcome list }
     [exhaustive_inputs] (default 12) bounds the exhaustive trace check:
     machines with more primary inputs are verified with [sample_traces]
     (default 64) seeded random traces of [sample_length] (default 32)
-    steps drawn from [seed] (default 0). Each check also records an
-    [Instrument] span under ["check.<name>"]. *)
+    steps drawn from [seed] (default 0). Each check is also timed as
+    the section ["check.<name>"] ({!Metrics.span}). *)
 val certify :
   ?seed:int ->
   ?exhaustive_inputs:int ->

@@ -1,30 +1,27 @@
 open Logic
 
-(* Instrumentation probes: phase wall-clock timers and iteration
-   counters, all no-ops unless Instrument.enable (). *)
-let t_offset = Instrument.timer "espresso.off_set"
-let t_expand = Instrument.timer "espresso.expand"
-let t_irredundant = Instrument.timer "espresso.irredundant"
-let t_reduce = Instrument.timer "espresso.reduce"
-let t_essential = Instrument.timer "espresso.essential_primes"
-let t_minimize = Instrument.timer "espresso.minimize"
-let c_expand_passes = Instrument.counter "espresso.expand_passes"
-let c_expand_raises = Instrument.counter "espresso.expand_raised_bits"
-let c_reduce_iterations = Instrument.counter "espresso.reduce_iterations"
-let c_minimize_calls = Instrument.counter "espresso.minimize_calls"
+(* Probes: one timed section per minimizer phase, plus iteration
+   counters. [expand] tallies its passes and raised bits in plain ints
+   and publishes them once per call. *)
+let s_offset = Metrics.section "espresso.off_set"
+let s_expand = Metrics.section "espresso.expand"
+let s_irredundant = Metrics.section "espresso.irredundant"
+let s_reduce = Metrics.section "espresso.reduce"
+let s_essential = Metrics.section "espresso.essential_primes"
+let s_minimize = Metrics.section "espresso.minimize"
+let c_expand_passes = Metrics.event "espresso.expand_passes"
+let c_expand_raises = Metrics.event "espresso.expand_raised_bits"
+let c_reduce_iterations = Metrics.event "espresso.reduce_iterations"
+let c_minimize_calls = Metrics.event "espresso.minimize_calls"
 
-let off_set ~on ~dc = Instrument.time t_offset (fun () -> Cover.complement (Cover.union on dc))
+let off_set ~on ~dc = Metrics.span s_offset (fun () -> Cover.complement (Cover.union on dc))
 
-(* Trace span around one minimizer phase, recording the cover size going
-   in (Begin) and coming out (End). Guarded so the off path computes no
-   sizes and allocates nothing. *)
-let traced name (cover : Cover.t) f =
-  if not (Trace.enabled ()) then f ()
-  else
-    Trace.with_span_result ~attrs:[ ("cubes_in", Trace.Int (Cover.size cover)) ] name
-      (fun () ->
-        let r = f () in
-        (r, [ ("cubes_out", Trace.Int (Cover.size r)) ]))
+(* One minimizer phase as a timed section; when tracing, the span
+   records the cover size going in (Begin) and coming out (End). The
+   guard keeps the off path from computing sizes. *)
+let phase s (cover : Cover.t) f =
+  let attrs = if Trace.enabled () then [ ("cubes_in", Trace.Int (Cover.size cover)) ] else [] in
+  Metrics.span s ~attrs ~end_attrs:(fun r -> [ ("cubes_out", Trace.Int (Cover.size r)) ]) f
 
 (* Budget plumbing: [None] (the default) compiles to the historical
    unbudgeted behavior; with a budget, every per-cube step of
@@ -42,7 +39,7 @@ let valid dom c off = not (List.exists (fun o -> Cube.intersects dom c o) off)
 (* Expand one cube to a prime: repeatedly raise bits, preferring bits set
    in many of the not-yet-covered companion cubes so that the expansion
    swallows as much of the rest of the cover as possible. *)
-let expand_cube dom c ~off ~companions =
+let expand_cube dom c ~off ~companions ~passes ~raised =
   let width = Domain.width dom in
   let cur = Bitvec.copy c in
   (* The companions never change within one expansion, so each candidate
@@ -58,14 +55,14 @@ let expand_cube dom c ~off ~companions =
   let improved = ref true in
   while !improved do
     improved := false;
-    Instrument.bump c_expand_passes;
+    incr passes;
     List.iter
       (fun i ->
         if not (Bitvec.get cur i) then begin
           Bitvec.set cur i;
           if valid dom cur off then begin
             improved := true;
-            Instrument.bump c_expand_raises
+            incr raised
           end
           else Bitvec.clear cur i
         end)
@@ -74,9 +71,13 @@ let expand_cube dom c ~off ~companions =
   cur
 
 let expand ?budget (cover : Cover.t) ~(off : Cover.t) =
-  Instrument.time t_expand @@ fun () ->
-  traced "espresso.expand" cover @@ fun () ->
+  phase s_expand cover @@ fun () ->
   let dom = cover.Cover.dom in
+  let passes = ref 0 and raised = ref 0 in
+  Fun.protect ~finally:(fun () ->
+      Metrics.Registry.add c_expand_passes !passes;
+      Metrics.Registry.add c_expand_raises !raised)
+  @@ fun () ->
   (* Fewest-literal (largest) cubes first: their expansions swallow the
      most companions, shrinking the list early. *)
   let ordered =
@@ -91,7 +92,7 @@ let expand ?budget (cover : Cover.t) ~(off : Cover.t) =
         else if List.exists (fun e -> Cube.contains e c) acc then loop acc rest
         else begin
           charge budget;
-          let e = expand_cube dom c ~off:off.Cover.cubes ~companions:rest in
+          let e = expand_cube dom c ~off:off.Cover.cubes ~companions:rest ~passes ~raised in
           let rest = List.filter (fun r -> not (Cube.contains e r)) rest in
           loop (e :: acc) rest
         end
@@ -99,8 +100,7 @@ let expand ?budget (cover : Cover.t) ~(off : Cover.t) =
   Cover.make dom (loop [] ordered)
 
 let irredundant ?budget (cover : Cover.t) ~(dc : Cover.t) =
-  Instrument.time t_irredundant @@ fun () ->
-  traced "espresso.irredundant" cover @@ fun () ->
+  phase s_irredundant cover @@ fun () ->
   let dom = cover.Cover.dom in
   (* Try to remove big cubes last: small, specific cubes are more likely
      redundant leftovers of expansion. *)
@@ -125,8 +125,7 @@ let irredundant ?budget (cover : Cover.t) ~(dc : Cover.t) =
   Cover.make dom (loop [] ordered)
 
 let reduce ?budget (cover : Cover.t) ~(dc : Cover.t) =
-  Instrument.time t_reduce @@ fun () ->
-  traced "espresso.reduce" cover @@ fun () ->
+  phase s_reduce cover @@ fun () ->
   let dom = cover.Cover.dom in
   (* Largest cubes first, per ESPRESSO: reducing big cubes frees room for
      subsequent reductions. *)
@@ -151,8 +150,7 @@ let reduce ?budget (cover : Cover.t) ~(dc : Cover.t) =
   Cover.make dom (loop [] ordered)
 
 let essential_primes ?budget (cover : Cover.t) ~(dc : Cover.t) =
-  Instrument.time t_essential @@ fun () ->
-  traced "espresso.essential_primes" cover @@ fun () ->
+  phase s_essential cover @@ fun () ->
   let dom = cover.Cover.dom in
   let essential c =
     (* Out of budget: treat the rest as non-essential (the set-aside is
@@ -171,9 +169,8 @@ let essential_primes ?budget (cover : Cover.t) ~(dc : Cover.t) =
 let cost (c : Cover.t) = (Cover.size c, Cover.literal_cost c)
 
 let minimize_with_off ?budget ~(dc : Cover.t) ~(off : Cover.t) (on : Cover.t) =
-  Instrument.bump c_minimize_calls;
-  Instrument.time t_minimize @@ fun () ->
-  traced "espresso.minimize" on @@ fun () ->
+  Metrics.Registry.inc c_minimize_calls;
+  phase s_minimize on @@ fun () ->
   let dom = on.Cover.dom in
   let f = Cover.single_cube_containment on in
   if f.Cover.cubes = [] || drained budget then f
@@ -198,7 +195,7 @@ let minimize_with_off ?budget ~(dc : Cover.t) ~(off : Cover.t) (on : Cover.t) =
     let iterations = ref 0 in
     while !continue_ && !iterations < 12 && !best.Cover.cubes <> [] && not (drained budget) do
       incr iterations;
-      Instrument.bump c_reduce_iterations;
+      Metrics.Registry.inc c_reduce_iterations;
       let f = reduce ?budget !best ~dc in
       let f = expand ?budget f ~off in
       let f = irredundant ?budget f ~dc in
@@ -269,9 +266,8 @@ let reduce_care ?budget (cover : Cover.t) ~(care : Cover.t) =
   Cover.make dom (loop [] ordered)
 
 let minimize_care ?budget ~(off : Cover.t) (on : Cover.t) =
-  Instrument.bump c_minimize_calls;
-  Instrument.time t_minimize @@ fun () ->
-  traced "espresso.minimize" on @@ fun () ->
+  Metrics.Registry.inc c_minimize_calls;
+  phase s_minimize on @@ fun () ->
   let f = Cover.single_cube_containment on in
   if f.Cover.cubes = [] || drained budget then f
   else begin
@@ -283,7 +279,7 @@ let minimize_care ?budget ~(off : Cover.t) (on : Cover.t) =
     let iterations = ref 0 in
     while !continue_ && !iterations < 12 && not (drained budget) do
       incr iterations;
-      Instrument.bump c_reduce_iterations;
+      Metrics.Registry.inc c_reduce_iterations;
       let f = reduce_care ?budget !best ~care:on in
       let f = expand ?budget f ~off in
       let f = irredundant_care ?budget f ~care:on in

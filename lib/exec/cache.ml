@@ -1,13 +1,5 @@
-let c_hit = Instrument.counter "exec.cache.hits"
-let c_miss = Instrument.counter "exec.cache.misses"
-let c_store = Instrument.counter "exec.cache.stores"
-let c_rejected = Instrument.counter "exec.cache.rejected"
-let c_io_faults = Instrument.counter "exec.cache.io_faults"
-let t_certify = Instrument.timer "exec.cache.recertify"
-
-(* Production metrics mirror the Instrument counters (which are a
-   default-off debug fabric): one labeled family for the lifecycle
-   events, one for I/O faults, gauges for the latest fsck findings. *)
+(* Production metrics: one labeled family for the lifecycle events, one
+   for I/O faults, gauges for the latest fsck findings. *)
 let m_event event =
   Metrics.Registry.counter ~help:"Cache lifecycle events by kind."
     ~labels:[ ("event", event) ] "nova_cache_events_total"
@@ -68,20 +60,17 @@ let ev name (task : Job.task) =
    with the verdict on the End event. The [Recertify] chaos site models
    a crash inside the checker (or the entry being swapped out from
    under it by a concurrent process mid-check). *)
+let s_recertify = Metrics.section "exec.cache.recertify"
+
 let recertify (task : Job.task) s =
-  let run () =
-    Chaos.maybe_raise Chaos.Recertify;
-    Instrument.time t_certify (fun () -> Check.certify task.Job.machine (Job.artifacts_of s))
-  in
-  if not (Trace.enabled ()) then run ()
-  else
-    Trace.with_span_result "cache.recertify"
-      ~attrs:
-        [ ("machine", Trace.String task.Job.machine.Fsm.name);
-          ("algorithm", Trace.String (Harness.Driver.name task.Job.algorithm)) ]
-      (fun () ->
-        let cert = run () in
-        (cert, [ ("ok", Trace.Bool cert.Check.ok) ]))
+  Metrics.span s_recertify
+    ~attrs:
+      [ ("machine", Trace.String task.Job.machine.Fsm.name);
+        ("algorithm", Trace.String (Harness.Driver.name task.Job.algorithm)) ]
+    ~end_attrs:(fun cert -> [ ("ok", Trace.Bool cert.Check.ok) ])
+  @@ fun () ->
+  Chaos.maybe_raise Chaos.Recertify;
+  Check.certify task.Job.machine (Job.artifacts_of s)
 
 (* --- per-entry advisory file locks -------------------------------------- *)
 
@@ -255,13 +244,11 @@ let read_file path =
 
 let reject (c : t) path =
   Atomic.incr c.rejected;
-  Instrument.bump c_rejected;
   Metrics.Registry.inc m_reject;
   (try Sys.remove path with Sys_error _ -> ())
 
 let miss (c : t) task =
   Atomic.incr c.misses;
-  Instrument.bump c_miss;
   Metrics.Registry.inc m_miss;
   ev "miss" task;
   None
@@ -282,7 +269,6 @@ let find (c : t) (task : Job.task) =
     in
     match Supervise.protect ~what:("cache read " ^ Filename.basename path) read with
     | Error _ ->
-        Instrument.bump c_io_faults;
         Metrics.Registry.inc m_io_faults;
         reject c path;
         ev "reject" task;
@@ -301,7 +287,6 @@ let find (c : t) (task : Job.task) =
                so its entry is dropped too. *)
             match Supervise.protect ~what:"recertify" (fun () -> recertify task s) with
             | Error _ ->
-                Instrument.bump c_io_faults;
                 Metrics.Registry.inc m_io_faults;
                 reject c path;
                 ev "reject" task;
@@ -309,7 +294,6 @@ let find (c : t) (task : Job.task) =
             | Ok cert ->
                 if cert.Check.ok then begin
                   Atomic.incr c.hits;
-                  Instrument.bump c_hit;
                   Metrics.Registry.inc m_hit;
                   ev "hit" task;
                   Some s
@@ -341,7 +325,6 @@ let write_once path text =
   | () -> true
   | exception e
     when not (match e with Out_of_memory | Stack_overflow | Sys.Break -> true | _ -> false) ->
-      Instrument.bump c_io_faults;
       Metrics.Registry.inc m_io_faults;
       (try Sys.remove tmp with Sys_error _ -> ());
       false
@@ -354,7 +337,6 @@ let store_certified (c : t) (task : Job.task) (s : Job.success) =
      a correctness dependency. *)
   if write_once path text || write_once path text then begin
     Atomic.incr c.stores;
-    Instrument.bump c_store;
     Metrics.Registry.inc m_store;
     ev "store" task
   end
@@ -369,7 +351,6 @@ let store (c : t) (task : Job.task) (s : Job.success) =
   | Ok cert when cert.Check.ok -> store_certified c task s
   | Ok _ -> ev "reject" task
   | Error _ ->
-      Instrument.bump c_io_faults;
       Metrics.Registry.inc m_io_faults;
       ev "reject" task
 
@@ -479,7 +460,6 @@ let fsck (c : t) =
      flavor of the read path's reject-and-recompute. *)
   for _ = 1 to !removed do
     Atomic.incr c.rejected;
-    Instrument.bump c_rejected;
     Metrics.Registry.inc m_reject
   done;
   (* Gauges carry the latest sweep's findings (not cumulative): a scrape

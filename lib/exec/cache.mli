@@ -38,7 +38,8 @@ val open_dir : string -> t
 val dir : t -> string
 
 (** [stats c] is a snapshot of this handle's counters (cross-domain
-    safe; also mirrored in the [exec.cache.*] Instrument counters). *)
+    safe). The process-wide totals over every handle are the
+    [nova_cache_events_total] registry series. *)
 val stats : t -> stats
 
 (** [find c task] is the cached, freshly re-certified result of [task],

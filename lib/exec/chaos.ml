@@ -49,8 +49,6 @@ let state : config option Atomic.t = Atomic.make None
 let enabled () = Atomic.get state <> None
 let disable () = Atomic.set state None
 
-let c_injected = Instrument.counter "exec.chaos.injected"
-
 (* [count] distinct indices out of [0 .. 2*count - 1], by a seeded
    partial Fisher-Yates. Sorted so tests can reason about the plan. *)
 let pick_fires ~seed ~site count =
@@ -139,7 +137,6 @@ let fire_index site =
           let i = Atomic.fetch_and_add p.counter 1 in
           (* The fires array is tiny (the schedule's count); linear scan. *)
           if Array.exists (( = ) i) p.fires then begin
-            Instrument.bump c_injected;
             Metrics.Registry.inc
               (Metrics.Registry.counter ~help:"Injected chaos faults by site."
                  ~labels:[ ("site", site_name site) ]

@@ -1,8 +1,8 @@
 let available_jobs () = max 1 (Domain.recommended_domain_count ())
 
-let c_spawned = Instrument.counter "exec.pool.domains_spawned"
-let c_tasks = Instrument.counter "exec.pool.tasks"
-let c_isolated = Instrument.counter "exec.pool.crashes_isolated"
+let c_spawned = Metrics.event "exec.pool.domains_spawned"
+let c_tasks = Metrics.event "exec.pool.tasks"
+let c_isolated = Metrics.event "exec.pool.crashes_isolated"
 
 (* Fatal exceptions cross the pool barrier: isolating an OOM or a user
    interrupt into a per-slot value would hide a dying process. *)
@@ -18,7 +18,7 @@ let is_fatal = function Out_of_memory | Stack_overflow | Sys.Break -> true | _ -
    the task the dying domain was running. *)
 let mapi_isolated ~jobs tasks ~f =
   let n = Array.length tasks in
-  Instrument.add c_tasks n;
+  Metrics.Registry.add c_tasks n;
   let jobs = max 1 (min jobs n) in
   let run i x =
     match
@@ -27,7 +27,7 @@ let mapi_isolated ~jobs tasks ~f =
     with
     | v -> Ok v
     | exception e when not (is_fatal e) ->
-        Instrument.bump c_isolated;
+        Metrics.Registry.inc c_isolated;
         let bt = Printexc.get_backtrace () in
         if Trace.enabled () then
           Trace.instant "pool.crash_isolated"
@@ -50,7 +50,7 @@ let mapi_isolated ~jobs tasks ~f =
     in
     let domains =
       List.init (jobs - 1) (fun k ->
-          Instrument.bump c_spawned;
+          Metrics.Registry.inc c_spawned;
           if Trace.enabled () then
             Trace.instant "pool.spawn" ~attrs:[ ("worker", Trace.Int (k + 1)) ];
           Domain.spawn worker)

@@ -27,8 +27,19 @@ let primary_stage = function
   | Harness.Driver.Random _ ->
       Nova_error.Baseline
 
-let job_timer (task : Job.task) =
-  Instrument.timer ("exec.job." ^ Harness.Driver.name task.Job.algorithm)
+(* One timed section per algorithm; every random seed shares
+   [exec.job.random], keeping the span label set finite. *)
+let job_label = function Harness.Driver.Random _ -> "random" | a -> Harness.Driver.name a
+
+let job_section =
+  let section =
+    Metrics.sections ~prefix:"exec.job."
+      (List.map job_label
+         (Harness.Driver.Mustang (Baselines.Fanout, false)
+         :: Harness.Driver.Mustang (Baselines.Fanin, false)
+         :: Harness.Driver.all_algorithms))
+  in
+  fun (task : Job.task) -> section (job_label task.Job.algorithm)
 
 let origin_name = function
   | Job.Computed -> "computed"
@@ -63,27 +74,24 @@ let plan_jobs requested =
       ~attrs:[ ("requested", Trace.Int requested); ("effective", Trace.Int effective) ];
   effective
 
-(* The per-job root span on whatever track (domain) picked the task up:
-   it carries machine/algorithm, so everything beneath it in a worker
-   lane — driver, espresso, cache, checks — self-describes by
-   inheritance. *)
+(* The per-job root span on whatever track (domain) picked the task up
+   — cache lookup, compute and store: it carries machine/algorithm, so
+   everything beneath it in a worker lane — driver, espresso, cache,
+   checks — self-describes by inheritance. *)
+let s_task = Metrics.section "exec.task"
+
+let row_end_attrs (row : Job.row) =
+  ("origin", Trace.String (origin_name row.Job.origin))
+  ::
+  (match row.Job.result with
+  | Ok s -> [ ("num_cubes", Trace.Int s.Job.num_cubes); ("area", Trace.Int s.Job.area) ]
+  | Error e -> [ ("error", Trace.String (Nova_error.to_string e)) ])
+
 let traced_job (task : Job.task) f =
-  if not (Trace.enabled ()) then f ()
-  else
-    Trace.with_span_result "job"
-      ~attrs:
-        [ ("machine", Trace.String task.Job.machine.Fsm.name);
-          ("algorithm", Trace.String (Harness.Driver.name task.Job.algorithm)) ]
-      (fun () ->
-        let row = f () in
-        let end_attrs =
-          ("origin", Trace.String (origin_name row.Job.origin))
-          ::
-          (match row.Job.result with
-          | Ok s -> [ ("num_cubes", Trace.Int s.Job.num_cubes); ("area", Trace.Int s.Job.area) ]
-          | Error e -> [ ("error", Trace.String (Nova_error.to_string e)) ])
-        in
-        (row, end_attrs))
+  Metrics.span s_task ~end_attrs:row_end_attrs f
+    ~attrs:
+      [ ("machine", Trace.String task.Job.machine.Fsm.name);
+        ("algorithm", Trace.String (Harness.Driver.name task.Job.algorithm)) ]
 
 (* The supervised compute step: quarantine check, then Job.run under
    retry/backoff. The Rung chaos site fires at the job boundary (an
@@ -96,7 +104,7 @@ let supervised_run policy ?budget (task : Job.task) =
     ~algorithm:(Harness.Driver.name task.Job.algorithm)
     (fun () ->
       Chaos.maybe_raise Chaos.Rung;
-      Instrument.time (job_timer task) (fun () -> Job.run ?budget task))
+      Metrics.span (job_section task) (fun () -> Job.run ?budget task))
 
 (* One plain (non-racing) job: cache lookup, else compute and store.
    [budget] is an externally imposed budget (the serving layer's

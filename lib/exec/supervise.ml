@@ -21,10 +21,6 @@
      with attempt counts and the reason, suppressed by [quiet] (the
      CLI's --quiet). *)
 
-let c_retries = Instrument.counter "exec.supervise.retries"
-let c_crashes = Instrument.counter "exec.supervise.crashes"
-let c_quarantined = Instrument.counter "exec.supervise.quarantine_skips"
-
 (* Production metrics: crash counts labeled by the site that crashed
    ("job" for supervised runs, the first word of [protect]'s ~what for
    infrastructure — "cache", "recertify" — keeping label cardinality
@@ -201,7 +197,6 @@ let quarantine_instant ~machine ~algorithm ~crashes detail =
 let run policy ~machine ~algorithm f =
   match quarantined ~machine ~algorithm with
   | Some (crashes, detail) ->
-      Instrument.bump c_quarantined;
       Metrics.Registry.inc m_skips;
       record_skip ~machine ~algorithm;
       quarantine_instant ~machine ~algorithm ~crashes detail;
@@ -220,11 +215,9 @@ let run policy ~machine ~algorithm f =
         | result -> result
         | exception e when not (is_fatal e) ->
             let detail = describe_exn e (Printexc.get_backtrace ()) in
-            Instrument.bump c_crashes;
             Metrics.Registry.inc (m_crashes "job");
             if n < policy.max_attempts then begin
               let backoff = backoff_ms policy ~key:(machine ^ "/" ^ algorithm) ~attempt:n in
-              Instrument.bump c_retries;
               Metrics.Registry.inc m_retries;
               Metrics.Registry.observe m_backoff (backoff /. 1000.);
               retry_instant ~machine ~algorithm ~attempt:n ~backoff detail;
@@ -253,6 +246,5 @@ let protect ~what f =
   | v -> Ok v
   | exception e when not (is_fatal e) ->
       let detail = describe_exn e (Printexc.get_backtrace ()) in
-      Instrument.bump c_crashes;
       Metrics.Registry.inc (m_crashes (crash_site_of_what what));
       Error (Printf.sprintf "%s: %s" what detail)

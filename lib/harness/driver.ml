@@ -1,8 +1,8 @@
-(* Instrumentation probes: no-ops unless Instrument.enable (). *)
-let t_encode = Instrument.timer "driver.encode"
-let t_implement = Instrument.timer "driver.implement"
-let t_constraints = Instrument.timer "pipeline.constraints"
-let t_symbolic_min = Instrument.timer "pipeline.symbolic-min"
+(* Timed sections of the encoding pipeline (rungs: [rung_section]). *)
+let s_encode = Metrics.section "driver.encode"
+let s_implement = Metrics.section "driver.implement"
+let s_constraints = Metrics.section "pipeline.constraints"
+let s_symbolic_min = Metrics.section "pipeline.symbolic-min"
 
 type algorithm =
   | Ihybrid
@@ -86,6 +86,10 @@ let rung_name = function
   | Rung_random -> "random"
 
 let rung_of_name s = List.find_opt (fun r -> rung_name r = s) all_rungs
+
+let rung_section =
+  let section = Metrics.sections ~prefix:"pipeline.rung." (List.map rung_name all_rungs) in
+  fun rung -> section (rung_name rung)
 
 let stage_of = function
   | Rung_iexact -> Nova_error.Iexact
@@ -259,40 +263,37 @@ let run_rung ~budget ~bits ~num_states ~ics ~problem (m : Fsm.t) algo rung =
    flow down by inheritance to every rung, stage, espresso-phase and
    check span opened below it on the same track, which is how every span
    in an exported trace ends up self-describing. *)
-let traced_encode (m : Fsm.t) algo f =
-  if not (Trace.enabled ()) then f ()
-  else
-    Trace.with_span_result "driver.encode"
-      ~attrs:
-        [ ("machine", Trace.String m.Fsm.name); ("algorithm", Trace.String (name algo)) ]
-      (fun () ->
-        let r = f () in
-        let end_attrs =
-          match r with
-          | Ok o ->
-              [
-                ("produced_by", Trace.String (rung_name o.produced_by));
-                ("nbits", Trace.Int o.encoding.Encoding.nbits);
-                ("degradations", Trace.Int (List.length o.degradations));
-              ]
-          | Error err -> [ ("error", Trace.String (Nova_error.to_string err)) ]
-        in
-        (r, end_attrs))
+let encode_end_attrs = function
+  | Ok o ->
+      [
+        ("produced_by", Trace.String (rung_name o.produced_by));
+        ("nbits", Trace.Int o.encoding.Encoding.nbits);
+        ("degradations", Trace.Int (List.length o.degradations));
+      ]
+  | Error err -> [ ("error", Trace.String (Nova_error.to_string err)) ]
 
 let encode ?bits ?(budget = Budget.unlimited) ?(fallback = true) (m : Fsm.t) algo =
-  Instrument.time t_encode @@ fun () ->
-  traced_encode m algo @@ fun () ->
+  Metrics.span s_encode ~end_attrs:encode_end_attrs
+    ~attrs:[ ("machine", Trace.String m.Fsm.name); ("algorithm", Trace.String (name algo)) ]
+  @@ fun () ->
   let num_states = Fsm.num_states ~m in
   (* Shared upstream artifacts, computed at most once per call whatever
      rung (or rungs) the ladder visits. *)
   let sym = lazy (Symbolic.of_fsm m) in
   let ics =
-    lazy (Instrument.time t_constraints (fun () -> Constraints.of_symbolic ~budget (Lazy.force sym)))
+    lazy (Metrics.span s_constraints (fun () -> Constraints.of_symbolic ~budget (Lazy.force sym)))
   in
   let problem =
     lazy
-      (Instrument.time t_symbolic_min (fun () ->
+      (Metrics.span s_symbolic_min (fun () ->
            (Symbmin.run ~budget (Lazy.force sym)).Symbmin.problem))
+  in
+  let rung_end_attrs r =
+    ("spent", Trace.Int (Budget.spent budget))
+    ::
+    (match r with
+    | Ok (e, _) -> [ ("ok", Trace.Bool true); ("nbits", Trace.Int e.Encoding.nbits) ]
+    | Error err -> [ ("ok", Trace.Bool false); ("error", Trace.String (Nova_error.to_string err)) ])
   in
   let rec descend degraded = function
     | [] -> (
@@ -303,29 +304,10 @@ let encode ?bits ?(budget = Budget.unlimited) ?(fallback = true) (m : Fsm.t) alg
         | (_, first_error) :: _ -> Error first_error
         | [] -> Error (Nova_error.Invalid_request "empty fallback ladder"))
     | rung :: rest -> (
-        let timer = Instrument.timer ("pipeline.rung." ^ rung_name rung) in
-        let run () =
-          Instrument.time timer (fun () ->
-              run_rung ~budget ~bits ~num_states ~ics ~problem m algo rung)
-        in
         let result =
-          if not (Trace.enabled ()) then run ()
-          else
-            Trace.with_span_result ("rung." ^ rung_name rung)
-              ~attrs:[ ("rung", Trace.String (rung_name rung)) ]
-              (fun () ->
-                let r = run () in
-                let end_attrs =
-                  ("spent", Trace.Int (Budget.spent budget))
-                  ::
-                  (match r with
-                  | Ok (e, _) ->
-                      [ ("ok", Trace.Bool true); ("nbits", Trace.Int e.Encoding.nbits) ]
-                  | Error err ->
-                      [ ("ok", Trace.Bool false);
-                        ("error", Trace.String (Nova_error.to_string err)) ])
-                in
-                (r, end_attrs))
+          Metrics.span (rung_section rung) ~end_attrs:rung_end_attrs
+            ~attrs:[ ("rung", Trace.String (rung_name rung)) ]
+            (fun () -> run_rung ~budget ~bits ~num_states ~ics ~problem m algo rung)
         in
         match result with
         | Ok (encoding, claims) ->
@@ -351,15 +333,9 @@ let report ?bits ?budget ?fallback m algo =
   | Error err -> Error err
   | Ok outcome ->
       let impl =
-        Instrument.time t_implement @@ fun () ->
-        if not (Trace.enabled ()) then Encoded.implement ?budget m outcome.encoding
-        else
-          Trace.with_span_result "driver.implement"
-            ~attrs:
-              [ ("machine", Trace.String m.Fsm.name);
-                ("algorithm", Trace.String (name algo)) ]
-            (fun () ->
-              let impl = Encoded.implement ?budget m outcome.encoding in
-              (impl, [ ("num_cubes", Trace.Int impl.Encoded.num_cubes) ]))
+        Metrics.span s_implement
+          ~attrs:[ ("machine", Trace.String m.Fsm.name); ("algorithm", Trace.String (name algo)) ]
+          ~end_attrs:(fun impl -> [ ("num_cubes", Trace.Int impl.Encoded.num_cubes) ])
+          (fun () -> Encoded.implement ?budget m outcome.encoding)
       in
       Ok (outcome, impl)

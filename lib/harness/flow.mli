@@ -7,7 +7,7 @@
     constraints), the four NOVA encodings, the baselines, random
     assignments, and an ESPRESSO run per encoding. Each is a memoized
     {!Stage.t} computed once per machine: forcing a stage records its
-    wall-clock time ({!Stage.elapsed}) and an [Instrument] span under
+    wall-clock time ({!Stage.elapsed}) and times it as the section
     ["pipeline.<stage>"]. *)
 
 type t = {

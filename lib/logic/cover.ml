@@ -6,19 +6,39 @@ let universe dom = { dom; cubes = [ Cube.full dom ] }
 let size t = List.length t.cubes
 let literal_cost t = List.fold_left (fun acc c -> acc + Cube.num_literal_bits t.dom c) 0 t.cubes
 
-(* --- Instrumentation probes (no-ops unless Instrument.enable ()) ------- *)
+(* --- Probes ------------------------------------------------------------ *)
 
-let c_taut_calls = Instrument.counter "logic.tautology_calls"
-let c_compl_calls = Instrument.counter "logic.complement_calls"
-let c_cofactor_calls = Instrument.counter "logic.cofactor_calls"
-let c_taut_nodes = Instrument.counter "logic.tautology_nodes"
-let c_compl_nodes = Instrument.counter "logic.complement_nodes"
-let c_unate_reductions = Instrument.counter "logic.unate_reductions"
-let c_component_reductions = Instrument.counter "logic.component_reductions"
-let t_taut = Instrument.timer "logic.tautology"
-let t_compl = Instrument.timer "logic.complement"
-let h_taut_depth = Instrument.histogram "logic.tautology_depth"
-let h_compl_depth = Instrument.histogram "logic.complement_depth"
+(* Per-call counters bump the registry directly. The recursions count
+   their nodes in a [tally] of plain ints instead, published with one
+   [Registry.add] per counter when the top-level call returns, so the
+   per-node path carries no atomics. *)
+let c_taut_calls = Metrics.event "logic.tautology_calls"
+let c_compl_calls = Metrics.event "logic.complement_calls"
+let c_cofactor_calls = Metrics.event "logic.cofactor_calls"
+let c_taut_nodes = Metrics.event "logic.tautology_nodes"
+let c_compl_nodes = Metrics.event "logic.complement_nodes"
+let c_unate_reductions = Metrics.event "logic.unate_reductions"
+let c_component_reductions = Metrics.event "logic.component_reductions"
+let s_taut = Metrics.section "logic.tautology"
+let s_compl = Metrics.section "logic.complement"
+
+type tally = {
+  mutable nodes : int;
+  mutable unate : int;
+  mutable components : int;
+  mutable cofactors : int;
+}
+
+let tallied ?nodes f =
+  let t = { nodes = 0; unate = 0; components = 0; cofactors = 0 } in
+  let add c n = if n > 0 then Metrics.Registry.add c n in
+  let publish () =
+    Option.iter (fun c -> add c t.nodes) nodes;
+    add c_unate_reductions t.unate;
+    add c_component_reductions t.components;
+    add c_cofactor_calls t.cofactors
+  in
+  Fun.protect ~finally:publish (fun () -> f t)
 
 let union a b =
   assert (Domain.equal a.dom b.dom);
@@ -34,7 +54,7 @@ let intersect a b =
   { a with cubes }
 
 let cofactor t ~wrt =
-  Instrument.bump c_cofactor_calls;
+  Metrics.Registry.inc c_cofactor_calls;
   let not_wrt = Bitvec.complement wrt in
   let cubes =
     List.filter_map
@@ -61,8 +81,8 @@ let single_cube_containment t =
 
 (* Cofactor a cube list against the literal (var v = part p), keeping only
    the cubes asserting part p and raising their field of v to full. *)
-let cofactor_literal dom cubes v p =
-  Instrument.bump c_cofactor_calls;
+let cofactor_literal tally dom cubes v p =
+  tally.cofactors <- tally.cofactors + 1;
   let bit = Domain.offset dom v + p in
   let pw = bit / Bitvec.bits_per_word and pm = 1 lsl (bit mod Bitvec.bits_per_word) in
   let ws = Domain.var_words dom v and ms = Domain.var_masks dom v in
@@ -185,9 +205,8 @@ let space_size dom =
    - Shannon split on the most binate variable, with identical columns
      of a multiple-valued variable recursed once and thin cofactors
      visited first (they are the likely non-tautologies). *)
-let rec taut_fast dom cubes depth space =
-  Instrument.bump c_taut_nodes;
-  Instrument.observe h_taut_depth depth;
+let rec taut_fast tally dom cubes space =
+  tally.nodes <- tally.nodes + 1;
   match cubes with
   | [] -> false
   | [ c ] -> Bitvec.is_full c
@@ -257,13 +276,13 @@ let rec taut_fast dom cubes depth space =
         in
         match unate 0 with
         | Some v ->
-            Instrument.bump c_unate_reductions;
+            tally.unate <- tally.unate + 1;
             nfull.(v) > 0
-            && taut_fast dom (List.filter (fun c -> Cube.var_full dom c v) cubes) (depth + 1) space
+            && taut_fast tally dom (List.filter (fun c -> Cube.var_full dom c v) cubes) space
         | None ->
             let root0 = find (List.hd anchors) in
             if List.exists (fun a -> find a <> root0) anchors then begin
-              Instrument.bump c_component_reductions;
+              tally.components <- tally.components + 1;
               let tbl = Hashtbl.create 8 in
               List.iter2
                 (fun c a ->
@@ -271,7 +290,7 @@ let rec taut_fast dom cubes depth space =
                   Hashtbl.replace tbl r (c :: (try Hashtbl.find tbl r with Not_found -> [])))
                 cubes anchors;
               let comps = Hashtbl.fold (fun _ l acc -> List.rev l :: acc) tbl [] in
-              List.exists (fun comp -> taut_fast dom comp (depth + 1) space) comps
+              List.exists (fun comp -> taut_fast tally dom comp space) comps
             end
             else begin
               let best = ref (-1) and best_active = ref 0 in
@@ -289,23 +308,25 @@ let rec taut_fast dom cubes depth space =
                 if Domain.size dom v <= 2 then [ [ 0 ]; [ 1 ] ] else part_groups dom cubes v
               in
               let cofs =
-                List.map (fun parts -> cofactor_literal dom cubes v (List.hd parts)) groups
+                List.map (fun parts -> cofactor_literal tally dom cubes v (List.hd parts)) groups
               in
               let cofs = List.sort (fun a b -> compare (List.length a) (List.length b)) cofs in
-              List.for_all (fun cf -> taut_fast dom cf (depth + 1) space) cofs
+              List.for_all (fun cf -> taut_fast tally dom cf space) cofs
             end
       end
 
 let tautology t =
-  Instrument.bump c_taut_calls;
-  Instrument.time t_taut (fun () -> taut_fast t.dom t.cubes 0 (space_size t.dom))
+  Metrics.Registry.inc c_taut_calls;
+  Metrics.span s_taut @@ fun () ->
+  tallied ~nodes:c_taut_nodes (fun tally -> taut_fast tally t.dom t.cubes (space_size t.dom))
 
 let covers_cube t c =
   if Cube.is_empty t.dom c then true
   else begin
-    Instrument.bump c_taut_calls;
-    Instrument.time t_taut (fun () ->
-        taut_fast t.dom (cofactor t ~wrt:c).cubes 0 (space_size t.dom))
+    Metrics.Registry.inc c_taut_calls;
+    Metrics.span s_taut @@ fun () ->
+    tallied ~nodes:c_taut_nodes (fun tally ->
+        taut_fast tally t.dom (cofactor t ~wrt:c).cubes (space_size t.dom))
   end
 
 let covers a b = List.for_all (fun c -> covers_cube a c) b.cubes
@@ -355,9 +376,8 @@ let merge_on_var dom cubes v =
 
 let scc_cubes dom cubes = (single_cube_containment { dom; cubes }).cubes
 
-let rec compl_fast dom cubes depth =
-  Instrument.bump c_compl_nodes;
-  Instrument.observe h_compl_depth depth;
+let rec compl_fast tally dom cubes =
+  tally.nodes <- tally.nodes + 1;
   match cubes with
   | [] -> [ Bitvec.full (Domain.width dom) ]
   | _ when List.exists Bitvec.is_full cubes -> []
@@ -367,10 +387,10 @@ let rec compl_fast dom cubes depth =
       | (_ :: _ :: _) as comps ->
           (* ¬(F₁ ∪ F₂) = ¬F₁ ∩ ¬F₂, and for variable-disjoint components
              every pairwise cube intersection is non-empty. *)
-          Instrument.bump c_component_reductions;
+          tally.components <- tally.components + 1;
           List.fold_left
             (fun acc comp ->
-              let cc = compl_fast dom comp (depth + 1) in
+              let cc = compl_fast tally dom comp in
               match acc with
               | None -> Some cc
               | Some acc ->
@@ -393,7 +413,9 @@ let rec compl_fast dom cubes depth =
               let branches = ref [] in
               List.iter
                 (fun parts ->
-                  let sub = compl_fast dom (cofactor_literal dom cubes v (List.hd parts)) (depth + 1) in
+                  let sub =
+                    compl_fast tally dom (cofactor_literal tally dom cubes v (List.hd parts))
+                  in
                   (* AND each result cube with the literal (v ∈ parts). *)
                   List.iter
                     (fun c ->
@@ -406,15 +428,17 @@ let rec compl_fast dom cubes depth =
               merge_on_var dom !branches v))
 
 let complement t =
-  Instrument.bump c_compl_calls;
-  Instrument.time t_compl (fun () ->
-      single_cube_containment { t with cubes = compl_fast t.dom t.cubes 0 })
+  Metrics.Registry.inc c_compl_calls;
+  Metrics.span s_compl @@ fun () ->
+  tallied ~nodes:c_compl_nodes (fun tally ->
+      single_cube_containment { t with cubes = compl_fast tally t.dom t.cubes })
 
 let complement_within t ~space =
-  Instrument.bump c_compl_calls;
-  Instrument.time t_compl (fun () ->
+  Metrics.Registry.inc c_compl_calls;
+  Metrics.span s_compl @@ fun () ->
+  tallied ~nodes:c_compl_nodes (fun tally ->
       let relative = cofactor t ~wrt:space in
-      let comp = compl_fast t.dom relative.cubes 0 in
+      let comp = compl_fast tally t.dom relative.cubes in
       let cubes = List.filter_map (fun c -> Cube.inter t.dom c space) comp in
       single_cube_containment { t with cubes })
 
@@ -427,7 +451,7 @@ let contains_minterm t values =
   let m = Cube.of_minterm t.dom values in
   List.exists (fun c -> Cube.contains c m) t.cubes
 
-let rec count_rec dom cubes space_size =
+let rec count_rec tally dom cubes space_size =
   match cubes with
   | [] -> 0
   | _ when List.exists Bitvec.is_full cubes -> space_size
@@ -439,11 +463,13 @@ let rec count_rec dom cubes space_size =
           let sz = Domain.size dom v in
           let total = ref 0 in
           for p = 0 to sz - 1 do
-            total := !total + count_rec dom (cofactor_literal dom cubes v p) (space_size / sz)
+            total :=
+              !total + count_rec tally dom (cofactor_literal tally dom cubes v p) (space_size / sz)
           done;
           !total)
 
-let num_minterms t = count_rec t.dom t.cubes (Domain.num_minterms t.dom)
+let num_minterms t =
+  tallied (fun tally -> count_rec tally t.dom t.cubes (Domain.num_minterms t.dom))
 
 (* --- Naive reference kernel -------------------------------------------- *)
 

@@ -13,14 +13,32 @@ let max_exp = 12
 let num_buckets = (max_exp - min_exp) * sub_buckets
 
 type t = {
-  buckets : int Atomic.t array;
+  (* Empty until the first observation: most registered series of a
+     process (every timed section of the tree is registered up front)
+     are never observed, and 256 atomics each add up. *)
+  cells : int Atomic.t array Atomic.t;
   (* Nanoseconds, accumulated with fetch_and_add: 2^62 ns ~ 146 years
      of accumulated latency before overflow. *)
   sum_ns : int Atomic.t;
 }
 
-let create () =
-  { buckets = Array.init num_buckets (fun _ -> Atomic.make 0); sum_ns = Atomic.make 0 }
+let create () = { cells = Atomic.make [||]; sum_ns = Atomic.make 0 }
+
+(* The bucket cells, allocated by the first observer; a racing
+   allocation loses the compare-and-set and uses the winner's. *)
+let cells t =
+  let c = Atomic.get t.cells in
+  if Array.length c > 0 then c
+  else begin
+    let fresh = Array.init num_buckets (fun _ -> Atomic.make 0) in
+    if Atomic.compare_and_set t.cells c fresh then fresh else Atomic.get t.cells
+  end
+
+(* Bucket counts as plain ints: all zero before the first observation. *)
+let counts t =
+  match Atomic.get t.cells with
+  | [||] -> Array.make num_buckets 0
+  | c -> Array.map Atomic.get c
 
 let clamp lo hi v = if v < lo then lo else if v > hi then hi else v
 
@@ -47,19 +65,19 @@ let upper_bound i =
   if i + 1 >= num_buckets then Float.ldexp 1. max_exp else lower_bound (i + 1)
 
 let observe t v =
-  Atomic.incr t.buckets.(bucket_of v);
+  Atomic.incr (cells t).(bucket_of v);
   (* Negative observations clamp to bucket 0 but must not walk the sum
      backwards. *)
   if v > 0. then ignore (Atomic.fetch_and_add t.sum_ns (int_of_float (v *. 1e9)))
 
-let count t = Array.fold_left (fun acc c -> acc + Atomic.get c) 0 t.buckets
+let count t = Array.fold_left (fun acc c -> acc + Atomic.get c) 0 (Atomic.get t.cells)
 let sum t = float_of_int (Atomic.get t.sum_ns) *. 1e-9
 
 (* The bucket holding the ceil(q * count)-th smallest observation —
    exactly the bucket the same-rank order statistic of the raw stream
    falls in, which is the "within one bucket" quantile bound. *)
 let quantile_bucket t q =
-  let counts = Array.map Atomic.get t.buckets in
+  let counts = counts t in
   let total = Array.fold_left ( + ) 0 counts in
   if total = 0 then -1
   else begin
@@ -79,8 +97,8 @@ let quantile t q =
   | -1 -> 0.
   | i -> (lower_bound i +. upper_bound i) /. 2.
 
-let snapshot t = Array.map Atomic.get t.buckets
+let snapshot = counts
 
 let reset t =
-  Array.iter (fun c -> Atomic.set c 0) t.buckets;
+  Array.iter (fun c -> Atomic.set c 0) (Atomic.get t.cells);
   Atomic.set t.sum_ns 0

@@ -11,8 +11,9 @@
     ~1 microsecond to ~68 minutes, brackets every latency the daemon
     can produce).
 
-    {b Concurrency}: {!observe} is two atomic adds — no lock, no
-    allocation — so histograms may be hammered from any number of
+    {b Concurrency}: {!observe} is two atomic adds — no lock, and no
+    allocation after the first observation, which allocates the
+    buckets — so histograms may be hammered from any number of
     domains or threads; concurrent observations merge exactly (counts
     are never lost, the bucket totals always sum to the observation
     count). Reads ({!count}, {!quantile}, {!snapshot}) take no lock

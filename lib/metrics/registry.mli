@@ -2,10 +2,10 @@
     latency {!Histogram}s, optionally labeled, read out as one sorted
     snapshot by {!Expose}.
 
-    Unlike [lib/instrument] (a default-{e off} debugging fabric), this
-    registry is the production telemetry layer and is {e on} by
-    default: an observation is an atomic bump with no lock and no
-    allocation, cheap enough to leave enabled on every serving path.
+    This registry is the only store of counters and timings in the
+    tree and is {e on} by default: an observation is an atomic bump
+    with no lock and no allocation, cheap enough to leave enabled on
+    every serving path and in the minimizer kernels.
     {!set_enabled} [false] exists for the bench harness, which
     measures the metered-vs-bare difference and gates it in CI.
 

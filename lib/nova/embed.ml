@@ -1,9 +1,10 @@
-(* Instrumentation probes: no-ops unless Instrument.enable (). *)
-let t_solve = Instrument.timer "embed.solve"
-let c_ticks = Instrument.counter "embed.work_ticks"
-let c_verify = Instrument.counter "embed.verify_calls"
-let c_cascades = Instrument.counter "embed.cascade_calls"
-let h_backtrack = Instrument.histogram "embed.candidate_faces_tried"
+(* Probes: the search is one timed section; its ticks, verifications
+   and cascades are tallied in plain ints and published once per call,
+   also when the search exits by [Work_exhausted] or [Out_of_budget]. *)
+let s_solve = Metrics.section "embed.solve"
+let c_ticks = Metrics.event "embed.work_ticks"
+let c_verify = Metrics.event "embed.verify_calls"
+let c_cascades = Metrics.event "embed.cascade_calls"
 
 type level_policy = Fixed_min | Flexible of int | Dimvect of int array
 
@@ -22,7 +23,13 @@ type outcome = Sat of { codes : int array; faces : Face.t array } | Unsat | Exha
 exception Work_exhausted
 
 let solve (poset : Input_poset.t) params =
-  Instrument.time t_solve @@ fun () ->
+  Metrics.span s_solve @@ fun () ->
+  let ticks = ref 0 and verifies = ref 0 and cascades = ref 0 in
+  Fun.protect ~finally:(fun () ->
+      Metrics.Registry.add c_ticks !ticks;
+      Metrics.Registry.add c_verify !verifies;
+      Metrics.Registry.add c_cascades !cascades)
+  @@ fun () ->
   let k = params.k in
   let n = poset.Input_poset.num_states in
   let elements = poset.Input_poset.elements in
@@ -45,12 +52,12 @@ let solve (poset : Input_poset.t) params =
       elements;
     let state_code = Array.make n (-1) in
     let tick () =
-      Instrument.bump c_ticks;
+      incr ticks;
       if not (Budget.tick params.budget) then raise Work_exhausted
     in
     (* Verification of Section 3.4.3 against every assigned element. *)
     let verify id face =
-      Instrument.bump c_verify;
+      incr verifies;
       let e = elements.(id) in
       e.Input_poset.card <= Face.cardinality k face
       &&
@@ -119,7 +126,7 @@ let solve (poset : Input_poset.t) params =
        intersection of the fathers' faces; cascade to a fixpoint.
        Returns the list of forced ids, or None after undoing on conflict. *)
     let cascade () =
-      Instrument.bump c_cascades;
+      incr cascades;
       let forced = ref [] in
       let undo () = List.iter unassign !forced in
       let rec fix () =
@@ -271,33 +278,28 @@ let solve (poset : Input_poset.t) params =
       match select last with
       | None -> all_assigned ()
       | Some id ->
-          let rec try_faces tried seq =
+          let rec try_faces seq =
             match seq () with
-            | Seq.Nil ->
-                Instrument.observe h_backtrack tried;
-                false
+            | Seq.Nil -> false
             | Seq.Cons (f, rest) ->
                 tick ();
                 if verify id f then begin
                   assign id f;
                   match cascade () with
                   | Some forced ->
-                      if go (Some id) then begin
-                        Instrument.observe h_backtrack (tried + 1);
-                        true
-                      end
-                      else begin
-                        List.iter unassign forced;
-                        unassign id;
-                        try_faces (tried + 1) rest
-                      end
+                      go (Some id)
+                      || begin
+                           List.iter unassign forced;
+                           unassign id;
+                           try_faces rest
+                         end
                   | None ->
                       unassign id;
-                      try_faces (tried + 1) rest
+                      try_faces rest
                 end
-                else try_faces (tried + 1) rest
+                else try_faces rest
           in
-          try_faces 0 (candidate_faces id)
+          try_faces (candidate_faces id)
     in
     match
       assign poset.Input_poset.universe (Face.full k);

@@ -6,14 +6,14 @@ type 'a state = Pending of (unit -> 'a) | Done of 'a
    per-cell lock cannot self-deadlock). *)
 type 'a t = {
   name : string;
-  timer : Instrument.timer;
+  section : Metrics.section;
   lock : Mutex.t;
   mutable state : 'a state;
   mutable elapsed : float;
 }
 
 let make ~name f =
-  { name; timer = Instrument.timer ("pipeline." ^ name); lock = Mutex.create ();
+  { name; section = Metrics.section ("pipeline." ^ name); lock = Mutex.create ();
     state = Pending f; elapsed = 0. }
 
 let name t = t.name
@@ -29,13 +29,10 @@ let force t =
       (match t.state with
       | Done v -> v
       | Pending f ->
-          (* The wall-clock figure is always measured (tables print it even
-             without instrumentation); the Instrument span only records when
-             probes are enabled. *)
+          (* The wall-clock figure is always measured (tables print it
+             even with the registry off). *)
           let t0 = Unix.gettimeofday () in
-          let v =
-            Trace.with_span ("stage." ^ t.name) (fun () -> Instrument.time t.timer f)
-          in
+          let v = Metrics.span t.section f in
           t.elapsed <- Unix.gettimeofday () -. t0;
           t.state <- Done v;
           v)

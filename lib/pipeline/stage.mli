@@ -2,8 +2,8 @@
 
     A stage is a named thunk computed at most once. Forcing it measures
     wall-clock time unconditionally (the harness tables report stage
-    times even without instrumentation) and records an [Instrument] span
-    under ["pipeline.<name>"] when probes are enabled. This replaces the
+    times even with the registry off) and times the computation as the
+    section ["pipeline.<name>"] ({!Metrics.span}). This replaces the
     [Lazy.t]-plus-[float ref] pattern the harness flow used to carry. *)
 
 type 'a t

@@ -34,22 +34,16 @@ type cell = {
   fit : Fit.result;
 }
 
-let timer_total pred =
+(* Phase attribution reads the registry: the seconds a cell's runs
+   added to the sections [pred] selects. *)
+let section_seconds pred =
   List.fold_left
-    (fun acc (name, s, _) -> if pred name then acc +. s else acc)
-    0. (Instrument.timers ())
+    (fun acc (name, h) -> if pred name then acc +. Metrics.Histogram.sum h else acc)
+    0. (Metrics.spans ())
 
 let has_prefix p s = String.length s >= String.length p && String.sub s 0 (String.length p) = p
 
-(* Enable instrumentation for the duration of [f], restoring the prior
-   state (the phase attribution below reads the pipeline timers). *)
-let with_instrument f =
-  let was_on = Instrument.enabled () in
-  Instrument.enable ();
-  Fun.protect ~finally:(fun () -> if not was_on then Instrument.disable ()) f
-
 let run_cell ?(warmup = 1) ?(reps = 5) ~family ~sizes spec =
-  with_instrument @@ fun () ->
   let algo_name = Harness.Driver.name spec.algorithm in
   let encode m = Harness.Driver.encode ~budget:Budget.unlimited ~fallback:false m spec.algorithm in
   let points =
@@ -64,7 +58,9 @@ let run_cell ?(warmup = 1) ?(reps = 5) ~family ~sizes spec =
           match encode m with
           | Error _ -> None
           | Ok _ ->
-              Instrument.reset ();
+              let constraints = ( = ) "pipeline.constraints"
+              and rungs = has_prefix "pipeline.rung." in
+              let constraints0 = section_seconds constraints and rungs0 = section_seconds rungs in
               let sample =
                 Measure.sample ~warmup ~reps ~size (fun () -> ignore (encode m))
               in
@@ -72,8 +68,8 @@ let run_cell ?(warmup = 1) ?(reps = 5) ~family ~sizes spec =
               Some
                 {
                   sample;
-                  constraints_s = timer_total (( = ) "pipeline.constraints") /. runs;
-                  encode_s = timer_total (has_prefix "pipeline.rung.") /. runs;
+                  constraints_s = (section_seconds constraints -. constraints0) /. runs;
+                  encode_s = (section_seconds rungs -. rungs0) /. runs;
                 })
       sizes
   in

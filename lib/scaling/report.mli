@@ -33,8 +33,9 @@ type cell = {
 val run_cell :
   ?warmup:int -> ?reps:int -> family:Grid.family -> sizes:int list -> algo_spec -> cell
 (** Measure one cell. Sizes whose encode fails (it should not, for the
-    default specs) are skipped rather than fitted. Instrumentation is
-    enabled for the duration and restored after. *)
+    default specs) are skipped rather than fitted. The phase split
+    ([constraints_s], [encode_s]) is what the cell's runs added to the
+    registry's [pipeline.constraints] and [pipeline.rung.*] sections. *)
 
 val run :
   ?quick:bool ->

@@ -66,16 +66,6 @@ type t = {
   access_lock : Mutex.t;
 }
 
-(* Mirrored into Instrument (default-off, like every probe in the tree)
-   so the coalescing tests can assert "exactly one computation" through
-   the same counter fabric as the rest of the executor. *)
-let i_requests = Instrument.counter "serve.requests"
-let i_served = Instrument.counter "serve.served"
-let i_errors = Instrument.counter "serve.errors"
-let i_coalesced = Instrument.counter "serve.coalesced"
-let i_computed = Instrument.counter "serve.computed"
-let i_hits = Instrument.counter "serve.cache_hits"
-
 (* Production metrics (default-on, see lib/metrics): request counts by
    verb, full-request latency by (tier, verb), and the four lifecycle
    phases. Labeled instruments are interned per call — a mutexed table
@@ -166,12 +156,8 @@ let origin_name = function
 
 let count_origin t (row : Exec.Job.row) =
   match row.Exec.Job.origin with
-  | Exec.Job.Computed ->
-      Atomic.incr t.c_computed;
-      Instrument.bump i_computed
-  | Exec.Job.Cached ->
-      Atomic.incr t.c_hits;
-      Instrument.bump i_hits
+  | Exec.Job.Computed -> Atomic.incr t.c_computed
+  | Exec.Job.Cached -> Atomic.incr t.c_hits
   | Exec.Job.Cancelled_by_race -> ()
 
 let render_encode m (s : Exec.Job.success) ~budget =
@@ -219,7 +205,6 @@ let serve_encode t (req : Protocol.encode_request) =
         | served, `Leader -> served
         | served, `Coalesced ->
             Atomic.incr t.c_coalesced;
-            Instrument.bump i_coalesced;
             { served with origin = "coalesced" })
 
 let serve_report t ~budget_ms machine =
@@ -280,7 +265,6 @@ let serve_report t ~budget_ms machine =
         | served, `Leader -> served
         | served, `Coalesced ->
             Atomic.incr t.c_coalesced;
-            Instrument.bump i_coalesced;
             { served with origin = "coalesced" })
 
 (* The quarantine registry as JSON rows — runtime visibility into the
@@ -365,13 +349,11 @@ let respond_served t ~id (s : served) =
   match s.err with
   | None ->
       Atomic.incr t.c_served;
-      Instrument.bump i_served;
       Protocol.ok_response ?id ~origin:s.origin
         ~payload:(Option.value s.payload ~default:"")
         ()
   | Some e ->
       Atomic.incr t.c_errors;
-      Instrument.bump i_errors;
       Protocol.error_response ?id ?payload:s.payload e
 
 (* Per-request summary, feeding the metrics registry, the access log
@@ -473,7 +455,6 @@ let record_request t (s : summary) ~wall =
    exceptions are never absorbed. *)
 let handle_line t line =
   Atomic.incr t.c_requests;
-  Instrument.bump i_requests;
   let t0 = Unix.gettimeofday () in
   let verb_of = function
     | Protocol.Ping -> "ping"
@@ -488,7 +469,6 @@ let handle_line t line =
     match timed m_parse (fun () -> Protocol.parse_request line) with
     | Error (id, e) ->
         Atomic.incr t.c_errors;
-        Instrument.bump i_errors;
         ( Protocol.error_response ?id e,
           { (bare "invalid") with
             s_ok = false; s_code = Nova_error.exit_code e; s_error = error_brief e } )
@@ -496,7 +476,6 @@ let handle_line t line =
         let verb = verb_of request in
         let serve ok () =
           Atomic.incr t.c_served;
-          Instrument.bump i_served;
           (ok, bare verb)
         in
         try
@@ -529,7 +508,6 @@ let handle_line t line =
         | (Out_of_memory | Stack_overflow | Sys.Break) as e -> raise e
         | e ->
             Atomic.incr t.c_errors;
-            Instrument.bump i_errors;
             let err =
               Nova_error.Job_crashed
                 { job = "serve:" ^ verb; attempts = 1; detail = Printexc.to_string e }
@@ -608,7 +586,6 @@ let handle_conn t fd =
       | None ->
           if !overflow then begin
             Atomic.incr t.c_errors;
-            Instrument.bump i_errors;
             try
               send_all fd
                 (Protocol.error_response

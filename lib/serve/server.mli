@@ -59,8 +59,9 @@ val default_config : socket_path:string -> config
 (** 1 job, 1 compute slot, no caps, no cache, not quiet, no access log,
     no flight-record path, {!default_flight_capacity} ring. *)
 
-(** Counter snapshot, as served by the [stats] verb (also mirrored in
-    the [serve.*] Instrument counters when instrumentation is on). *)
+(** Counter snapshot of this server instance, as served by the [stats]
+    verb. The process-wide view is the registry: per-verb request
+    counts, per-tier latency and [nova_inflight_followers_total]. *)
 type stats = {
   requests : int;  (** request lines received (malformed included) *)
   served : int;  (** ["ok"] responses *)

@@ -1,7 +1,7 @@
 (* Mechanical regression diff between two BENCH_*.json artifacts (any of
    the nova-bench-* schemas). Rows are matched by their identity fields
    (name / mode / algorithm), numeric fields are flattened (nested
-   objects get dotted keys; the free-form "instrument" registries and
+   objects get dotted keys; the free-form "instrument" blocks and
    nested arrays are skipped), and each metric is classified:
 
    - wall metrics (keys ending in "_s"): lower is better, compared

@@ -1,5 +1,5 @@
 (* A minimal dependency-free JSON reader for the repo's own artifacts:
-   trace exports, BENCH_*.json files and Instrument.to_json output. It
+   trace exports, BENCH_*.json files and the metrics snapshot. It
    accepts standard JSON (RFC 8259) with two liberties taken on
    purpose — non-ASCII bytes inside strings pass through verbatim (the
    writers emit raw UTF-8), and numbers are always floats. Objects keep
@@ -238,9 +238,20 @@ let escape_into b s =
       | c -> Buffer.add_char b c)
     s
 
+let quote s =
+  let b = Buffer.create (String.length s + 2) in
+  Buffer.add_char b '"';
+  escape_into b s;
+  Buffer.add_char b '"';
+  Buffer.contents b
+
+(* The shortest of %.15g and %.17g that reads back equal: %.17g always
+   does for a finite double, %.15g keeps short decimals short. *)
 let render_number f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.12g" f
+  else
+    let short = Printf.sprintf "%.15g" f in
+    if float_of_string short = f then short else Printf.sprintf "%.17g" f
 
 let render v =
   let b = Buffer.create 256 in
@@ -249,10 +260,7 @@ let render v =
     | Bool true -> Buffer.add_string b "true"
     | Bool false -> Buffer.add_string b "false"
     | Num f -> Buffer.add_string b (if Float.is_finite f then render_number f else "null")
-    | Str s ->
-        Buffer.add_char b '"';
-        escape_into b s;
-        Buffer.add_char b '"'
+    | Str s -> Buffer.add_string b (quote s)
     | Arr l ->
         Buffer.add_char b '[';
         List.iteri
@@ -266,9 +274,8 @@ let render v =
         List.iteri
           (fun i (k, x) ->
             if i > 0 then Buffer.add_char b ',';
-            Buffer.add_char b '"';
-            escape_into b k;
-            Buffer.add_string b "\":";
+            Buffer.add_string b (quote k);
+            Buffer.add_char b ':';
             go x)
           kvs;
         Buffer.add_char b '}'

@@ -3,7 +3,7 @@
    as parallel lanes.
 
    Everything is default-off: while [on] is false every probe is a load
-   and a branch, exactly like [Instrument]. Enable with [enable ()] — or
+   and a branch. Enable with [enable ()] — or
    NOVA_TRACE=1 in the environment — run the workload, then [export] the
    buffered events as Chrome trace-event JSON (loadable in Perfetto or
    chrome://tracing) or as an append-only JSONL event log. Both exports
@@ -160,50 +160,28 @@ let span_end name end_attrs =
   | _ -> () (* unbalanced end: drop the pop, the validator will flag it *));
   ignore (append End name end_attrs)
 
-let with_span ?(attrs = []) name f =
+let with_span ?(attrs = []) ?end_attrs name f =
   if not !on then f ()
   else begin
     span_begin name attrs;
-    Fun.protect ~finally:(fun () -> span_end name []) f
-  end
-
-(* Like [with_span] but [f] also returns the attributes to attach to the
-   End event (result sizes, verdicts, budget spent...). *)
-let with_span_result ?(attrs = []) name f =
-  if not !on then fst (f ())
-  else begin
-    span_begin name attrs;
-    let ended = ref false in
-    Fun.protect
-      ~finally:(fun () -> if not !ended then span_end name [])
-      (fun () ->
-        let v, end_attrs = f () in
-        ended := true;
-        span_end name end_attrs;
-        v)
+    match f () with
+    | v ->
+        span_end name (match end_attrs with Some g -> g v | None -> []);
+        v
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        span_end name [];
+        Printexc.raise_with_backtrace e bt
   end
 
 (* --- export ------------------------------------------------------------ *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
 
 let json_float f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
   else Printf.sprintf "%.6f" f
 
 let value_json = function
-  | String s -> Printf.sprintf "\"%s\"" (json_escape s)
+  | String s -> Json_min.quote s
   | Int i -> string_of_int i
   | Float f -> json_float f
   | Bool b -> string_of_bool b
@@ -211,7 +189,7 @@ let value_json = function
 let attrs_json attrs =
   "{"
   ^ String.concat ","
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" (json_escape k) (value_json v)) attrs)
+      (List.map (fun (k, v) -> Printf.sprintf "%s:%s" (Json_min.quote k) (value_json v)) attrs)
   ^ "}"
 
 (* A consistent snapshot of the buffer, in emission order, plus the
@@ -259,16 +237,16 @@ let export_chrome ~path () =
     (fun id ->
       emit
         (Printf.sprintf
-           "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"args\":{\"name\":\"%s\"}}"
+           "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"args\":{\"name\":%s}}"
            id
-           (json_escape (track_name ~main id))))
+           (Json_min.quote (track_name ~main id))))
     track_ids;
   List.iter
     (fun e ->
       let scope = match e.kind with Instant -> ",\"s\":\"t\"" | Begin | End -> "" in
       emit
-        (Printf.sprintf "{\"name\":\"%s\",\"ph\":\"%s\",\"ts\":%s,\"pid\":1,\"tid\":%d%s,\"args\":%s}"
-           (json_escape e.name) (phase e.kind) (json_float e.ts) e.track scope
+        (Printf.sprintf "{\"name\":%s,\"ph\":\"%s\",\"ts\":%s,\"pid\":1,\"tid\":%d%s,\"args\":%s}"
+           (Json_min.quote e.name) (phase e.kind) (json_float e.ts) e.track scope
            (attrs_json e.attrs)))
     evs;
   output_string oc "],\"displayTimeUnit\":\"ms\",\"metadata\":";
@@ -284,7 +262,7 @@ let export_jsonl ~path () =
     "{"
     ^ String.concat ","
         (List.map
-           (fun id -> Printf.sprintf "\"%d\":\"%s\"" id (json_escape (track_name ~main id)))
+           (fun id -> Printf.sprintf "\"%d\":%s" id (Json_min.quote (track_name ~main id)))
            track_ids)
     ^ "}"
   in
@@ -294,8 +272,8 @@ let export_jsonl ~path () =
   List.iter
     (fun e ->
       output_string oc
-        (Printf.sprintf "{\"type\":\"%s\",\"ts\":%s,\"track\":%d,\"name\":\"%s\",\"attrs\":%s}\n"
-           (phase e.kind) (json_float e.ts) e.track (json_escape e.name)
+        (Printf.sprintf "{\"type\":\"%s\",\"ts\":%s,\"track\":%d,\"name\":%s,\"attrs\":%s}\n"
+           (phase e.kind) (json_float e.ts) e.track (Json_min.quote e.name)
            (attrs_json e.attrs)))
     evs
 

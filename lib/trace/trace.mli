@@ -31,14 +31,13 @@ val reset : unit -> unit
 
 val event_count : unit -> int
 
-val with_span : ?attrs:attrs -> string -> (unit -> 'a) -> 'a
+val with_span : ?attrs:attrs -> ?end_attrs:('a -> attrs) -> string -> (unit -> 'a) -> 'a
 (** [with_span name f] brackets [f] in a Begin/End pair on the calling
     domain's track. Exception-safe. The span inherits (and may override)
-    the attributes of the enclosing span on the same track. *)
-
-val with_span_result : ?attrs:attrs -> string -> (unit -> 'a * attrs) -> 'a
-(** Like {!with_span}, but [f] also returns attributes to attach to the
-    End event (result sizes, verdicts, budget spent). *)
+    the attributes of the enclosing span on the same track; [end_attrs]
+    of the result (sizes, verdicts, budget spent) ride on the End event.
+    Code outside this library times its sections with [Metrics.span],
+    which calls this. *)
 
 val instant : ?attrs:attrs -> string -> unit
 (** A point event (degradation, budget trip, cache hit, race win...),
@@ -64,8 +63,3 @@ val export_jsonl : path:string -> unit -> unit
 val export : path:string -> unit -> unit
 (** Dispatch on extension: [.jsonl] → {!export_jsonl}, anything else →
     {!export_chrome}. *)
-
-val json_escape : string -> string
-(** Exposed for the exporter tests: escape a string for a JSON literal
-    (quotes, backslashes, control characters; non-ASCII bytes pass
-    through as UTF-8). *)

@@ -42,6 +42,20 @@ for machine in lion dk16; do
   echo "  certify $machine (ihybrid): exit 0 ok"
 done
 
+echo "== instrument smoke: --instrument dumps the registry, stderr empty without =="
+CHECK_PROM=_build/default/scripts/check_prom.exe
+$NOVA encode --instrument dk16 > /dev/null 2> "$TMP/instrument.prom"
+$CHECK_PROM "$TMP/instrument.prom" > /dev/null \
+  || { echo "--instrument stderr failed check_prom"; exit 1; }
+grep -q 'nova_events_total{event="logic.tautology_calls"}' "$TMP/instrument.prom" \
+  || { echo "--instrument dump missing the tautology counter"; exit 1; }
+grep -q 'nova_span_seconds.*span="espresso.minimize"' "$TMP/instrument.prom" \
+  || { echo "--instrument dump missing the espresso.minimize section"; exit 1; }
+$NOVA encode dk16 > /dev/null 2> "$TMP/plain-stderr.txt"
+[ ! -s "$TMP/plain-stderr.txt" ] \
+  || { echo "plain encode wrote to stderr"; cat "$TMP/plain-stderr.txt"; exit 1; }
+echo "  --instrument exposition lints, kernel series present, plain stderr empty: ok"
+
 echo "== fault-injection smoke: injected faults must exit 6 =="
 for fault in duplicate-code drop-cube bogus-ic-claim; do
   rc=0; $NOVA encode -a ihybrid --certify --inject "$fault" lion \
@@ -212,7 +226,6 @@ rc=0; $NOVA client encode -a ihybrid no-such-machine --socket "$SOCK" \
 echo "== serve observability: metrics, watch, access log, flight recorder =="
 # The Prometheus exposition must pass the standalone linter, and the
 # requests above must have produced per-tier latency quantiles.
-CHECK_PROM=_build/default/scripts/check_prom.exe
 $NOVA client metrics --socket "$SOCK" > "$TMP/metrics.prom"
 $CHECK_PROM "$TMP/metrics.prom" > /dev/null \
   || { echo "exposition failed check_prom"; exit 1; }
@@ -225,7 +238,9 @@ for q in 0.5 0.99; do
 done
 grep -q 'nova_serve_requests_total{verb="ping"}' "$TMP/metrics.prom" \
   || { echo "missing per-verb request counter"; exit 1; }
-echo "  exposition lints, per-tier p50/p99 present: ok"
+grep -q 'nova_span_seconds.*span="pipeline.rung.ihybrid"' "$TMP/metrics.prom" \
+  || { echo "missing the pipeline.rung.ihybrid section"; exit 1; }
+echo "  exposition lints, per-tier p50/p99 and rung sections present: ok"
 # The minimal top: two polls, counters with deltas and quantiles.
 $NOVA client watch --socket "$SOCK" --interval 100 -n 2 > "$TMP/watch.txt" \
   || { echo "client watch failed"; exit 1; }

@@ -52,48 +52,34 @@ let test_pool_exception_propagates () =
 (* ------------------------------------------------------------------ *)
 (* Satellite: domain-safe instrumentation *)
 
+(* The telemetry core under two domains: an event counter and a timed
+   section hammered concurrently lose no bumps and no observations, and
+   re-interning the same names from both domains never duplicates a
+   series. *)
 let test_instrument_two_domain_hammer () =
-  let was_on = Instrument.enabled () in
-  Instrument.enable ();
-  Fun.protect
-    ~finally:(fun () -> if not was_on then Instrument.disable ())
-    (fun () ->
-      let c = Instrument.counter "test.exec.hammer" in
-      let t = Instrument.timer "test.exec.hammer-timer" in
-      let before =
-        match List.assoc_opt "test.exec.hammer" (Instrument.counters ()) with
-        | Some n -> n
-        | None -> 0
-      in
-      let n = 100_000 in
-      let hammer () =
-        for _ = 1 to n do
-          Instrument.bump c;
-          (* find_or_create from two domains must never duplicate or
-             corrupt the registry. *)
-          ignore (Instrument.counter "test.exec.hammer");
-          Instrument.time t ignore
-        done
-      in
-      let d = Domain.spawn hammer in
-      hammer ();
-      Domain.join d;
-      let after =
-        match List.assoc_opt "test.exec.hammer" (Instrument.counters ()) with
-        | Some v -> v
-        | None -> Alcotest.fail "counter vanished"
-      in
-      check_int "no lost bumps across two domains" (2 * n) (after - before);
-      let timer_calls =
-        List.filter_map
-          (fun (name, _, calls) -> if name = "test.exec.hammer-timer" then Some calls else None)
-          (Instrument.timers ())
-      in
-      check "no lost timer calls" true (List.exists (fun calls -> calls >= 2 * n) timer_calls);
-      check "registry holds one instance" true
-        (List.length
-           (List.filter (fun (name, _) -> name = "test.exec.hammer") (Instrument.counters ()))
-        = 1))
+  let c = Metrics.event "test.exec.hammer" in
+  let s = Metrics.section "test.exec.hammer-span" in
+  let value name = List.assoc_opt name (Metrics.events ()) in
+  let calls name = Option.map Metrics.Histogram.count (List.assoc_opt name (Metrics.spans ())) in
+  let before = Option.get (value "test.exec.hammer") in
+  let calls_before = Option.get (calls "test.exec.hammer-span") in
+  let n = 100_000 in
+  let hammer () =
+    for _ = 1 to n do
+      Metrics.Registry.inc c;
+      ignore (Metrics.event "test.exec.hammer");
+      Metrics.span s ignore
+    done
+  in
+  let d = Domain.spawn hammer in
+  hammer ();
+  Domain.join d;
+  check_int "no lost bumps across two domains" (2 * n)
+    (Option.get (value "test.exec.hammer") - before);
+  check_int "no lost span observations" (2 * n)
+    (Option.get (calls "test.exec.hammer-span") - calls_before);
+  check_int "registry holds one series" 1
+    (List.length (List.filter (fun (name, _) -> name = "test.exec.hammer") (Metrics.events ())))
 
 (* ------------------------------------------------------------------ *)
 (* Satellite: cross-domain budget cancellation *)

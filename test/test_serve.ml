@@ -399,8 +399,24 @@ let test_serve_chaos_typed_crash () =
 (* ------------------------------------------------------------------ *)
 (* Coalescing: K concurrent identical requests, one computation *)
 
-let instrument_counter name =
-  match List.assoc_opt name (Instrument.counters ()) with Some n -> n | None -> 0
+(* Process-wide registry reads, for before/after deltas. *)
+let registry_counter name =
+  List.fold_left
+    (fun acc ((s : Metrics.Registry.series), v) ->
+      if s.Metrics.Registry.s_name = name then acc + v else acc)
+    0 (Metrics.Registry.snapshot ()).Metrics.Registry.counters
+
+let registry_observations ~labels name =
+  List.fold_left
+    (fun acc ((s : Metrics.Registry.series), h) ->
+      if s.Metrics.Registry.s_name = name && s.Metrics.Registry.s_labels = labels then
+        acc + Metrics.Histogram.count h
+      else acc)
+    0 (Metrics.Registry.snapshot ()).Metrics.Registry.histograms
+
+let computed_encodes () =
+  registry_observations ~labels:[ ("tier", "computed"); ("verb", "encode") ]
+    "nova_serve_request_seconds"
 
 let test_inflight_unit () =
   let table = Exec.Inflight.create () in
@@ -456,15 +472,12 @@ let test_inflight_unit () =
 
 let test_serve_coalescing () =
   with_temp_dir @@ fun cache_dir ->
-  let was_on = Instrument.enabled () in
-  Instrument.enable ();
-  Fun.protect ~finally:(fun () -> if not was_on then Instrument.disable ()) @@ fun () ->
   with_server ~tweak:(fun c ->
       { c with Serve.Server.cache = Some (Exec.Cache.open_dir cache_dir) })
   @@ fun path ->
   let base = Serve.Server.last_stats () in
-  let i_computed0 = instrument_counter "serve.computed" in
-  let i_coalesced0 = instrument_counter "serve.coalesced" in
+  let computed0 = computed_encodes () in
+  let followers0 = registry_counter "nova_inflight_followers_total" in
   (* A blocker occupies the single compute slot (~0.5 s of real work),
      so the K identical requests provably overlap: their leader queues
      on the slot while the followers pile into the in-flight table. *)
@@ -527,10 +540,10 @@ let test_serve_coalescing () =
     (s.Serve.Server.computed - base.Serve.Server.computed);
   check_int "coalesced counter" (k - 1) (s.Serve.Server.coalesced - base.Serve.Server.coalesced);
   check_int "no cache hit involved" 0 (s.Serve.Server.cache_hits - base.Serve.Server.cache_hits);
-  (* The same story through the Instrument fabric. *)
-  check_int "instrument serve.computed" 2 (instrument_counter "serve.computed" - i_computed0);
-  check_int "instrument serve.coalesced" (k - 1)
-    (instrument_counter "serve.coalesced" - i_coalesced0);
+  (* The same story through the metrics registry. *)
+  check_int "registry: computed encode requests" 2 (computed_encodes () - computed0);
+  check_int "registry: in-flight followers" (k - 1)
+    (registry_counter "nova_inflight_followers_total" - followers0);
   match !blocker with
   | Some r -> check "blocker served" true r.Serve.Protocol.ok
   | None -> Alcotest.fail "blocker reply missing"

@@ -1,8 +1,8 @@
 (* Tests for the tracing layer and its satellites: the taut_fast
-   saturation fix behind the kiss certification failure, the timer
-   reentrancy assertion, JSON escaping in both serializers (round-tripped
-   through the in-repo parser), concurrent two-domain span emission, the
-   trace validator, and the bench regression differ. *)
+   saturation fix behind the kiss certification failure, nested timed
+   sections, JSON escaping (round-tripped through the in-repo parser),
+   concurrent two-domain span emission, the trace validator, and the
+   bench regression differ. *)
 
 open Logic
 
@@ -64,46 +64,39 @@ let test_kiss_overflow_certification () =
       if not cert.Check.ok then Alcotest.failf "kiss certification: %s" (Check.summary cert)
 
 (* ------------------------------------------------------------------ *)
-(* Satellite: timer reentrancy assertion *)
+(* Satellite: nested timed sections *)
 
-let test_timer_reentrancy_raises () =
-  let was_on = Instrument.enabled () in
-  Instrument.enable ();
-  Fun.protect
-    ~finally:(fun () -> if not was_on then Instrument.disable ())
-    (fun () ->
-      let t = Instrument.timer "test.trace.reentrant" in
-      (* Distinct timers nest fine. *)
-      let u = Instrument.timer "test.trace.reentrant-other" in
-      Instrument.time t (fun () -> Instrument.time u ignore);
-      (match Instrument.time t (fun () -> Instrument.time t ignore) with
-      | () -> Alcotest.fail "nested same-timer use must raise while instrumented"
-      | exception Invalid_argument _ -> ());
-      (* The assertion unwinds cleanly: the timer is reusable after. *)
-      Instrument.time t ignore)
-
-let test_timer_reentrancy_off_path () =
-  check "instrumentation is off" false (Instrument.enabled ());
-  let t = Instrument.timer "test.trace.reentrant-off" in
-  (* Off path: no bookkeeping at all, so nesting is not even observed. *)
-  check_int "nested off-path call runs" 7 (Instrument.time t (fun () -> Instrument.time t (fun () -> 7)));
-  let calls =
-    List.filter_map
-      (fun (name, _, calls) -> if name = "test.trace.reentrant-off" then Some calls else None)
-      (Instrument.timers ())
-  in
-  check_int "off path recorded nothing" 0 (List.fold_left ( + ) 0 calls)
+(* A section re-entered on one domain observes every call, the inner
+   and the outer, each with its own duration. *)
+let test_nested_sections_observe_every_call () =
+  let s = Metrics.section "test.trace.nested" in
+  let h () = List.assoc "test.trace.nested" (Metrics.spans ()) in
+  let calls0 = Metrics.Histogram.count (h ()) in
+  check_int "nested call returns" 7 (Metrics.span s (fun () -> Metrics.span s (fun () -> 7)));
+  check_int "both calls observed" 2 (Metrics.Histogram.count (h ()) - calls0);
+  (match Metrics.span s (fun () -> failwith "boom") with
+  | () -> Alcotest.fail "the exception must propagate"
+  | exception Failure _ -> ());
+  check_int "a raising call is observed too" 3 (Metrics.Histogram.count (h ()) - calls0)
 
 (* ------------------------------------------------------------------ *)
 (* Satellite: deterministic sorted registries *)
 
 let test_instrument_sorted_output () =
-  ignore (Instrument.counter "test.zzz.last");
-  ignore (Instrument.counter "test.aaa.first");
-  let names = List.map fst (Instrument.counters ()) in
-  check "counters sorted by name" true (names = List.sort compare names);
-  let tnames = List.map (fun (n, _, _) -> n) (Instrument.timers ()) in
-  check "timers sorted by name" true (tnames = List.sort compare tnames)
+  ignore (Metrics.event "test.zzz.last");
+  ignore (Metrics.event "test.aaa.first");
+  ignore (Metrics.section "test.zzz.last");
+  ignore (Metrics.section "test.aaa.first");
+  let snap = Metrics.Registry.snapshot () in
+  let keys entries =
+    List.map (fun ((s : Metrics.Registry.series), _) -> (s.s_name, s.s_labels)) entries
+  in
+  let sorted l = l = List.sort compare l in
+  check "counters sorted by name and labels" true (sorted (keys snap.Metrics.Registry.counters));
+  check "histograms sorted by name and labels" true
+    (sorted (keys snap.Metrics.Registry.histograms));
+  check "events read back sorted" true (sorted (List.map fst (Metrics.events ())));
+  check "sections read back sorted" true (sorted (List.map fst (Metrics.spans ())))
 
 (* ------------------------------------------------------------------ *)
 (* Satellite: JSON escaping, round-tripped through the in-repo parser *)
@@ -111,23 +104,84 @@ let test_instrument_sorted_output () =
 let nasty = "quote\" back\\slash\nnewline\ttab \001ctl ünïcode π \127"
 
 let test_trace_json_escape () =
-  let quoted = "\"" ^ Trace.json_escape nasty ^ "\"" in
-  match Json_min.of_string quoted with
+  match Json_min.of_string (Json_min.quote nasty) with
   | Json_min.Str s -> check_str "escaped string round-trips" nasty s
   | _ -> Alcotest.fail "escaped string did not parse as a string"
 
+(* A hostile name survives the registry's JSON snapshot. *)
 let test_instrument_json_escaping () =
-  let was_on = Instrument.enabled () in
-  Instrument.enable ();
-  Fun.protect
-    ~finally:(fun () -> if not was_on then Instrument.disable ())
-    (fun () ->
-      let name = "test.trace.nasty " ^ nasty in
-      Instrument.bump (Instrument.counter name);
-      let j = Json_min.of_string (Instrument.to_json ()) in
-      match Option.bind (Json_min.member "counters" j) (Json_min.member name) with
-      | Some (Json_min.Num n) -> check "nasty counter serialized and found" true (n >= 1.)
-      | _ -> Alcotest.fail "nasty counter name did not survive to_json")
+  let name = "test.trace.nasty " ^ nasty in
+  Metrics.Registry.inc (Metrics.event name);
+  let j = Json_min.of_string (Json_min.render (Metrics.Expose.json ())) in
+  let found =
+    List.exists
+      (fun c ->
+        Option.bind (Json_min.member "labels" c) (Json_min.member "event")
+        = Some (Json_min.Str name)
+        && Option.bind (Json_min.member "value" c) Json_min.to_float >= Some 1.)
+      (Option.value ~default:[] (Option.bind (Json_min.member "counters" j) Json_min.to_list))
+  in
+  check "nasty event name serialized and found" true found
+
+(* ------------------------------------------------------------------ *)
+(* Satellite: Json_min numbers keep every digit *)
+
+let roundtrips f = Json_min.of_string (Json_min.render (Json_min.Num f)) = Json_min.Num f
+
+(* The flight recorder and the access log write epoch timestamps with
+   microseconds; %.12g used to cut them to 10 ms. *)
+let test_render_epoch_timestamp () =
+  let at = 1792108800.123456 in
+  check_str "timestamp renders whole" "1792108800.123456" (Json_min.render (Json_min.Num at));
+  check "and reads back equal" true (roundtrips at);
+  (* Integral and short numbers print as before. *)
+  check_str "integral" "1792108800" (Json_min.render (Json_min.Num 1792108800.));
+  check_str "short decimal" "0.1" (Json_min.render (Json_min.Num 0.1));
+  check_str "tiny" "2.4e-05" (Json_min.render (Json_min.Num 2.4e-05))
+
+let prop_render_roundtrips =
+  QCheck.Test.make ~name:"json_min: every finite float round-trips through render" ~count:2000
+    QCheck.(
+      make ~print:(Printf.sprintf "%h")
+        Gen.(
+          oneof
+            [
+              float;
+              map Int64.float_of_bits ui64;
+              map (fun x -> 1.7e9 +. x) (float_bound_inclusive 1e8);
+            ]))
+    (fun f -> (not (Float.is_finite f)) || roundtrips f)
+
+(* ------------------------------------------------------------------ *)
+(* Satellite: the BENCH_espresso.json instrument block *)
+
+let key_set j =
+  List.sort compare (List.map fst (match j with Some (Json_min.Obj kvs) -> kvs | _ -> []))
+
+(* The block bench/main.exe writes for lion has the counter and timer
+   keys of the committed artifact's first row. *)
+let test_instrument_block_keys () =
+  let m = Benchmarks.Suite.find "lion" in
+  let n = Fsm.num_states ~m in
+  let e =
+    Encoding.random (Random.State.make [| 0 |]) ~num_states:n ~nbits:(Ihybrid.min_code_length n)
+  in
+  ignore (Encoded.implement m e);
+  let block = Harness.Telemetry.instrument_block () in
+  let committed =
+    match Json_min.member "benchmarks" (Json_min.of_file "../BENCH_espresso.json") with
+    | Some (Json_min.Arr (row :: _)) -> Option.get (Json_min.member "instrument" row)
+    | _ -> Alcotest.fail "BENCH_espresso.json has no rows"
+  in
+  List.iter
+    (fun section ->
+      Alcotest.(check (list string))
+        (section ^ " keys") (key_set (Json_min.member section committed))
+        (key_set (Json_min.member section block)))
+    [ "counters"; "timers" ];
+  check "lion ran through the minimizer" true
+    (Option.bind (Json_min.member "counters" block) (Json_min.member "espresso.minimize_calls")
+    <> Some (Json_min.Num 0.))
 
 let test_trace_export_attr_roundtrip () =
   with_temp_dir @@ fun dir ->
@@ -366,16 +420,19 @@ let suite =
       test_overflow_tautology;
     Alcotest.test_case "kiss on a 51-bit encoding certifies clean (pinned)" `Quick
       test_kiss_overflow_certification;
-    Alcotest.test_case "instrument: same-timer nesting raises on the on path" `Quick
-      test_timer_reentrancy_raises;
-    Alcotest.test_case "instrument: off path has no reentrancy bookkeeping" `Quick
-      test_timer_reentrancy_off_path;
+    Alcotest.test_case "metrics: nested sections observe every call" `Quick
+      test_nested_sections_observe_every_call;
     Alcotest.test_case "instrument: registries read out sorted by name" `Quick
       test_instrument_sorted_output;
     Alcotest.test_case "trace: json_escape round-trips control/quote/unicode" `Quick
       test_trace_json_escape;
     Alcotest.test_case "instrument: to_json escapes hostile names" `Quick
       test_instrument_json_escaping;
+    Alcotest.test_case "json_min: epoch timestamps keep every digit" `Quick
+      test_render_epoch_timestamp;
+    QCheck_alcotest.to_alcotest prop_render_roundtrips;
+    Alcotest.test_case "telemetry: instrument block keys match BENCH_espresso.json" `Quick
+      test_instrument_block_keys;
     Alcotest.test_case "trace: both exports round-trip attrs and validate" `Quick
       test_trace_export_attr_roundtrip;
     Alcotest.test_case "trace: two-domain concurrent emission stays well-formed" `Quick

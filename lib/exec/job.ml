@@ -49,6 +49,8 @@ let key t =
           [ code_version; Harness.Driver.name t.algorithm; fingerprint t;
             Kiss.to_string t.machine ]))
 
+let machine_digest m = Digest.string (Kiss.to_string m)
+
 let run ?budget t =
   let budget =
     match budget with

@@ -62,6 +62,12 @@ val fingerprint : task -> string
     fingerprint and {!code_version}. *)
 val key : task -> string
 
+(** [machine_digest m] is the content address of the machine alone: the
+    MD5 digest (raw, not hex) of the same canonical KISS2 text {!key}
+    hashes, so a file and the built-in suite entry it spells out share
+    it. Keys what depends on the machine but on no algorithm or option. *)
+val machine_digest : Fsm.t -> Digest.t
+
 (** [success_equal a b] is bit-level equality of two results: encoding,
     rungs, claims, minimized cover and area — what the determinism
     guarantee (jobs-independence, cold vs warm cache) quantifies over. *)

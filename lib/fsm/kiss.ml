@@ -75,6 +75,11 @@ let parse ~name ?(file = "<input>") text =
               fail_at ~word:w "duplicate .r declaration (reset state already %S)" prev
           | None -> reset_name := Some w)
       | ".e" :: _ | ".end" :: _ -> ()
+      (* Any other dot-directive ([.symbolic input], [.ilb], [.type], ...)
+         is refused by name: read as a row it would either miscount its
+         fields or, with exactly four words, pass for a transition. *)
+      | d :: _ when d.[0] = '.' ->
+          fail_at ~word:d "unsupported directive %s (this reader accepts .i .o .p .s .r .e)" d
       | [ input; present; next; output ] ->
           let src = if present = "*" then None else Some (intern present) in
           let dst = if next = "-" then None else Some (intern next) in

@@ -31,7 +31,9 @@ val error_to_string : error -> string
     collected in order of first appearance when no [.s]-declared order is
     implied. [file] (default ["<input>"]) only labels error locations.
     Raises [Parse_error] on malformed input — truncated directives,
-    rows with the wrong field count, duplicate [.r] declarations,
+    any dot-directive other than [.i .o .p .s .r .e .end] (the error
+    names it; [.symbolic input] among them), rows with the wrong field
+    count, duplicate [.r] declarations,
     count mismatches against [.p]/[.s], unknown reset states. *)
 val parse : name:string -> ?file:string -> string -> Fsm.t
 

@@ -57,6 +57,7 @@ type t = {
   peak : int Atomic.t;
   slots : Semaphore.Counting.t;
   inflight : served Exec.Inflight.t;
+  onehot : Onehot_memo.t;
   conns : (Unix.file_descr, unit) Hashtbl.t;
   conns_mutex : Mutex.t;
   started : float;
@@ -88,6 +89,15 @@ let m_parse = m_phase "parse"
 let m_admission = m_phase "admission"
 let m_compute = m_phase "compute"
 let m_render = m_phase "render"
+
+let m_onehot source =
+  Metrics.Registry.counter
+    ~help:"1-hot reference lines rendered into encode payloads, by source (memo or computed)."
+    ~labels:[ ("source", source) ] "nova_serve_onehot_total"
+
+let m_onehot_memo = m_onehot "memo"
+let m_onehot_computed = m_onehot "computed"
+let s_onehot = Metrics.section "render.onehot"
 
 let timed h f =
   let t0 = Unix.gettimeofday () in
@@ -160,22 +170,41 @@ let count_origin t (row : Exec.Job.row) =
   | Exec.Job.Cached -> Atomic.incr t.c_hits
   | Exec.Job.Cancelled_by_race -> ()
 
-let render_encode m (s : Exec.Job.success) ~budget =
+let source_name = function `Memo -> "memo" | `Computed -> "computed"
+
+(* The 1-hot reference line. A plain request reads it from the daemon's
+   memo, which only ever holds the unlimited-budget value; a constrained
+   request computes it under its own budget, as the one-shot CLI with
+   the same flags does. *)
+let onehot_reference t ~plain ~budget m =
+  let onehot, source =
+    Metrics.span s_onehot
+      ~end_attrs:(fun (_, src) -> [ ("source", Trace.String (source_name src)) ])
+    @@ fun () ->
+    if plain then Onehot_memo.reference t.onehot ~key:(Exec.Job.machine_digest m) ~budget m
+    else (Render.onehot_reference ~budget m, `Computed)
+  in
+  Metrics.Registry.inc (match source with `Memo -> m_onehot_memo | `Computed -> m_onehot_computed);
+  onehot
+
+let render_encode t ~plain m (s : Exec.Job.success) ~budget =
   Render.encode_text m s.Exec.Job.encoding ~num_cubes:s.Exec.Job.num_cubes
     ~area:s.Exec.Job.area
-    ~onehot:(Render.onehot_reference ~budget m)
+    ~onehot:(onehot_reference t ~plain ~budget m)
 
 (* A plain request (no budget_ms / max_work ask) takes the full serving
    path: coalescing table, cache read, store under the determinism
-   gate. A constrained request computes individually — its degradation
-   level depends on its asks, so sharing a computation (or a cached
-   full-quality entry whose fingerprint never saw the ask) would break
-   "byte-identical to the one-shot CLI with the same flags". *)
+   gate, and the 1-hot reference memo. A constrained request computes
+   individually — its degradation level depends on its asks, so sharing
+   a computation (or a cached full-quality entry whose fingerprint
+   never saw the ask) would break "byte-identical to the one-shot CLI
+   with the same flags". *)
 let serve_encode t (req : Protocol.encode_request) =
   match resolve_machine req.Protocol.machine with
   | Error e -> { payload = None; err = Some e; origin = "request"; spent = 0 }
   | Ok m -> (
       let task = Exec.Job.task ?bits:req.bits ~fallback:req.fallback m req.algorithm in
+      let plain = req.budget_ms = None && req.max_work = None in
       let leader ?cache () =
         with_slot t @@ fun () ->
         let budget =
@@ -187,7 +216,7 @@ let serve_encode t (req : Protocol.encode_request) =
         match row.Exec.Job.result with
         | Ok s ->
             {
-              payload = Some (timed m_render (fun () -> render_encode m s ~budget));
+              payload = Some (timed m_render (fun () -> render_encode t ~plain m s ~budget));
               err = None;
               origin = origin_name row.Exec.Job.origin;
               spent;
@@ -195,7 +224,6 @@ let serve_encode t (req : Protocol.encode_request) =
         | Error e ->
             { payload = None; err = Some e; origin = origin_name row.Exec.Job.origin; spent }
       in
-      let plain = req.budget_ms = None && req.max_work = None in
       if not plain then leader ()
       else
         match
@@ -720,6 +748,7 @@ let run cfg =
           peak = Atomic.make 0;
           slots = Semaphore.Counting.make (max 1 cfg.max_inflight);
           inflight = Exec.Inflight.create ();
+          onehot = Onehot_memo.create ();
           conns = Hashtbl.create 16;
           conns_mutex = Mutex.create ();
           started = Unix.gettimeofday ();

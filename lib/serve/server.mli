@@ -14,12 +14,15 @@
       The leader takes a compute slot ([max_inflight] gates how many
       computations run at once), consults the cache, else computes
       through {!Exec.Portfolio} (supervision, retry, quarantine intact)
-      and stores under the determinism gate;
+      and stores under the determinism gate. Its 1-hot reference line
+      comes from the daemon's {!Onehot_memo} (computed and stored on
+      the machine's first plain request);
     - a {e constrained} request (an explicit [budget_ms] or [max_work])
       is computed individually with neither cache read nor write nor
-      coalescing, under [Budget.derive] of its asks and the server caps
-      — behaviorally identical to the one-shot CLI with the same flags,
-      and immune to serving another request's degradation level.
+      coalescing nor memo, under [Budget.derive] of its asks and the
+      server caps — behaviorally identical to the one-shot CLI with the
+      same flags, and immune to serving another request's degradation
+      level.
 
     {b Shutdown}: the [shutdown] verb, SIGINT or SIGTERM stop the accept
     loop; in-flight requests drain (bounded), handler reads are

@@ -218,6 +218,11 @@ $NOVA client encode -a igreedy dk16 --socket "$SOCK" > "$TMP/served-co2.txt"
 wait $CO_PID || { echo "concurrent client exited nonzero"; exit 1; }
 diff "$TMP/served-co1.txt" "$TMP/served-co2.txt" \
   || { echo "concurrent identical requests served different bytes"; exit 1; }
+# Its 1-hot reference line came from the memo the ihybrid requests
+# filled: still the one-shot bytes.
+$NOVA encode -a igreedy dk16 > "$TMP/encode-oneshot-igreedy.txt" 2>/dev/null
+diff "$TMP/encode-oneshot-igreedy.txt" "$TMP/served-co1.txt" \
+  || { echo "served igreedy payload differs from one-shot stdout"; exit 1; }
 # A bad request answers typed (exit 5 through the client) and leaves
 # the daemon fully alive.
 rc=0; $NOVA client encode -a ihybrid no-such-machine --socket "$SOCK" \
@@ -240,7 +245,11 @@ grep -q 'nova_serve_requests_total{verb="ping"}' "$TMP/metrics.prom" \
   || { echo "missing per-verb request counter"; exit 1; }
 grep -q 'nova_span_seconds.*span="pipeline.rung.ihybrid"' "$TMP/metrics.prom" \
   || { echo "missing the pipeline.rung.ihybrid section"; exit 1; }
-echo "  exposition lints, per-tier p50/p99 and rung sections present: ok"
+# The warm ihybrid and the igreedy dk16 requests took their 1-hot
+# reference from the memo instead of a fresh ESPRESSO run.
+grep -Eq '^nova_serve_onehot_total\{source="memo"\} [1-9]' "$TMP/metrics.prom" \
+  || { echo "warm dk16 requests never read the 1-hot reference memo"; exit 1; }
+echo "  exposition lints, per-tier p50/p99, rung sections and memo reads present: ok"
 # The minimal top: two polls, counters with deltas and quantiles.
 $NOVA client watch --socket "$SOCK" --interval 100 -n 2 > "$TMP/watch.txt" \
   || { echo "client watch failed"; exit 1; }

@@ -233,6 +233,17 @@ let test_count_mismatches () =
   expect_error ~what:"error renders as file:line:col" ".i\n" (fun e ->
       contains (Kiss.error_to_string e) "t.kiss2:1:1:")
 
+(* The header dosek's LogicMinimizer writes before its rows (SNIPPETS.md):
+   [.symbolic input] is refused by name, at its own line and column,
+   instead of as a malformed row. *)
+let test_symbolic_input_refused () =
+  let text = In_channel.with_open_bin "cli/symbolic_input.kiss2" In_channel.input_all in
+  expect_error ~what:".symbolic input" text (fun e ->
+      e.Kiss.line = 4 && e.Kiss.col = 1 && contains e.Kiss.msg "unsupported directive .symbolic");
+  (* Four words would otherwise pass for a transition row. *)
+  expect_error ~what:"four-word directive" ".i 1\n.o 1\n  .ilb a b c\n0 a a 0\n.e\n" (fun e ->
+      e.Kiss.line = 3 && e.Kiss.col = 3 && contains e.Kiss.msg "unsupported directive .ilb")
+
 let suite =
   [
     Alcotest.test_case "budget tick semantics" `Quick test_tick_semantics;
@@ -250,4 +261,5 @@ let suite =
     Alcotest.test_case "kiss bad row arity located" `Quick test_bad_arity_row;
     Alcotest.test_case "kiss duplicate reset located" `Quick test_duplicate_reset;
     Alcotest.test_case "kiss count mismatches reported" `Quick test_count_mismatches;
+    Alcotest.test_case "kiss unknown directive named" `Quick test_symbolic_input_refused;
   ]

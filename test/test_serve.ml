@@ -196,16 +196,17 @@ let with_server ?(tweak = fun c -> c) f =
     (fun () -> f path)
 
 (* The byte-exact expectation: what the one-shot CLI prints for this
-   encode, built from the same renderer the CLI and daemon share. *)
-let oneshot_stdout machine algorithm =
+   encode (with [--max-work] when given), built from the same renderer
+   the CLI and daemon share. *)
+let oneshot_stdout ?max_work machine algorithm =
   let m = Benchmarks.Suite.find machine in
-  let task = Exec.Job.task m algorithm in
-  match Exec.Job.run task with
+  let budget = Budget.create ?max_work () in
+  match Exec.Job.run ~budget (Exec.Job.task m algorithm) with
   | Error e -> Alcotest.failf "one-shot reference failed: %s" (Nova_error.to_string e)
   | Ok s ->
       Serve.Render.encode_text m s.Exec.Job.encoding ~num_cubes:s.Exec.Job.num_cubes
         ~area:s.Exec.Job.area
-        ~onehot:(Serve.Render.onehot_reference ~budget:(Budget.create ()) m)
+        ~onehot:(Serve.Render.onehot_reference ~budget m)
 
 let test_serve_ping_and_stats () =
   with_server @@ fun path ->
@@ -399,11 +400,15 @@ let test_serve_chaos_typed_crash () =
 (* ------------------------------------------------------------------ *)
 (* Coalescing: K concurrent identical requests, one computation *)
 
-(* Process-wide registry reads, for before/after deltas. *)
-let registry_counter name =
+(* Process-wide registry reads, for before/after deltas; [labels]
+   picks one series, else every series of [name] is summed. *)
+let registry_counter ?labels name =
   List.fold_left
     (fun acc ((s : Metrics.Registry.series), v) ->
-      if s.Metrics.Registry.s_name = name then acc + v else acc)
+      if s.Metrics.Registry.s_name = name
+         && Option.fold ~none:true ~some:(( = ) s.Metrics.Registry.s_labels) labels
+      then acc + v
+      else acc)
     0 (Metrics.Registry.snapshot ()).Metrics.Registry.counters
 
 let registry_observations ~labels name =
@@ -547,6 +552,129 @@ let test_serve_coalescing () =
   match !blocker with
   | Some r -> check "blocker served" true r.Serve.Protocol.ok
   | None -> Alcotest.fail "blocker reply missing"
+
+(* ------------------------------------------------------------------ *)
+(* The 1-hot reference memo *)
+
+let onehot_count source =
+  registry_counter ~labels:[ ("source", source) ] "nova_serve_onehot_total"
+
+let payload (r : Serve.Protocol.reply) = Option.value r.Serve.Protocol.payload ~default:""
+
+(* Plain requests share one reference per machine: the second
+   algorithm and the warm hit both read it, and every payload is still
+   the one-shot stdout. A constrained request computes its own under
+   its ask, so a starved one prints no reference line even though the
+   memo holds one. *)
+let test_serve_onehot_memo () =
+  with_temp_dir @@ fun cache_dir ->
+  with_server ~tweak:(fun c ->
+      { c with Serve.Server.cache = Some (Exec.Cache.open_dir cache_dir) })
+  @@ fun path ->
+  let c = must_connect path in
+  let memo0 = onehot_count "memo" and computed0 = onehot_count "computed" in
+  let origins =
+    List.map
+      (fun (name, algorithm) ->
+        let r = must_request c (request_line ~algorithm:name "lion") in
+        check_str ("plain " ^ name ^ " payload is the one-shot stdout")
+          (oneshot_stdout "lion" algorithm) (payload r);
+        r.Serve.Protocol.origin)
+      [ ("ihybrid", Harness.Driver.Ihybrid); ("igreedy", Harness.Driver.Igreedy);
+        ("ihybrid", Harness.Driver.Ihybrid) ]
+  in
+  check "cold, cold, warm" true
+    (origins = [ Some "computed"; Some "computed"; Some "cached" ]);
+  check_int "two memo reads" 2 (onehot_count "memo" - memo0);
+  check_int "one reference computed" 1 (onehot_count "computed" - computed0);
+  let starved = must_request c (request_line ~max_work:10 ~algorithm:"ihybrid" "lion") in
+  Serve.Client.close c;
+  let expected = oneshot_stdout ~max_work:10 "lion" Harness.Driver.Ihybrid in
+  check_str "constrained payload is the one-shot stdout under the same max_work" expected
+    (payload starved);
+  check "the starved ask prints no reference line" false
+    (List.exists (String.starts_with ~prefix:"(1-hot") (String.split_on_char '\n' expected));
+  check_int "constrained never reads the memo" 2 (onehot_count "memo" - memo0)
+
+(* A daemon whose work cap lets the encode finish but trips inside the
+   reference run: the tripped value is what the one-shot CLI prints
+   under the same --max-work, and it never enters the memo — the
+   repeat request computes its reference again. *)
+let test_serve_onehot_capped_never_fills () =
+  let m = Benchmarks.Suite.find "lion" in
+  let budget = Budget.create () in
+  ignore (Exec.Job.run ~budget (Exec.Job.task m Harness.Driver.Igreedy));
+  let encode = Budget.spent budget in
+  ignore (Serve.Render.onehot_reference ~budget m);
+  let total = Budget.spent budget in
+  check "the reference charges work" true (total - encode >= 2);
+  let cap = encode + ((total - encode) / 2) in
+  with_server ~tweak:(fun c -> { c with Serve.Server.cap_work = Some cap }) @@ fun path ->
+  let c = must_connect path in
+  let memo0 = onehot_count "memo" and computed0 = onehot_count "computed" in
+  let expected = oneshot_stdout ~max_work:cap "lion" Harness.Driver.Igreedy in
+  for _ = 1 to 2 do
+    check_str "capped payload is the one-shot stdout under the cap" expected
+      (payload (must_request c (request_line ~algorithm:"igreedy" "lion")))
+  done;
+  Serve.Client.close c;
+  check_int "no memo read" 0 (onehot_count "memo" - memo0);
+  check_int "both references computed" 2 (onehot_count "computed" - computed0)
+
+let test_onehot_memo_fill_rule () =
+  let m = Benchmarks.Suite.find "lion" in
+  let key = Exec.Job.machine_digest m in
+  let memo = Serve.Onehot_memo.create () in
+  let starved = Budget.create ~max_work:5 () in
+  let v, source = Serve.Onehot_memo.reference memo ~key ~budget:starved m in
+  check "a tripped run is computed" true (source = `Computed);
+  check "and returned as the budget left it" true
+    (v = Serve.Render.onehot_reference ~budget:(Budget.create ~max_work:5 ()) m);
+  check_int "but not stored" 0 (Serve.Onehot_memo.length memo);
+  let full = Serve.Render.onehot_reference ~budget:(Budget.create ()) m in
+  let v, source = Serve.Onehot_memo.reference memo ~key ~budget:(Budget.create ()) m in
+  check "an untripped run is computed" true (source = `Computed && v = full);
+  check "and stored" true (Serve.Onehot_memo.find memo key = Some full);
+  (* A stored value serves any budget, even one already spent. *)
+  let v, source = Serve.Onehot_memo.reference memo ~key ~budget:starved m in
+  check "then read back" true (source = `Memo && v = full)
+
+(* The memo is exact: on every suite machine the stored value is the
+   unlimited-budget reference the one-shot CLI prints. *)
+let test_onehot_memo_exact_on_suite () =
+  let memo = Serve.Onehot_memo.create () in
+  List.iter
+    (fun (e : Benchmarks.Suite.entry) ->
+      let m = Lazy.force e.Benchmarks.Suite.machine in
+      if (not e.Benchmarks.Suite.heavy) && Fsm.num_states ~m <= 60 then begin
+        let key = Exec.Job.machine_digest m in
+        ignore (Serve.Onehot_memo.reference memo ~key ~budget:(Budget.create ()) m);
+        check (e.Benchmarks.Suite.name ^ ": memoized value is the one-shot reference") true
+          (Serve.Onehot_memo.find memo key
+          = Some (Serve.Render.onehot_reference ~budget:(Budget.create ()) m))
+      end)
+    Benchmarks.Suite.all
+
+(* Distinct two-state machines, [i] spelled into the state names. *)
+let tiny_machine i =
+  Kiss.parse ~name:"tiny"
+    (Printf.sprintf ".i 1\n.o 1\n0 a%d b%d 0\n1 b%d a%d 1\n.e\n" i i i i)
+
+let test_onehot_memo_bounded () =
+  let memo = Serve.Onehot_memo.create () in
+  let n = Serve.Onehot_memo.capacity + 1 in
+  let keys =
+    List.init n (fun i ->
+        let m = tiny_machine i in
+        let key = Exec.Job.machine_digest m in
+        ignore (Serve.Onehot_memo.reference memo ~key ~budget:(Budget.create ()) m);
+        key)
+  in
+  check_int "at most capacity entries" Serve.Onehot_memo.capacity
+    (Serve.Onehot_memo.length memo);
+  check "the oldest was evicted" true (Serve.Onehot_memo.find memo (List.hd keys) = None);
+  check "the newest is kept" true
+    (Serve.Onehot_memo.find memo (List.nth keys (n - 1)) <> None)
 
 (* ------------------------------------------------------------------ *)
 (* Observability: stats byte-compat, the metrics verb, the access log,
@@ -875,6 +1003,13 @@ let suite =
       test_serve_wire_truncation_reassembly;
     Alcotest.test_case "serve: oversized line" `Quick test_serve_wire_oversized_line;
     Alcotest.test_case "serve: chaos site answers typed" `Quick test_serve_chaos_typed_crash;
+    Alcotest.test_case "serve: plain requests share one 1-hot reference" `Quick
+      test_serve_onehot_memo;
+    Alcotest.test_case "serve: a capped reference never fills the memo" `Quick
+      test_serve_onehot_capped_never_fills;
+    Alcotest.test_case "onehot memo: fill rule" `Quick test_onehot_memo_fill_rule;
+    Alcotest.test_case "onehot memo: exact on the suite" `Slow test_onehot_memo_exact_on_suite;
+    Alcotest.test_case "onehot memo: bounded, oldest evicted" `Quick test_onehot_memo_bounded;
     Alcotest.test_case "serve: stats keys byte-compatible" `Quick test_serve_stats_byte_compat;
     Alcotest.test_case "serve: metrics verb lints and carries tiers" `Quick
       test_serve_metrics_verb;

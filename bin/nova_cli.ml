@@ -7,7 +7,8 @@
      nova encode --algorithm ihybrid machine.kiss2
      nova encode --algorithm iexact --budget-ms 50 machine.kiss2
      nova encode --algorithm mustang-nt --bits 5 machine.kiss2
-     nova bench dk16                 (run on a built-in benchmark machine)
+     nova stats dk16                 (run on a built-in benchmark machine)
+     nova bench espresso --quick     (write a BENCH_*.json artifact)
      nova gen --states 80 --rows 400 (emit a synthetic stress machine)
 
    Exit codes (see Nova_error.exit_code): 0 success, 2 parse error,
@@ -627,7 +628,24 @@ let gen_cmd =
       $ int_opt "rows" "p" "Number of transition rows." 400
       $ int_opt "gen-seed" "g" "Generator seed." 4242)
 
-(* --- bench: the statistical scaling harness ------------------------------- *)
+(* --- bench: every BENCH_*.json artifact ------------------------------------ *)
+
+let quick_arg =
+  let doc =
+    "CI size: the small machine set for the point-sample modes; for $(b,scaling), sizes 8-64, \
+     the cheap algorithms only and 3 repetitions (the full grid runs 8-512 with 5)."
+  in
+  Arg.(value & flag & info [ "quick" ] ~doc)
+
+let out_arg mode =
+  let doc = "Output artifact path." in
+  Arg.(value & opt string ("BENCH_" ^ mode ^ ".json") & info [ "o"; "out" ] ~docv:"FILE" ~doc)
+
+(* Every artifact is written here, atomically, and announced on [ppf]. *)
+let write_artifact ppf out artifact =
+  match Trace.write_atomic ~path:out artifact with
+  | () -> Format.fprintf ppf "wrote %s@." out; 0
+  | exception Sys_error msg -> fail_with (Nova_error.Invalid_request ("bench: " ^ msg))
 
 let bench_scaling_cmd =
   let run quick reps out =
@@ -637,25 +655,12 @@ let bench_scaling_cmd =
     | _ ->
         let cells = Scaling.Report.run ~quick ?reps ~progress:Format.err_formatter () in
         let reps = match reps with Some r -> r | None -> if quick then 3 else 5 in
-        Scaling.Report.write ~path:out ~quick ~reps cells;
         Scaling.Report.summary Format.std_formatter cells;
-        Printf.eprintf "wrote %s\n" out;
-        0
-  in
-  let quick_arg =
-    let doc =
-      "CI grid: sizes 8-64 and the cheap algorithms only, 3 repetitions (the full grid runs \
-       8-512 with 5 repetitions)."
-    in
-    Arg.(value & flag & info [ "quick" ] ~doc)
+        write_artifact Format.err_formatter out (Scaling.Report.to_json ~quick ~reps cells)
   in
   let reps_arg =
     let doc = "Timed repetitions per grid cell (after one warmup run)." in
     Arg.(value & opt (some int) None & info [ "r"; "reps" ] ~docv:"N" ~doc)
-  in
-  let out_arg =
-    let doc = "Output artifact path." in
-    Arg.(value & opt string "BENCH_scaling.json" & info [ "o"; "out" ] ~docv:"FILE" ~doc)
   in
   Cmd.v
     (Cmd.info "scaling"
@@ -665,145 +670,168 @@ let bench_scaling_cmd =
           exponential models, and write the nova-bench-scaling/v1 artifact that \
           $(b,nova bench-diff) gates on (fitted model class and exponent, not single wall \
           numbers).")
-    Term.(const run $ quick_arg $ reps_arg $ out_arg)
+    Term.(const run $ quick_arg $ reps_arg $ out_arg "scaling")
+
+(* The point-sample modes: progress lines and the "wrote" line on stdout. *)
+let bench_point_cmd mode doc build =
+  let run quick out = write_artifact Format.std_formatter out (build ~quick Format.std_formatter) in
+  Cmd.v (Cmd.info mode ~doc) Term.(const run $ quick_arg $ out_arg mode)
+
+let bench_point_cmds =
+  [
+    bench_point_cmd "espresso" "Time ESPRESSO on a fixed encoding of every bench machine."
+      (fun ~quick ppf -> Scaling.Artifacts.espresso ~quick ppf);
+    bench_point_cmd "pipeline" "Run ihybrid unlimited and iexact under a 50 ms deadline."
+      (fun ~quick ppf -> Scaling.Artifacts.pipeline ~quick ppf);
+    bench_point_cmd "check" "Certify every constraint-driven algorithm's result."
+      (fun ~quick ppf -> Scaling.Artifacts.check ~quick ppf);
+  ]
+
+let bench_parallel_cmd =
+  let run quick jobs out =
+    match jobs with
+    | Some j when j < 1 ->
+        fail_with (Nova_error.Invalid_request "bench parallel: --jobs must be >= 1")
+    | _ ->
+        let jobs = Option.value jobs ~default:(Exec.Pool.available_jobs ()) in
+        let ppf = Format.std_formatter in
+        write_artifact ppf out (Scaling.Artifacts.parallel ~quick ~jobs ppf)
+  in
+  let jobs_arg =
+    let doc = "Worker domains for the pooled runs (default: the available cores)." in
+    Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  in
+  Cmd.v
+    (Cmd.info "parallel"
+       ~doc:
+         "Run the portfolio sequentially, pooled, supervised and bare, and cold then warm \
+          against a fresh cache.")
+    Term.(const run $ quick_arg $ jobs_arg $ out_arg "parallel")
 
 (* --- bench serve: daemon latency tiers ------------------------------------- *)
+
+exception Serve_bench_failed of string
+
+(* The three tiers against in-process daemons whose sockets and cache
+   live in [dir]: cold compute, certified hit, coalesced share. *)
+let serve_tiers ~dir machine clients =
+  let request_on sock line =
+    match Serve.Client.connect sock with
+    | Error m -> Error m
+    | Ok c ->
+        Fun.protect ~finally:(fun () -> Serve.Client.close c) (fun () -> Serve.Client.request c line)
+  in
+  let must = function
+    | Ok (r : Serve.Protocol.reply) when r.Serve.Protocol.ok -> r
+    | Ok r ->
+        raise
+          (Serve_bench_failed
+             ("server error: " ^ Option.value r.Serve.Protocol.error ~default:"?"))
+    | Error m -> raise (Serve_bench_failed m)
+  in
+  (* Start a daemon and wait for it to accept; a ping also warms the
+     code path so the cold sample measures encode, not module
+     initialization. It is shut down and joined however [f] exits. *)
+  let with_daemon ?cache sock f =
+    let cfg =
+      { (Serve.Server.default_config ~socket_path:sock) with Serve.Server.cache; quiet = true }
+    in
+    let server = Thread.create (fun () -> ignore (Serve.Server.run cfg)) () in
+    let rec await tries =
+      match request_on sock (Serve.Protocol.verb_line "ping") with
+      | Ok _ -> ()
+      | Error _ when tries > 0 ->
+          Thread.delay 0.02;
+          await (tries - 1)
+      | Error _ -> raise (Serve_bench_failed "daemon did not come up")
+    in
+    await 250;
+    Fun.protect
+      ~finally:(fun () ->
+        match request_on sock (Serve.Protocol.verb_line "shutdown") with
+        | Ok _ -> Thread.join server
+        | Error _ -> ())
+      (fun () -> f (fun line -> must (request_on sock line)))
+  in
+  let timed = Scaling.Artifacts.timed in
+  let line = Serve.Protocol.encode_line ~algorithm:"ihybrid" (Serve.Protocol.Builtin machine) in
+  (* A fresh cache: a shared directory would turn "cold" into a hit. *)
+  let cache = Exec.Cache.open_dir (Filename.concat dir "cache") in
+  with_daemon ~cache (Filename.concat dir "a.sock") @@ fun request ->
+  let _, cold_s = timed (fun () -> request line) in
+  let warm, warm_s = timed (fun () -> request line) in
+  (* Metered vs bare: the same warm (cache-hit) request hammered with the
+     metrics registry on, then off. The daemon runs in-process, so
+     [Metrics.Registry.set_enabled] reaches its hot paths directly; the
+     ratio is what CI gates metrics overhead on. *)
+  let warm_reps = 24 in
+  let hammer () =
+    for _ = 1 to warm_reps do
+      ignore (request line)
+    done
+  in
+  let _, metered_wall_s = timed hammer in
+  Metrics.Registry.set_enabled false;
+  let _, bare_wall_s = timed hammer in
+  Metrics.Registry.set_enabled true;
+  let metrics_overhead = if bare_wall_s > 0. then metered_wall_s /. bare_wall_s else 1. in
+  (* Coalesced tier: the same request against a second, cache-less
+     daemon. The key is fresh there, so one leader recomputes the cold
+     work while the other clients coalesce onto it; per-request wall is
+     directly comparable to [cold_s]. *)
+  let sock2 = Filename.concat dir "b.sock" in
+  let origins, batch_s =
+    with_daemon sock2 @@ fun _ ->
+    let replies = Array.make clients (Error "no reply") in
+    let _, batch_s =
+      timed (fun () ->
+          List.init clients (fun i ->
+              Thread.create (fun () -> replies.(i) <- request_on sock2 line) ())
+          |> List.iter Thread.join)
+    in
+    (Array.to_list replies |> List.filter_map (fun r -> (must r).Serve.Protocol.origin), batch_s)
+  in
+  let coalesced_n = List.length (List.filter (( = ) "coalesced") origins) in
+  let coalesced_s = batch_s /. float_of_int clients in
+  let rps = float_of_int clients /. batch_s in
+  Printf.printf
+    "serve bench %s: cold %.4fs, warm %.4fs (%.1fx), coalesced %.4fs/req over %d clients \
+     (%.1fx, %d shared), %.1f req/s, metrics overhead %.2fx over %d warm requests\n%!"
+    machine cold_s warm_s (cold_s /. warm_s) coalesced_s clients (cold_s /. coalesced_s)
+    coalesced_n rps metrics_overhead warm_reps;
+  let fixed = Scaling.Artifacts.fixed and int n = Json_min.Num (float_of_int n) in
+  let open Json_min in
+  let row =
+    [
+      ("name", Str machine); ("mode", Str "encode"); ("algorithm", Str "ihybrid");
+      ("cold_wall_s", fixed 6 cold_s); ("warm_wall_s", fixed 6 warm_s);
+      ("warm_origin", Str (Option.value warm.Serve.Protocol.origin ~default:"?"));
+      ("coalesced_wall_s", fixed 6 coalesced_s); ("rps", fixed 2 rps); ("clients", int clients);
+      ("coalesced", int coalesced_n); ("metered_wall_s", fixed 6 metered_wall_s);
+      ("bare_wall_s", fixed 6 bare_wall_s); ("metrics_overhead", fixed 4 metrics_overhead);
+    ]
+  in
+  Obj [ ("schema", Str "nova-bench-serve/v1"); ("mode", Str "default"); ("runs", Arr [ Obj row ]) ]
 
 let bench_serve_cmd =
   let run machine clients out =
     if clients < 2 then
       fail_with (Nova_error.Invalid_request "bench serve: --clients must be >= 2")
-    else begin
-      (* A private socket and a fresh cache: the three tiers must be
-         cold compute, certified hit, and coalesced share — a shared
-         cache directory would turn "cold" into a hit. *)
-      let socket = Filename.temp_file "nova-serve-bench" ".sock" in
-      let cache_dir = Filename.temp_file "nova-serve-bench" ".cache" in
-      Sys.remove cache_dir;
-      let cfg =
-        {
-          (Serve.Server.default_config ~socket_path:socket) with
-          Serve.Server.cache = Some (Exec.Cache.open_dir cache_dir);
-          quiet = true;
-        }
-      in
-      let server = Thread.create (fun () -> ignore (Serve.Server.run cfg)) () in
-      let request_on sock line =
-        match Serve.Client.connect sock with
-        | Error m -> Error m
-        | Ok c ->
-            Fun.protect
-              ~finally:(fun () -> Serve.Client.close c)
-              (fun () -> Serve.Client.request c line)
-      in
-      let request line = request_on socket line in
-      (* Wait for the daemon to accept; a ping also warms the code path
-         so the cold sample measures encode, not module initialization. *)
-      let await_on sock =
-        let rec go tries =
-          match request_on sock (Serve.Protocol.verb_line "ping") with
-          | Ok _ -> true
-          | Error _ when tries > 0 ->
-              Thread.delay 0.02;
-              go (tries - 1)
-          | Error _ -> false
-        in
-        go 250
-      in
-      if not (await_on socket) then fail_with (Nova_error.Invalid_request "bench serve: daemon did not come up")
-      else begin
-        let timed f =
-          let t0 = Unix.gettimeofday () in
-          let r = f () in
-          (r, Unix.gettimeofday () -. t0)
-        in
-        let must = function
-          | Ok (r : Serve.Protocol.reply) when r.Serve.Protocol.ok -> r
-          | Ok r ->
-              failwith
-                ("bench serve: server error: "
-                ^ Option.value r.Serve.Protocol.error ~default:"?")
-          | Error m -> failwith ("bench serve: " ^ m)
-        in
-        let mref = Serve.Protocol.Builtin machine in
-        let cold_line = Serve.Protocol.encode_line ~algorithm:"ihybrid" mref in
-        let _, cold_s = timed (fun () -> must (request cold_line)) in
-        let warm, warm_s = timed (fun () -> must (request cold_line)) in
-        (* Metered vs bare: the same warm (cache-hit) request hammered
-           with the metrics registry on, then off. The daemon runs
-           in-process on a thread, so [Metrics.Registry.set_enabled]
-           reaches its hot paths directly; the ratio is what CI gates
-           metrics overhead on. *)
-        let warm_reps = 24 in
-        let hammer () =
-          for _ = 1 to warm_reps do
-            ignore (must (request cold_line))
-          done
-        in
-        let _, metered_wall_s = timed hammer in
-        Metrics.Registry.set_enabled false;
-        let _, bare_wall_s = timed hammer in
-        Metrics.Registry.set_enabled true;
-        let metrics_overhead =
-          if bare_wall_s > 0. then metered_wall_s /. bare_wall_s else 1.
-        in
-        (* Coalesced tier: the very same machine and algorithm as the
-           cold tier, but against a second, cache-less daemon — the key
-           is fresh there, so one leader recomputes the cold work while
-           the other clients coalesce onto it. Per-request wall is then
-           directly comparable to [cold_s]: sharing is the only lever. *)
-        let socket2 = Filename.temp_file "nova-serve-bench" ".sock2" in
-        let cfg2 =
-          { (Serve.Server.default_config ~socket_path:socket2) with Serve.Server.quiet = true }
-        in
-        let server2 = Thread.create (fun () -> ignore (Serve.Server.run cfg2)) () in
-        if not (await_on socket2) then
-          fail_with (Nova_error.Invalid_request "bench serve: second daemon did not come up")
-        else begin
-        let replies = Array.make clients None in
-        let _, batch_s =
-          timed (fun () ->
-              let threads =
-                List.init clients (fun i ->
-                    Thread.create
-                      (fun () -> replies.(i) <- Some (must (request_on socket2 cold_line)))
-                      ())
-              in
-              List.iter Thread.join threads)
-        in
-        let origins =
-          Array.to_list replies
-          |> List.filter_map (fun r ->
-                 Option.bind r (fun (r : Serve.Protocol.reply) -> r.Serve.Protocol.origin))
-        in
-        let coalesced_n =
-          List.length (List.filter (fun o -> o = "coalesced") origins)
-        in
-        let coalesced_s = batch_s /. float_of_int clients in
-        let rps = float_of_int clients /. batch_s in
-        ignore (must (request_on socket2 (Serve.Protocol.verb_line "shutdown")));
-        Thread.join server2;
-        ignore (must (request (Serve.Protocol.verb_line "shutdown")));
-        Thread.join server;
-        let oc = open_out out in
-        Printf.fprintf oc
-          "{\"schema\":\"nova-bench-serve/v1\",\"mode\":\"default\",\"runs\":[{\"name\":\"%s\",\"mode\":\"encode\",\"algorithm\":\"ihybrid\",\"cold_wall_s\":%.6f,\"warm_wall_s\":%.6f,\"warm_origin\":\"%s\",\"coalesced_wall_s\":%.6f,\"rps\":%.2f,\"clients\":%d,\"coalesced\":%d,\"metered_wall_s\":%.6f,\"bare_wall_s\":%.6f,\"metrics_overhead\":%.4f}]}\n"
-          machine cold_s warm_s
-          (Option.value warm.Serve.Protocol.origin ~default:"?")
-          coalesced_s rps clients coalesced_n metered_wall_s bare_wall_s
-          metrics_overhead;
-        close_out oc;
-        Printf.printf
-          "serve bench %s: cold %.4fs, warm %.4fs (%.1fx), coalesced %.4fs/req over %d \
-           clients (%.1fx, %d shared), %.1f req/s, metrics overhead %.2fx over %d warm \
-           requests\n"
-          machine cold_s warm_s (cold_s /. warm_s) coalesced_s clients
-          (cold_s /. coalesced_s) coalesced_n rps metrics_overhead warm_reps;
-        Printf.eprintf "wrote %s\n" out;
-        0
-        end
-      end
-    end
+    else
+      match Benchmarks.Suite.find machine with
+      | exception Not_found ->
+          fail_with
+            (Nova_error.Invalid_request
+               (Printf.sprintf "bench serve: no built-in machine called %S (try `nova list`)"
+                  machine))
+      | _ -> (
+          match
+            Scaling.Artifacts.with_temp_dir "nova-serve-bench" (fun dir ->
+                serve_tiers ~dir machine clients)
+          with
+          | artifact -> write_artifact Format.err_formatter out artifact
+          | exception Serve_bench_failed m ->
+              fail_with (Nova_error.Invalid_request ("bench serve: " ^ m)))
   in
   let machine_name_arg =
     let doc = "Built-in machine to serve (the compute must dwarf the protocol overhead)." in
@@ -813,23 +841,21 @@ let bench_serve_cmd =
     let doc = "Concurrent identical clients for the coalesced tier." in
     Arg.(value & opt int 8 & info [ "clients" ] ~docv:"N" ~doc)
   in
-  let out_arg =
-    let doc = "Output artifact path." in
-    Arg.(value & opt string "BENCH_serve.json" & info [ "o"; "out" ] ~docv:"FILE" ~doc)
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
          "Measure the daemon's three latency tiers — cold compute, certified cache hit, \
-          coalesced share — against an in-process server on a private socket, and write \
-          the nova-bench-serve/v1 artifact that $(b,nova bench-diff) gates on.")
-    Term.(const run $ machine_name_arg $ clients_arg $ out_arg)
+          coalesced share — against in-process servers on private sockets, and write the \
+          nova-bench-serve/v1 artifact that $(b,nova bench-diff) gates on.")
+    Term.(const run $ machine_name_arg $ clients_arg $ out_arg "serve")
 
 let bench_cmd =
   Cmd.group
     (Cmd.info "bench"
-       ~doc:"Statistical benchmarks (see also bench/main.exe for the point-sample modes).")
-    [ bench_scaling_cmd; bench_serve_cmd ]
+       ~doc:
+         "Write the BENCH_*.json artifacts that $(b,nova bench-diff) compares; \
+          bench/main.exe reproduces the paper's tables and writes none.")
+    (bench_point_cmds @ [ bench_parallel_cmd; bench_scaling_cmd; bench_serve_cmd ])
 
 (* --- bench-diff ------------------------------------------------------------ *)
 

@@ -209,12 +209,13 @@ let summary c =
          (List.map (fun o -> Printf.sprintf "%s (%s)" (check_name o.id) o.detail) (failures c)))
 
 let to_json c =
+  let open Json_min in
   let check o =
-    Printf.sprintf "{\"name\":\"%s\",\"pass\":%b,\"span_s\":%.6f,\"detail\":%s}"
-      (check_name o.id) o.pass o.span_s (Json_min.quote o.detail)
+    let span_s = Num (Float.round (o.span_s *. 1e6) /. 1e6) in
+    Obj [ ("name", Str (check_name o.id)); ("pass", Bool o.pass); ("span_s", span_s);
+          ("detail", Str o.detail) ]
   in
-  Printf.sprintf "{\"ok\":%b,\"checks\":[%s]}" c.ok
-    (String.concat "," (List.map check c.checks))
+  Obj [ ("ok", Bool c.ok); ("checks", Arr (List.map check c.checks)) ]
 
 (* ---------------------------------------------------------------------- *)
 (* Fault injection *)

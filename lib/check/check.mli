@@ -109,8 +109,9 @@ val failures : t -> outcome list
 val summary : t -> string
 
 (** [to_json c] is a machine-readable rendering (stable field names:
-    [ok], [checks[].name/pass/span_s/detail]) for [BENCH_check.json]. *)
-val to_json : t -> string
+    [ok], [checks[].name/pass/span_s/detail]) for [BENCH_check.json];
+    spans are rounded to the microsecond. *)
+val to_json : t -> Json_min.t
 
 (** Fault injection: mutate artifacts in ways that {e genuinely} break
     the contract, so the test harness can assert the checker catches

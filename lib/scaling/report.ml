@@ -78,6 +78,8 @@ let run_cell ?(warmup = 1) ?(reps = 5) ~family ~sizes spec =
   in
   { family; algo_name; points; fit }
 
+let states_max c = List.fold_left (fun acc p -> max acc p.sample.Measure.size) 0 c.points
+
 let run ?(quick = false) ?reps ?progress () =
   let reps = match reps with Some r -> r | None -> if quick then 3 else 5 in
   let sizes = Grid.sizes ~quick in
@@ -89,7 +91,7 @@ let run ?(quick = false) ?reps ?progress () =
       | Some ppf ->
           Format.fprintf ppf "scaling %-10s %-10s %d sizes, top %d states: %s@."
             cell.family.Grid.family_name cell.algo_name (List.length cell.points)
-            (List.fold_left (fun acc p -> max acc p.sample.Measure.size) 0 cell.points)
+            (states_max cell)
             (match cell.fit with
             | Fit.Fitted f ->
                 Printf.sprintf "%s (exponent %.2f, R² %.3f)" (Fit.model_name f.Fit.model)
@@ -100,62 +102,70 @@ let run ?(quick = false) ?reps ?progress () =
 
 (* --- artifact ----------------------------------------------------------- *)
 
-let json_float f =
-  if Float.is_finite f then Printf.sprintf "%.9g" f else "null"
+let num f = Json_min.Num f
+let int n = Json_min.Num (float_of_int n)
 
 let point_json p =
-  Printf.sprintf
-    "{\"states\":%d,\"time_s\":%s,\"kept\":%d,\"runs_s\":[%s],\"constraints_s\":%s,\"encode_s\":%s}"
-    p.sample.Measure.size (json_float p.sample.Measure.time_s)
-    (List.length p.sample.Measure.kept_s)
-    (String.concat "," (List.map json_float p.sample.Measure.runs_s))
-    (json_float p.constraints_s) (json_float p.encode_s)
+  let s = p.sample in
+  Json_min.Obj
+    [
+      ("states", int s.Measure.size); ("time_s", num s.Measure.time_s);
+      ("kept", int (List.length s.Measure.kept_s));
+      ("runs_s", Json_min.Arr (List.map num s.Measure.runs_s));
+      ("constraints_s", num p.constraints_s); ("encode_s", num p.encode_s);
+    ]
 
-let fit_json = function
+let fit_json =
+  let open Json_min in
+  function
   | Fit.Fitted f ->
-      Printf.sprintf
-        "{\"model\":\"%s\",\"model_order\":%d,\"fitted_exponent\":%s,\"coeff\":%s,\"r2\":%s,\"residual\":%s}"
-        (Fit.model_name f.Fit.model) (Fit.model_order f.Fit.model) (json_float f.Fit.exponent)
-        (json_float f.Fit.coeff) (json_float f.Fit.r2) (json_float f.Fit.residual)
+      Obj
+        [
+          ("model", Str (Fit.model_name f.Fit.model));
+          ("model_order", int (Fit.model_order f.Fit.model));
+          ("fitted_exponent", num f.Fit.exponent); ("coeff", num f.Fit.coeff);
+          ("r2", num f.Fit.r2); ("residual", num f.Fit.residual);
+        ]
   | Fit.Inconclusive why ->
       (* No model_order / fitted_exponent key: against an older artifact
          that had them, the differ reports a vanished-metric regression,
          which is exactly what a cell going inconclusive is. *)
-      Printf.sprintf "{\"model\":\"inconclusive\",\"reason\":\"%s\"}"
-        (Fit.inconclusive_reason why)
+      Obj [ ("model", Str "inconclusive"); ("reason", Str (Fit.inconclusive_reason why)) ]
 
 let cell_json c =
-  let largest = List.fold_left (fun _ p -> Some p) None c.points in
+  let open Json_min in
   let phases =
-    match largest with
-    | Some p ->
-        Printf.sprintf ",\"phases\":{\"constraints_s\":%s,\"encode_s\":%s}"
-          (json_float p.constraints_s) (json_float p.encode_s)
-    | None -> ""
+    match List.rev c.points with
+    | p :: _ ->
+        [ ("phases", Obj [ ("constraints_s", num p.constraints_s); ("encode_s", num p.encode_s) ]) ]
+    | [] -> []
   in
-  Printf.sprintf
-    "{\"name\":\"%s\",\"algorithm\":\"%s\",\"states_max\":%d,\"fit\":%s,\"points\":[%s]%s}"
-    c.family.Grid.family_name c.algo_name
-    (List.fold_left (fun acc p -> max acc p.sample.Measure.size) 0 c.points)
-    (fit_json c.fit)
-    (String.concat "," (List.map point_json c.points))
-    phases
+  Obj
+    ([
+       ("name", Str c.family.Grid.family_name); ("algorithm", Str c.algo_name);
+       ("states_max", int (states_max c)); ("fit", fit_json c.fit);
+       ("points", Arr (List.map point_json c.points));
+     ]
+    @ phases)
 
 let to_json ~quick ~reps cells =
   let f = Grid.default in
-  Printf.sprintf
-    "{\"schema\":\"nova-bench-scaling/v1\",\"mode\":\"%s\",\"reps\":%d,\"family\":{\"name\":\"%s\",\"num_inputs\":%d,\"num_outputs\":%d,\"rows_per_state\":%d,\"seed\":%d},\"benchmarks\":[%s]}\n"
-    (if quick then "quick" else "full")
-    reps f.Grid.family_name f.Grid.num_inputs f.Grid.num_outputs f.Grid.rows_per_state
-    f.Grid.seed
-    (String.concat "," (List.map cell_json cells))
+  let open Json_min in
+  Obj
+    [
+      ("schema", Str "nova-bench-scaling/v1"); ("mode", Str (if quick then "quick" else "full"));
+      ("reps", int reps);
+      ( "family",
+        Obj
+          [
+            ("name", Str f.Grid.family_name); ("num_inputs", int f.Grid.num_inputs);
+            ("num_outputs", int f.Grid.num_outputs); ("rows_per_state", int f.Grid.rows_per_state);
+            ("seed", int f.Grid.seed);
+          ] );
+      ("benchmarks", Arr (List.map cell_json cells));
+    ]
 
-let write ~path ~quick ~reps cells =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  output_string oc (to_json ~quick ~reps cells);
-  close_out oc;
-  Sys.rename tmp path
+let write ~path ~quick ~reps cells = Trace.write_atomic ~path (to_json ~quick ~reps cells)
 
 let summary ppf cells =
   Format.fprintf ppf "%-10s %-10s %-12s %9s %7s %6s %12s@." "family" "algorithm" "model"

@@ -30,6 +30,9 @@ type cell = {
   fit : Fit.result;
 }
 
+val section_seconds : (string -> bool) -> float
+(** Registry seconds of the sections the predicate selects. *)
+
 val run_cell :
   ?warmup:int -> ?reps:int -> family:Grid.family -> sizes:int list -> algo_spec -> cell
 (** Measure one cell. Sizes whose encode fails (it should not, for the
@@ -47,7 +50,7 @@ val run :
     3 (quick) / 5 (full); one progress line per cell goes to
     [progress]. *)
 
-val to_json : quick:bool -> reps:int -> cell list -> string
+val to_json : quick:bool -> reps:int -> cell list -> Json_min.t
 (** The [nova-bench-scaling/v1] artifact. Fit metrics flatten to
     [fit.model_order] / [fit.fitted_exponent] (the differ's complexity
     gate); inconclusive cells omit them, so a cell degrading to
@@ -55,6 +58,7 @@ val to_json : quick:bool -> reps:int -> cell list -> string
     live in the [points] array, which the differ skips. *)
 
 val write : path:string -> quick:bool -> reps:int -> cell list -> unit
+(** {!to_json} through {!Trace.write_atomic}. *)
 
 val summary : Format.formatter -> cell list -> unit
 (** One line per cell: fitted class, exponent, fit quality, top size. *)

@@ -238,12 +238,10 @@ let escape_into b s =
       | c -> Buffer.add_char b c)
     s
 
-let quote s =
-  let b = Buffer.create (String.length s + 2) in
+let quote_into b s =
   Buffer.add_char b '"';
   escape_into b s;
-  Buffer.add_char b '"';
-  Buffer.contents b
+  Buffer.add_char b '"'
 
 (* The shortest of %.15g and %.17g that reads back equal: %.17g always
    does for a finite double, %.15g keeps short decimals short. *)
@@ -260,7 +258,7 @@ let render v =
     | Bool true -> Buffer.add_string b "true"
     | Bool false -> Buffer.add_string b "false"
     | Num f -> Buffer.add_string b (if Float.is_finite f then render_number f else "null")
-    | Str s -> Buffer.add_string b (quote s)
+    | Str s -> quote_into b s
     | Arr l ->
         Buffer.add_char b '[';
         List.iteri
@@ -274,7 +272,7 @@ let render v =
         List.iteri
           (fun i (k, x) ->
             if i > 0 then Buffer.add_char b ',';
-            Buffer.add_string b (quote k);
+            quote_into b k;
             Buffer.add_char b ':';
             go x)
           kvs;

@@ -1,8 +1,7 @@
 (** Minimal dependency-free JSON reader for the repo's own artifacts
-    (trace exports, BENCH_*.json, the metrics snapshot), plus the
-    writer and the string quoting every JSON emitter shares. Numbers are
-    floats; objects keep key order; non-ASCII bytes in strings pass
-    through verbatim. *)
+    (trace exports, BENCH_*.json, the metrics snapshot), plus the one
+    writer every JSON emitter goes through. Numbers are floats; objects
+    keep key order; non-ASCII bytes in strings pass through verbatim. *)
 
 type t =
   | Null
@@ -24,10 +23,6 @@ val of_file : string -> t
     without a decimal point, other numbers with the shorter of [%.15g]
     and [%.17g] that reads back equal. *)
 val render : t -> string
-
-(** [quote s] is [s] as a JSON string literal, quotes included: the
-    escaping [render] applies to every string and key. *)
-val quote : string -> string
 
 val member : string -> t -> t option
 val to_string : t -> string option

@@ -176,21 +176,13 @@ let with_span ?(attrs = []) ?end_attrs name f =
 
 (* --- export ------------------------------------------------------------ *)
 
-let json_float f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.6f" f
-
 let value_json = function
-  | String s -> Json_min.quote s
-  | Int i -> string_of_int i
-  | Float f -> json_float f
-  | Bool b -> string_of_bool b
+  | String s -> Json_min.Str s
+  | Int i -> Json_min.Num (float_of_int i)
+  | Float f -> Json_min.Num f
+  | Bool b -> Json_min.Bool b
 
-let attrs_json attrs =
-  "{"
-  ^ String.concat ","
-      (List.map (fun (k, v) -> Printf.sprintf "%s:%s" (Json_min.quote k) (value_json v)) attrs)
-  ^ "}"
+let attrs_json attrs = Json_min.Obj (List.map (fun (k, v) -> (k, value_json v)) attrs)
 
 (* A consistent snapshot of the buffer, in emission order, plus the
    per-track names for the exports. *)
@@ -205,8 +197,8 @@ let snapshot () =
 let track_name ~main id = if id = main then "main" else Printf.sprintf "domain-%d" id
 
 (* tmp + rename, like the cache: a reader never sees a half-written
-   trace, and a crashed export leaves the previous file intact. *)
-let write_atomic path render =
+   file, and a crashed write leaves the previous file intact. *)
+let write_channel path render =
   let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
   let oc = open_out_bin tmp in
   match
@@ -218,63 +210,66 @@ let write_atomic path render =
       (try Sys.remove tmp with Sys_error _ -> ());
       raise e
 
+let output_line oc v =
+  output_string oc (Json_min.render v);
+  output_char oc '\n'
+
+let write_atomic ~path v = write_channel path (fun oc -> output_line oc v)
+
 let phase = function Begin -> "B" | End -> "E" | Instant -> "i"
+
+let int n = Json_min.Num (float_of_int n)
 
 (* Chrome trace-event JSON: the run manifest rides in "metadata" (shown
    by Perfetto under Info & stats) and per-track thread_name metadata
    events label the lanes. *)
 let export_chrome ~path () =
   let evs, track_ids, meta, main = snapshot () in
-  write_atomic path @@ fun oc ->
-  output_string oc "{\"traceEvents\":[";
-  let first = ref true in
-  let emit s =
-    if not !first then output_string oc ",";
-    first := false;
-    output_string oc s
+  let open Json_min in
+  let thread_name id =
+    Obj
+      [
+        ("name", Str "thread_name"); ("ph", Str "M"); ("pid", int 1); ("tid", int id);
+        ("args", Obj [ ("name", Str (track_name ~main id)) ]);
+      ]
   in
-  List.iter
-    (fun id ->
-      emit
-        (Printf.sprintf
-           "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"args\":{\"name\":%s}}"
-           id
-           (Json_min.quote (track_name ~main id))))
-    track_ids;
-  List.iter
-    (fun e ->
-      let scope = match e.kind with Instant -> ",\"s\":\"t\"" | Begin | End -> "" in
-      emit
-        (Printf.sprintf "{\"name\":%s,\"ph\":\"%s\",\"ts\":%s,\"pid\":1,\"tid\":%d%s,\"args\":%s}"
-           (Json_min.quote e.name) (phase e.kind) (json_float e.ts) e.track scope
-           (attrs_json e.attrs)))
-    evs;
-  output_string oc "],\"displayTimeUnit\":\"ms\",\"metadata\":";
-  output_string oc (attrs_json meta);
-  output_string oc "}\n"
+  let event e =
+    let scope = match e.kind with Instant -> [ ("s", Str "t") ] | Begin | End -> [] in
+    Obj
+      ([ ("name", Str e.name); ("ph", Str (phase e.kind)); ("ts", Num e.ts); ("pid", int 1);
+         ("tid", int e.track) ]
+      @ scope
+      @ [ ("args", attrs_json e.attrs) ])
+  in
+  write_atomic ~path
+    (Obj
+       [
+         ("traceEvents", Arr (List.map thread_name track_ids @ List.map event evs));
+         ("displayTimeUnit", Str "ms");
+         ("metadata", attrs_json meta);
+       ])
 
 (* JSONL: one event per line, the first line being the run manifest —
    an append-only log a tail-reader can follow record by record. *)
 let export_jsonl ~path () =
   let evs, track_ids, meta, main = snapshot () in
-  write_atomic path @@ fun oc ->
-  let tracks_json =
-    "{"
-    ^ String.concat ","
-        (List.map
-           (fun id -> Printf.sprintf "\"%d\":%s" id (Json_min.quote (track_name ~main id)))
-           track_ids)
-    ^ "}"
-  in
-  output_string oc
-    (Printf.sprintf "{\"type\":\"meta\",\"meta\":%s,\"tracks\":%s}\n" (attrs_json meta)
-       tracks_json);
+  let open Json_min in
+  write_channel path @@ fun oc ->
+  output_line oc
+    (Obj
+       [
+         ("type", Str "meta"); ("meta", attrs_json meta);
+         ( "tracks",
+           Obj (List.map (fun id -> (string_of_int id, Str (track_name ~main id))) track_ids) );
+       ]);
   List.iter
     (fun e ->
-      output_string oc
-        (Printf.sprintf "{\"type\":\"%s\",\"ts\":%s,\"track\":%d,\"name\":%s,\"attrs\":%s}\n"
-           (phase e.kind) (json_float e.ts) e.track (Json_min.quote e.name)
-           (attrs_json e.attrs)))
+      output_line oc
+        (Obj
+           [
+             ("type", Str (phase e.kind)); ("ts", Num e.ts); ("track", int e.track);
+             ("name", Str e.name); ("attrs", attrs_json e.attrs);
+           ]))
     evs
 
 (* Format dispatch on the extension: .jsonl is the event log, anything

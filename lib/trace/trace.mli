@@ -52,6 +52,12 @@ val set_meta : attrs -> unit
     every export: machine, options fingerprint, code version, jobs,
     totals. Later writes to the same key win. *)
 
+val write_atomic : path:string -> Json_min.t -> unit
+(** [write_atomic ~path v] writes [v] as one JSON line to a temp file
+    beside [path], then renames it over [path]: readers never see half a
+    file. The writer of every JSON artifact: [BENCH_*.json], flight
+    dumps, Chrome traces. @raise Sys_error on I/O failure. *)
+
 val export_chrome : path:string -> unit -> unit
 (** Write the buffer as Chrome trace-event JSON (Perfetto /
     chrome://tracing), atomically (tmp + rename). *)

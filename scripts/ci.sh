@@ -288,8 +288,17 @@ grep -q '"code":7' "$FLIGHT" \
 echo "  access log 1:1 ($logged lines), shutdown flight dump has the crash: ok"
 echo "  ping, cold/warm/pair determinism, typed error, clean shutdown: ok"
 
+echo "== serve bench smoke: bad machine refused typed, private files removed =="
+# The bench keeps its sockets and cache in a private TMPDIR directory.
+mkdir "$TMP/bt"
+rc=0; TMPDIR="$TMP/bt" $NOVA bench serve -m no-such-machine > /dev/null 2>&1 || rc=$?
+[ "$rc" -eq 5 ] || { echo "bench serve bad machine: expected exit 5, got $rc"; exit 1; }
+[ -z "$(ls -A "$TMP/bt")" ] || { echo "bench serve left files behind"; ls -A "$TMP/bt"; exit 1; }
+echo "  unknown machine: exit 5, nothing left in TMPDIR: ok"
+
 echo "== serve bench gates: warm and coalesced >= 5x better than cold =="
-$NOVA bench serve -o "$TMP/BENCH_serve.json" > /dev/null 2>&1
+TMPDIR="$TMP/bt" $NOVA bench serve -o "$TMP/BENCH_serve.json" > /dev/null 2>&1
+[ -z "$(ls -A "$TMP/bt")" ] || { echo "bench serve left files behind"; ls -A "$TMP/bt"; exit 1; }
 grep -q '"schema":"nova-bench-serve/v1"' "$TMP/BENCH_serve.json" \
   || { echo "serve artifact missing schema"; exit 1; }
 grep -q '"warm_origin":"cached"' "$TMP/BENCH_serve.json" \
@@ -322,13 +331,8 @@ $NOVA bench-diff -t 25 "$TMP/BENCH_serve_metered_base.json" "$TMP/BENCH_serve.js
   || { echo "metrics overhead beyond threshold (bare=$bare metered=$metered)"; exit 1; }
 echo "  metered wall within 25% of bare wall: ok"
 
-# Bench smokes run inside $TMP: they write BENCH_*.json into the
-# current directory, and the repo root holds the committed full-mode
-# artifacts, which a quick run must not clobber.
-BENCH=$(pwd)/_build/default/bench/main.exe
-
 echo "== bench smoke (quick parallel executor) =="
-(cd "$TMP" && "$BENCH" --quick --jobs=2 parallel)
+$NOVA bench parallel --quick --jobs 2 -o "$TMP/BENCH_parallel.json"
 
 echo "== parallel gate: pool must not be slower than sequential =="
 # Sequential fallback satellite: construct a pseudo-baseline whose
@@ -358,12 +362,12 @@ $NOVA bench-diff -t 25 "$TMP/BENCH_parallel_barebase.json" "$TMP/BENCH_parallel.
 echo "  supervised wall within 25% of bare wall: ok"
 
 echo "== bench smoke (quick espresso kernels) =="
-(cd "$TMP" && "$BENCH" --quick espresso)
+$NOVA bench espresso --quick -o "$TMP/BENCH_espresso.json"
 
 echo "== bench smoke (quick pipeline) =="
-(cd "$TMP" && "$BENCH" --quick pipeline)
+$NOVA bench pipeline --quick -o "$TMP/BENCH_pipeline.json"
 
 echo "== bench smoke (quick certification) =="
-(cd "$TMP" && "$BENCH" --quick check)
+$NOVA bench check --quick -o "$TMP/BENCH_check.json"
 
 echo "CI OK"

@@ -253,8 +253,7 @@ let tiny_cell () =
 let test_report_cell_and_artifact () =
   let cell = tiny_cell () in
   check_int "all four sizes measured" 4 (List.length cell.Scaling.Report.points);
-  let json = Scaling.Report.to_json ~quick:true ~reps:1 [ cell ] in
-  let j = Json_min.of_string json in
+  let j = Scaling.Report.to_json ~quick:true ~reps:1 [ cell ] in
   (match Option.bind (Json_min.member "schema" j) Json_min.to_string with
   | Some s -> check_str "schema" "nova-bench-scaling/v1" s
   | None -> Alcotest.fail "no schema field");
@@ -285,7 +284,7 @@ let test_report_max_states_cap () =
   | Scaling.Fit.Inconclusive why ->
       Alcotest.failf "wrong reason: %s" (Scaling.Fit.inconclusive_reason why)
   | Scaling.Fit.Fitted _ -> Alcotest.fail "3 points must be inconclusive");
-  let j = Json_min.of_string (Scaling.Report.to_json ~quick:true ~reps:1 [ cell ]) in
+  let j = Scaling.Report.to_json ~quick:true ~reps:1 [ cell ] in
   let row =
     match Option.bind (Json_min.member "benchmarks" j) Json_min.to_list with
     | Some [ r ] -> r
@@ -315,6 +314,56 @@ let test_report_inconclusive_regresses_against_fitted () =
   check "the vanished gate metrics are named" true
     (List.exists (fun (_, m) -> m = "fit.model_order") r.Bench_diff.vanished
     && List.exists (fun (_, m) -> m = "fit.fitted_exponent") r.Bench_diff.vanished)
+
+(* ------------------------------------------------------------------ *)
+(* Artifacts: the point-sample modes keep the committed schemas *)
+
+let keys = function Json_min.Obj kvs -> List.map fst kvs | _ -> []
+let identity row = List.map (fun f -> Json_min.member f row) [ "name"; "mode"; "algorithm" ]
+
+(* Written with the one atomic writer and read back by the differ, the
+   lion rows of a fresh artifact have the same own keys (in order) and
+   the same flattened metric keys as the lion rows of the committed
+   BENCH_<mode>.json; a parallel artifact has its top-level keys. *)
+let test_artifacts_keep_committed_schemas () =
+  with_temp_dir @@ fun dir ->
+  let machines = [ Benchmarks.Suite.find "lion" ] in
+  let quiet = Format.make_formatter (fun _ _ _ -> ()) ignore in
+  let rows_of j =
+    match List.find_map (fun k -> Json_min.member k j) [ "benchmarks"; "runs" ] with
+    | Some (Json_min.Arr rows) -> rows
+    | _ -> [ j ]
+  in
+  let same_shape mode fresh =
+    let path = Filename.concat dir mode in
+    Trace.write_atomic ~path fresh;
+    let committed_path = Printf.sprintf "../BENCH_%s.json" mode in
+    let committed = Json_min.of_file committed_path in
+    let old_a = Bench_diff.load committed_path and new_a = Bench_diff.load path in
+    check_str (mode ^ " schema") old_a.Bench_diff.schema new_a.Bench_diff.schema;
+    check (mode ^ " has rows") true (new_a.Bench_diff.rows <> []);
+    List.iter
+      (fun (key, metrics) ->
+        match List.assoc_opt key old_a.Bench_diff.rows with
+        | None -> Alcotest.failf "%s: row %s is not in the committed artifact" mode key
+        | Some old_metrics ->
+            Alcotest.(check (list string))
+              (mode ^ " " ^ key ^ " metric keys")
+              (List.map fst old_metrics) (List.map fst metrics))
+      new_a.Bench_diff.rows;
+    let committed_rows = rows_of committed in
+    List.iter
+      (fun row ->
+        match List.find_opt (fun r -> identity r = identity row) committed_rows with
+        | None -> Alcotest.failf "%s: a fresh row is not in the committed artifact" mode
+        | Some old_row ->
+            Alcotest.(check (list string)) (mode ^ " row keys") (keys old_row) (keys row))
+      (rows_of (Json_min.of_file path))
+  in
+  same_shape "espresso" (Scaling.Artifacts.espresso ~machines ~quick:false quiet);
+  same_shape "pipeline" (Scaling.Artifacts.pipeline ~machines ~quick:false quiet);
+  same_shape "check" (Scaling.Artifacts.check ~machines ~quick:false quiet);
+  same_shape "parallel" (Scaling.Artifacts.parallel ~machines ~quick:true ~jobs:1 quiet)
 
 let suite =
   [
@@ -354,4 +403,6 @@ let suite =
       test_report_max_states_cap;
     Alcotest.test_case "report: fitted -> inconclusive regresses via vanished metrics" `Quick
       test_report_inconclusive_regresses_against_fitted;
+    Alcotest.test_case "artifacts: lion rows keep the committed BENCH_* keys" `Quick
+      test_artifacts_keep_committed_schemas;
   ]

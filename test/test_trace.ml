@@ -104,7 +104,7 @@ let test_instrument_sorted_output () =
 let nasty = "quote\" back\\slash\nnewline\ttab \001ctl ünïcode π \127"
 
 let test_trace_json_escape () =
-  match Json_min.of_string (Json_min.quote nasty) with
+  match Json_min.of_string (Json_min.render (Json_min.Str nasty)) with
   | Json_min.Str s -> check_str "escaped string round-trips" nasty s
   | _ -> Alcotest.fail "escaped string did not parse as a string"
 
@@ -158,8 +158,8 @@ let prop_render_roundtrips =
 let key_set j =
   List.sort compare (List.map fst (match j with Some (Json_min.Obj kvs) -> kvs | _ -> []))
 
-(* The block bench/main.exe writes for lion has the counter and timer
-   keys of the committed artifact's first row. *)
+(* The block `nova bench espresso` writes for lion has the counter and
+   timer keys of the committed artifact's first row. *)
 let test_instrument_block_keys () =
   let m = Benchmarks.Suite.find "lion" in
   let n = Fsm.num_states ~m in

@@ -349,8 +349,8 @@ let encode_cmd =
 
 let jobs_arg =
   let doc =
-    "Worker domains for the portfolio executor (1 = sequential; results are bit-identical \
-     for every value)."
+    "Worker domains for the portfolio executor (1 = sequential, below 1 is refused; results \
+     are bit-identical for every value)."
   in
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
@@ -422,6 +422,18 @@ let report_machines names heavy =
         (Ok []) names
       |> Result.map List.rev
 
+(* What report and serve refuse before any work: a worker count below
+   one, then a malformed chaos schedule (a valid one is armed). *)
+let prepare_pool ~verb jobs chaos chaos_seed =
+  if jobs < 1 then Error (Nova_error.Invalid_request (verb ^ ": --jobs must be >= 1"))
+  else
+    match chaos with
+    | None -> Ok ()
+    | Some spec -> (
+        match Exec.Chaos.configure ~seed:chaos_seed spec with
+        | Ok () -> Ok ()
+        | Error msg -> Error (Nova_error.Invalid_request ("--chaos " ^ msg)))
+
 (* stdout carries only deterministic data (the table); wall-clock and
    cache statistics go to stderr so output is byte-comparable across
    --jobs levels and cold/warm cache runs. *)
@@ -431,14 +443,7 @@ let report jobs race cache_dir no_cache heavy instrument quiet trace chaos chaos
     Harness.Driver.quiet := true;
     Exec.Supervise.quiet := true
   end;
-  match
-    match chaos with
-    | None -> Ok ()
-    | Some spec -> (
-        match Exec.Chaos.configure ~seed:chaos_seed spec with
-        | Ok () -> Ok ()
-        | Error msg -> Error (Nova_error.Invalid_request ("--chaos " ^ msg)))
-  with
+  match prepare_pool ~verb:"report" jobs chaos chaos_seed with
   | Error err -> fail_with err
   | Ok () -> (
   match report_machines machines heavy with
@@ -999,14 +1004,7 @@ let serve_cmd =
       Harness.Driver.quiet := true;
       Exec.Supervise.quiet := true
     end;
-    match
-      match chaos with
-      | None -> Ok ()
-      | Some spec -> (
-          match Exec.Chaos.configure ~seed:chaos_seed spec with
-          | Ok () -> Ok ()
-          | Error msg -> Error (Nova_error.Invalid_request ("--chaos " ^ msg)))
-    with
+    match prepare_pool ~verb:"serve" jobs chaos chaos_seed with
     | Error err -> fail_with err
     | Ok () -> (
         run_traced trace

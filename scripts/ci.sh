@@ -36,6 +36,10 @@ echo "  budget exhausted (--no-fallback): exit 3 ok"
 $NOVA encode -a iexact --max-work 10 test/cli/good.kiss2 > /dev/null 2>/dev/null
 echo "  budget exhausted + fallback: exit 0 ok"
 
+rc=0; $NOVA report --jobs 0 lion > /dev/null 2>&1 || rc=$?
+[ "$rc" -eq 5 ] || { echo "report --jobs 0: expected exit 5, got $rc"; exit 1; }
+echo "  report --jobs 0: exit 5 ok"
+
 echo "== certify smoke: suite machines under the independent checker =="
 for machine in lion dk16; do
   $NOVA encode -a ihybrid --certify "$machine" > /dev/null

@@ -50,6 +50,151 @@ let test_pool_exception_propagates () =
   | exception Failure msg -> check "lowest-index exception wins" true (msg = "boom 5"))
 
 (* ------------------------------------------------------------------ *)
+(* Pool: long-lived helpers *)
+
+let spawned () = Metrics.Registry.counter_value (Metrics.event "exec.pool.domains_spawned")
+let self_id () = (Domain.self () :> int)
+
+let squares ~jobs n =
+  Exec.Pool.mapi ~jobs (Array.init n (fun i -> i)) ~f:(fun _ x ->
+      let acc = ref 0 in
+      for k = 1 to (x mod 5) * 1_000 do
+        acc := !acc + k
+      done;
+      ignore !acc;
+      x * x)
+
+(* A two-task batch that must reach a helper: whichever task the
+   calling domain runs polls (up to 2 s) until a helper has started the
+   other. [ran_on.(i)] records the domain that ran task [i]; a helper's
+   task returns [on_helper i]. *)
+let helper_batch ~ran_on ~on_helper =
+  let main = self_id () in
+  let helper_started = Atomic.make false in
+  Exec.Pool.mapi_isolated ~jobs:2 [| (); () |] ~f:(fun i () ->
+      ran_on.(i) <- self_id ();
+      if self_id () = main then begin
+        let deadline = Unix.gettimeofday () +. 2. in
+        while (not (Atomic.get helper_started)) && Unix.gettimeofday () < deadline do
+          Domain.cpu_relax ()
+        done;
+        i
+      end
+      else begin
+        Atomic.set helper_started true;
+        on_helper i
+      end)
+
+(* Poll (up to 1 s) until every helper has passed its idle window and
+   retired; the live count at the end. *)
+let quiesce () =
+  let deadline = Unix.gettimeofday () +. 1. in
+  let rec wait () =
+    let live = Exec.Pool.live_helpers () in
+    if live > 0 && Unix.gettimeofday () < deadline then begin
+      Unix.sleepf 0.01;
+      wait ()
+    end
+    else live
+  in
+  wait ()
+
+(* A pool with exactly one helper: earlier, wider calls may have left
+   more alive. *)
+let one_helper () =
+  ignore (quiesce ());
+  ignore (squares ~jobs:2 16)
+
+let helper_of ran_on =
+  match List.filter (fun d -> d <> self_id ()) (Array.to_list ran_on) with
+  | [ d ] -> d
+  | _ -> Alcotest.fail "exactly one task should have run on a helper"
+
+(* The idle window is wall-clock: a caller descheduled for longer than
+   it (a loaded host, or dune running other suites beside this one)
+   rightly finds its helper retired and spawns another. So a scenario
+   that pins reuse returns whether it saw no spawn and gets three
+   attempts; with no window at all, every attempt respawns. *)
+let reused scenario = scenario () || scenario () || scenario ()
+
+let test_pool_reuses_helpers () =
+  let scenario () =
+    one_helper ();
+    let before = spawned () in
+    for _ = 1 to 200 do
+      ignore (squares ~jobs:2 16)
+    done;
+    check "at most jobs - 1 helpers alive" true (Exec.Pool.live_helpers () <= 1);
+    spawned () = before
+  in
+  check "200 back-to-back calls spawn no domain" true (reused scenario)
+
+let test_pool_crash_on_reused_helper () =
+  let scenario () =
+    one_helper ();
+    let before = spawned () in
+    let ran_on = Array.make 2 (-1) in
+    let slots =
+      helper_batch ~ran_on ~on_helper:(fun i -> failwith (Printf.sprintf "boom %d" i))
+    in
+    let helper = helper_of ran_on in
+    Array.iteri
+      (fun i slot ->
+        match slot with
+        | Ok v -> check "the caller's slot is healthy" true (ran_on.(i) <> helper && v = i)
+        | Error (Failure msg, _) ->
+            check "the crash settles the helper's own slot" true
+              (ran_on.(i) = helper && msg = Printf.sprintf "boom %d" i)
+        | Error _ -> Alcotest.fail "unexpected exception type")
+      slots;
+    let ran_on' = Array.make 2 (-1) in
+    let slots' = helper_batch ~ran_on:ran_on' ~on_helper:(fun i -> 10 * i) in
+    let helper' = helper_of ran_on' in
+    Array.iteri
+      (fun i slot ->
+        check "the next batch is correct" true
+          (slot = Ok (if ran_on'.(i) = helper' then 10 * i else i)))
+      slots';
+    helper' = helper && spawned () = before
+  in
+  check "the next batch runs on the same helper" true (reused scenario)
+
+let test_pool_fatal_on_helper () =
+  let scenario () =
+    one_helper ();
+    let before = spawned () in
+    let ran_on = Array.make 2 (-1) in
+    (match helper_batch ~ran_on ~on_helper:(fun _ -> raise Stack_overflow) with
+    | _ -> Alcotest.fail "Stack_overflow on a helper must reach the caller"
+    | exception Stack_overflow -> ());
+    ignore (helper_of ran_on);
+    check "the pool keeps working" true (squares ~jobs:2 16 = squares ~jobs:1 16);
+    spawned () = before
+  in
+  check "the fatal exception spawned no domain" true (reused scenario)
+
+(* Two systhreads share the helpers at once, one of them from a task
+   that itself calls the pool: neither waits on a helper busy with the
+   other's batch, so both finish, with the sequential results. *)
+let test_pool_concurrent_and_nested_callers () =
+  let tasks = Array.init 24 (fun i -> i) in
+  let nested _ x = x + Array.fold_left ( + ) 0 (squares ~jobs:2 (x mod 6)) in
+  let flat _ x = Array.fold_left ( + ) 0 (squares ~jobs:1 (x mod 9)) in
+  let expected_nested = Exec.Pool.mapi ~jobs:1 tasks ~f:nested in
+  let expected_flat = Exec.Pool.mapi ~jobs:1 tasks ~f:flat in
+  let got_nested = ref [||] and got_flat = ref [||] in
+  let t1 = Thread.create (fun () -> got_nested := Exec.Pool.mapi ~jobs:2 tasks ~f:nested) () in
+  let t2 = Thread.create (fun () -> got_flat := Exec.Pool.mapi ~jobs:2 tasks ~f:flat) () in
+  Thread.join t1;
+  Thread.join t2;
+  check "nested caller matches jobs=1" true (!got_nested = expected_nested);
+  check "concurrent caller matches jobs=1" true (!got_flat = expected_flat)
+
+let test_pool_helpers_retire () =
+  ignore (squares ~jobs:2 16);
+  check_int "every helper retired and was joined" 0 (quiesce ())
+
+(* ------------------------------------------------------------------ *)
 (* Satellite: domain-safe instrumentation *)
 
 (* The telemetry core under two domains: an event counter and a timed
@@ -305,6 +450,16 @@ let suite =
     Alcotest.test_case "pool: jobs=4 map equals jobs=1" `Quick test_pool_map_deterministic;
     Alcotest.test_case "pool: lowest-index exception re-raised" `Quick
       test_pool_exception_propagates;
+    Alcotest.test_case "pool: back-to-back calls reuse the helpers" `Quick
+      test_pool_reuses_helpers;
+    Alcotest.test_case "pool: a crash on a reused helper settles its slot" `Quick
+      test_pool_crash_on_reused_helper;
+    Alcotest.test_case "pool: a fatal exception on a helper reaches the caller" `Quick
+      test_pool_fatal_on_helper;
+    Alcotest.test_case "pool: concurrent and nested callers finish" `Quick
+      test_pool_concurrent_and_nested_callers;
+    Alcotest.test_case "pool: idle helpers retire and are joined" `Quick
+      test_pool_helpers_retire;
     Alcotest.test_case "instrument: two-domain hammer loses no counts" `Quick
       test_instrument_two_domain_hammer;
     Alcotest.test_case "budget: cross-domain cancel trips within a poll interval" `Quick

@@ -59,6 +59,13 @@ let compare a b =
 
 let hash t = Hashtbl.hash (t.len, t.words)
 
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
+end)
+
 let is_empty t = Array.for_all (fun w -> w = 0) t.words
 
 let is_full t =
@@ -276,7 +283,11 @@ let pp ppf t =
     Format.pp_print_char ppf (if get t i then '1' else '0')
   done
 
-let to_string t = Format.asprintf "%a" pp t
+(* The bytes of [pp], built directly: tables keyed by [to_string] sit
+   in hot loops, where a formatter per call dominated their cost. *)
+let to_string t =
+  String.init t.len (fun i ->
+      if t.words.(i / bits_per_word) land (1 lsl (i mod bits_per_word)) <> 0 then '1' else '0')
 
 let of_string s =
   let t = create (String.length s) in

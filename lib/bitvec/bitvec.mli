@@ -41,6 +41,13 @@ val compare : t -> t -> int
 (** [hash t] is a hash consistent with [equal]. *)
 val hash : t -> int
 
+(** Hash tables keyed by bit vectors under [equal]/[hash]: no string is
+    built per lookup, unlike a table keyed by {!to_string}. Its fold
+    order follows [hash], so a [to_string]-keyed table whose fold order
+    reaches results cannot be swapped for it without changing that
+    order. *)
+module Tbl : Hashtbl.S with type key = t
+
 (** [is_empty t] is true iff no bit is set. *)
 val is_empty : t -> bool
 
@@ -125,7 +132,11 @@ val clear_range : t -> int -> int -> unit
 (** [pp ppf t] prints [t] as a 0/1 string, bit 0 leftmost. *)
 val pp : Format.formatter -> t -> unit
 
-(** [to_string t] is the 0/1 rendering of [pp]. *)
+(** [to_string t] is the 0/1 rendering of [pp], byte for byte, built
+    without a formatter. Several tables are keyed by it whose iteration
+    order reaches results (the cube order of [Cover.merge_on_var], the
+    constraint order of [Constraints.of_cover] and [Symbmin], the cache
+    serializer), so its bytes must never change. *)
 val to_string : t -> string
 
 (** [of_string s] parses a 0/1 string, bit 0 leftmost. *)

@@ -351,28 +351,21 @@ let complement_cube dom c =
   done;
   !acc
 
-module BvTbl = Hashtbl.Make (struct
-  type t = Bitvec.t
-
-  let equal = Bitvec.equal
-  let hash = Bitvec.hash
-end)
-
 (* Merge cubes that are identical outside variable [v] by unioning their
    [v] fields; cubes whose union becomes a full field stay as such. *)
 let merge_on_var dom cubes v =
   let off = Domain.offset dom v in
   let sz = Domain.size dom v in
-  let tbl = BvTbl.create 31 in
+  let tbl = Bitvec.Tbl.create 31 in
   List.iter
     (fun c ->
       let key = Bitvec.copy c in
       Bitvec.clear_range key off sz;
-      match BvTbl.find_opt tbl key with
-      | None -> BvTbl.add tbl key (Bitvec.copy c)
+      match Bitvec.Tbl.find_opt tbl key with
+      | None -> Bitvec.Tbl.add tbl key (Bitvec.copy c)
       | Some existing -> Bitvec.union_into existing c)
     cubes;
-  BvTbl.fold (fun _ c acc -> c :: acc) tbl []
+  Bitvec.Tbl.fold (fun _ c acc -> c :: acc) tbl []
 
 let scc_cubes dom cubes = (single_cube_containment { dom; cubes }).cubes
 

@@ -22,6 +22,11 @@ type outcome = Sat of { codes : int array; faces : Face.t array } | Unsat | Exha
 
 exception Work_exhausted
 
+(* Sentinels of the per-call meet table; element ids are >= 0. *)
+let empty_meet = -1
+let absent_meet = -2
+let unknown_meet = -3
+
 let solve (poset : Input_poset.t) params =
   Metrics.span s_solve @@ fun () ->
   let ticks = ref 0 and verifies = ref 0 and cascades = ref 0 in
@@ -37,10 +42,29 @@ let solve (poset : Input_poset.t) params =
   if k < 1 || k > 62 || 1 lsl k < n then Unsat
   else begin
     let faces : Face.t option array = Array.make m None in
-    (* Element lookup by state set, for the intersection condition. *)
-    let by_key = Hashtbl.create (2 * m) in
-    Array.iter (fun e -> Hashtbl.add by_key (Bitvec.to_string e.Input_poset.states) e.Input_poset.id) elements;
-    let element_of states = Hashtbl.find_opt by_key (Bitvec.to_string states) in
+    (* The meet of two elements: the id of the element equal to
+       [states_i ∩ states_j], [empty_meet] when they are disjoint, or
+       [absent_meet] when the intersection is no element (the closure
+       guarantees it never is). Filled lazily, both orders at once. *)
+    let by_states = Bitvec.Tbl.create (2 * m) in
+    Array.iter
+      (fun e -> Bitvec.Tbl.replace by_states e.Input_poset.states e.Input_poset.id)
+      elements;
+    let meets = Array.make (m * m) unknown_meet in
+    let meet i j =
+      let r = meets.((i * m) + j) in
+      if r <> unknown_meet then r
+      else begin
+        let common = Bitvec.inter elements.(i).Input_poset.states elements.(j).Input_poset.states in
+        let r =
+          if Bitvec.is_empty common then empty_meet
+          else Option.value ~default:absent_meet (Bitvec.Tbl.find_opt by_states common)
+        in
+        meets.((i * m) + j) <- r;
+        meets.((j * m) + i) <- r;
+        r
+      end
+    in
     (* The state of singleton elements, for output-covering checks. *)
     let singleton_state = Array.make m (-1) in
     Array.iter
@@ -66,32 +90,28 @@ let solve (poset : Input_poset.t) params =
       while !ok && !j < m do
         (match faces.(!j) with
         | Some fj when !j <> id ->
-            let sj = elements.(!j).Input_poset.states in
-            let se = e.Input_poset.states in
+            (* [meet id j] answers the subset, disjointness and element
+               questions: se ⊆ sj iff it is [id], sj ⊆ se iff it is [j]. *)
+            let mj = meet id !j in
             if Face.equal face fj then ok := false
             else begin
-              (if Face.contains fj face && not (Bitvec.subset se sj) then ok := false);
-              (if Face.contains face fj && not (Bitvec.subset sj se) then ok := false);
+              (if Face.contains fj face && mj <> id then ok := false);
+              (if Face.contains face fj && mj <> !j then ok := false);
               if !ok then
                 match Face.inter face fj with
-                | None -> if not (Bitvec.disjoint se sj) then ok := false
-                | Some h -> (
-                    let common = Bitvec.inter se sj in
-                    if Bitvec.is_empty common then ok := false
+                | None -> if mj <> empty_meet then ok := false
+                | Some h ->
+                    if mj = empty_meet then ok := false
+                    else if mj = absent_meet then
+                      ok := false (* closure guarantees this cannot happen *)
+                    else if elements.(mj).Input_poset.card > Face.cardinality k h then ok := false
                     else
-                      match element_of common with
-                      | None -> ok := false (* closure guarantees this cannot happen *)
-                      | Some kid ->
-                          if elements.(kid).Input_poset.card > Face.cardinality k h then ok := false
-                          else
-                            let expected =
-                              if kid = id then Some face
-                              else if kid = !j then Some fj
-                              else faces.(kid)
-                            in
-                            (match expected with
-                            | Some fk -> if not (Face.equal fk h) then ok := false
-                            | None -> ()))
+                      let expected =
+                        if mj = id then Some face else if mj = !j then Some fj else faces.(mj)
+                      in
+                      (match expected with
+                      | Some fk -> if not (Face.equal fk h) then ok := false
+                      | None -> ())
             end
         | Some _ | None -> ());
         incr j

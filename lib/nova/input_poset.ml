@@ -10,35 +10,31 @@ type element = {
 type t = { num_states : int; elements : element array; universe : int }
 
 let build ~num_states ics =
-  let tbl = Hashtbl.create 61 in
-  let add b = if not (Bitvec.is_empty b) then Hashtbl.replace tbl (Bitvec.to_string b) b in
+  (* Close under pairwise intersection, semi-naive: every set met with
+     every set known before it, once, when it is taken off the worklist.
+     A pair is met when the later of its two sets is taken, so the
+     closure is complete; the sort below makes the element order
+     independent of the discovery order. *)
+  let seen = Bitvec.Tbl.create 61 in
+  let known = ref [] and work = Queue.create () in
+  let add b =
+    if not (Bitvec.is_empty b || Bitvec.Tbl.mem seen b) then begin
+      Bitvec.Tbl.add seen b ();
+      Queue.add b work
+    end
+  in
   add (Bitvec.full num_states);
   for s = 0 to num_states - 1 do
     add (Bitvec.of_list num_states [ s ])
   done;
   List.iter add ics;
-  (* Close under pairwise intersection (fixpoint). *)
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    let current = Hashtbl.fold (fun _ b acc -> b :: acc) tbl [] in
-    List.iter
-      (fun a ->
-        List.iter
-          (fun b ->
-            let i = Bitvec.inter a b in
-            if not (Bitvec.is_empty i) then begin
-              let key = Bitvec.to_string i in
-              if not (Hashtbl.mem tbl key) then begin
-                Hashtbl.add tbl key i;
-                changed := true
-              end
-            end)
-          current)
-      current
+  while not (Queue.is_empty work) do
+    let a = Queue.pop work in
+    List.iter (fun b -> add (Bitvec.inter a b)) !known;
+    known := a :: !known
   done;
   let sets =
-    Hashtbl.fold (fun _ b acc -> b :: acc) tbl []
+    !known
     |> List.sort (fun a b ->
            let c = compare (Bitvec.cardinal b) (Bitvec.cardinal a) in
            if c <> 0 then c else Bitvec.compare a b)

@@ -22,7 +22,10 @@ type element = {
   category : int;  (** 0 for the universe, otherwise 1, 2 or 3 *)
 }
 
-type t = {
+(** Built only by {!build}, so the elements are distinct, non-empty and
+    closed under intersection; [Embed.solve]'s meet table relies on
+    it. *)
+type t = private {
   num_states : int;
   elements : element array;  (** universe first, then decreasing cardinality *)
   universe : int;  (** id of the universe element *)

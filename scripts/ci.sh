@@ -60,6 +60,19 @@ $NOVA encode dk16 > /dev/null 2> "$TMP/plain-stderr.txt"
   || { echo "plain encode wrote to stderr"; cat "$TMP/plain-stderr.txt"; exit 1; }
 echo "  --instrument exposition lints, kernel series present, plain stderr empty: ok"
 
+echo "== search-identity smoke: dk16 ihybrid runs the same embedding search =="
+# The face-embedding search's candidate order, verdicts and ticks are
+# its specification: a faster search must count exactly the same work.
+$NOVA encode -a ihybrid dk16 --instrument > "$TMP/dk16-ihybrid.txt" 2> "$TMP/dk16-ihybrid.prom"
+for pin in 'embed.work_ticks"} 190490' 'embed.verify_calls"} 190484' \
+  'embed.cascade_calls"} 5753'; do
+  grep -qxF "nova_events_total{event=\"$pin" "$TMP/dk16-ihybrid.prom" \
+    || { echo "dk16 ihybrid search counter moved: expected $pin"; grep embed "$TMP/dk16-ihybrid.prom"; exit 1; }
+done
+grep -qF "35 product terms, PLA area 770" "$TMP/dk16-ihybrid.txt" \
+  || { echo "dk16 ihybrid result moved"; cat "$TMP/dk16-ihybrid.txt"; exit 1; }
+echo "  embed counters 190490/190484/5753 and 35 terms, area 770: ok"
+
 echo "== fault-injection smoke: injected faults must exit 6 =="
 for fault in duplicate-code drop-cube bogus-ic-claim; do
   rc=0; $NOVA encode -a ihybrid --certify --inject "$fault" lion \

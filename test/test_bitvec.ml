@@ -136,6 +136,32 @@ let prop_iter_matches_get =
       let from_get = List.filter (Bitvec.get a) (List.init n (fun i -> i)) in
       from_get = Bitvec.to_list a)
 
+(* [to_string] builds its bytes directly; they must stay those of the
+   formatter, since tables keyed by them fold in an order that reaches
+   cube and constraint order downstream. 100 and 200 run past the
+   formatter's default margin and span several words. *)
+let test_to_string_matches_pp () =
+  let same ctx v =
+    Alcotest.(check string) ctx (Format.asprintf "%a" Bitvec.pp v) (Bitvec.to_string v)
+  in
+  List.iter
+    (fun n ->
+      same (Printf.sprintf "empty/%d" n) (Bitvec.create n);
+      same (Printf.sprintf "full/%d" n) (Bitvec.full n);
+      same (Printf.sprintf "alternating/%d" n)
+        (Bitvec.of_list n (List.filter (fun i -> i mod 2 = 0) (List.init n Fun.id)));
+      if n > 0 then same (Printf.sprintf "last bit/%d" n) (Bitvec.of_list n [ n - 1 ]))
+    [ 0; 1; 62; 63; 64; 65; 100; 200 ];
+  let rng = Random.State.make [| 17 |] in
+  for _ = 1 to 300 do
+    let n = Random.State.int rng 260 in
+    let v = Bitvec.create n in
+    for i = 0 to n - 1 do
+      if Random.State.bool rng then Bitvec.set v i
+    done;
+    same (Printf.sprintf "random/%d" n) v
+  done
+
 let suite =
   [
     Alcotest.test_case "create/empty" `Quick test_create_empty;
@@ -148,6 +174,7 @@ let suite =
     Alcotest.test_case "range operations" `Quick test_ranges;
     Alcotest.test_case "string roundtrip" `Quick test_string_roundtrip;
     Alcotest.test_case "in-place ops" `Quick test_inplace;
+    Alcotest.test_case "to_string is byte-identical to pp" `Quick test_to_string_matches_pp;
     QCheck_alcotest.to_alcotest prop_demorgan;
     QCheck_alcotest.to_alcotest prop_cardinal_inclusion_exclusion;
     QCheck_alcotest.to_alcotest prop_subset_diff;

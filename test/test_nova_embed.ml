@@ -117,6 +117,117 @@ let test_mincube_dim () =
   (* Example 3.3.2.2.1: counting conditions give 4. *)
   Alcotest.(check int) "mincube" 4 (Input_poset.mincube_dim poset)
 
+(* --- The closure against the fixpoint reference ------------------------- *)
+
+(* The fixpoint closure [Input_poset.build] used before its semi-naive
+   worklist, kept as the reference: rescan every pair each round until
+   no new intersection appears, keyed by [Bitvec.to_string]. The element
+   array is derived exactly as [build] derives it. *)
+let reference_elements ~num_states ics =
+  let tbl = Hashtbl.create 61 in
+  let add b = if not (Bitvec.is_empty b) then Hashtbl.replace tbl (Bitvec.to_string b) b in
+  add (Bitvec.full num_states);
+  for s = 0 to num_states - 1 do
+    add (Bitvec.of_list num_states [ s ])
+  done;
+  List.iter add ics;
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    let current = Hashtbl.fold (fun _ b acc -> b :: acc) tbl [] in
+    List.iter
+      (fun a ->
+        List.iter
+          (fun b ->
+            let i = Bitvec.inter a b in
+            if not (Bitvec.is_empty i) then begin
+              let key = Bitvec.to_string i in
+              if not (Hashtbl.mem tbl key) then begin
+                Hashtbl.add tbl key i;
+                changed := true
+              end
+            end)
+          current)
+      current
+  done;
+  let sets =
+    Hashtbl.fold (fun _ b acc -> b :: acc) tbl []
+    |> List.sort (fun a b ->
+           let c = compare (Bitvec.cardinal b) (Bitvec.cardinal a) in
+           if c <> 0 then c else Bitvec.compare a b)
+    |> Array.of_list
+  in
+  let m = Array.length sets in
+  let strictly_contains a b = Bitvec.subset b a && not (Bitvec.equal a b) in
+  let fathers = Array.make m [] and children = Array.make m [] in
+  for i = 0 to m - 1 do
+    let supers = ref [] in
+    for j = 0 to i - 1 do
+      if strictly_contains sets.(j) sets.(i) then supers := j :: !supers
+    done;
+    let minimal j =
+      not (List.exists (fun j' -> j' <> j && strictly_contains sets.(j) sets.(j')) !supers)
+    in
+    let fs = List.filter minimal !supers in
+    fathers.(i) <- fs;
+    List.iter (fun j -> children.(j) <- i :: children.(j)) fs
+  done;
+  Array.init m (fun i ->
+      let category =
+        if i = 0 then 0
+        else
+          match fathers.(i) with
+          | [ f ] -> if f = 0 then 1 else 3
+          | _ :: _ :: _ -> 2
+          | [] -> assert false
+      in
+      {
+        Input_poset.id = i;
+        states = sets.(i);
+        card = Bitvec.cardinal sets.(i);
+        fathers = fathers.(i);
+        children = children.(i);
+        category;
+      })
+
+(* Random families on 1..130 states (multi-word past 63): dense random
+   groups, and groups drawn inside an earlier one so that nesting gives
+   category-3 chains as well as category-2 meets. *)
+let test_closure_matches_reference () =
+  let rng = Random.State.make [| 2024 |] in
+  for case = 1 to 150 do
+    let n = 1 + Random.State.int rng 130 in
+    let random_subset within density =
+      let v = Bitvec.create n in
+      Bitvec.iter (fun s -> if Random.State.float rng 1.0 < density then Bitvec.set v s) within;
+      v
+    in
+    let ics = ref [] in
+    for _ = 1 to Random.State.int rng 7 do
+      let within =
+        match !ics with
+        | g :: _ when Random.State.bool rng -> g
+        | _ -> Bitvec.full n
+      in
+      ics := random_subset within (0.2 +. Random.State.float rng 0.6) :: !ics
+    done;
+    let ctx = Printf.sprintf "case %d (n=%d, %d groups)" case n (List.length !ics) in
+    let expected = reference_elements ~num_states:n !ics in
+    let got = (Input_poset.build ~num_states:n !ics).Input_poset.elements in
+    Alcotest.(check int) (ctx ^ ": size") (Array.length expected) (Array.length got);
+    Array.iteri
+      (fun i (e : Input_poset.element) ->
+        let g = got.(i) in
+        let ctx = Printf.sprintf "%s element %d" ctx i in
+        check (ctx ^ ": states") true (Bitvec.equal e.states g.Input_poset.states);
+        Alcotest.(check int) (ctx ^ ": id") e.id g.Input_poset.id;
+        Alcotest.(check int) (ctx ^ ": card") e.card g.Input_poset.card;
+        Alcotest.(check (list int)) (ctx ^ ": fathers") e.fathers g.Input_poset.fathers;
+        Alcotest.(check (list int)) (ctx ^ ": children") e.children g.Input_poset.children;
+        Alcotest.(check int) (ctx ^ ": category") e.category g.Input_poset.category)
+      expected
+  done
+
 (* --- The embedding engine on the paper's instance ---------------------- *)
 
 let test_iexact_paper_example () =
@@ -156,6 +267,8 @@ let suite =
     Alcotest.test_case "categories of paper example" `Quick test_categories;
     Alcotest.test_case "fathers of 0000100" `Quick test_fathers_example_321;
     Alcotest.test_case "mincube_dim = 4" `Quick test_mincube_dim;
+    Alcotest.test_case "closure matches the fixpoint reference" `Quick
+      test_closure_matches_reference;
     Alcotest.test_case "iexact on paper example" `Quick test_iexact_paper_example;
     Alcotest.test_case "semiexact on paper example" `Quick test_semiexact_paper_example;
     Alcotest.test_case "semiexact at infeasible dimension" `Quick test_semiexact_infeasible_dim;

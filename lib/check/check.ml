@@ -145,19 +145,23 @@ let check_covering (m : Fsm.t) a () =
   | [] -> (true, "")
   | faults -> (false, String.concat "; " faults)
 
-(* --- (d) minimized cover vs the re-encoded on/DC sets ------------------ *)
+(* --- (d) minimized cover vs the re-encoded on/off sets ----------------- *)
 
+(* The off-set is exactly the complement of on-set + DC-set, so staying
+   inside on-set + DC-set is meeting no off cube: pairwise, no
+   tautology. *)
 let check_containment (enc : Encoded.t) a () =
-  if not (Domain.equal a.cover.Cover.dom enc.Encoded.dom) then
+  let dom = enc.Encoded.dom in
+  if not (Domain.equal a.cover.Cover.dom dom) then
     (false, "cover domain does not match the encoded machine's domain")
   else if not (Cover.covers a.cover enc.Encoded.on) then
     (false, "a specified on-set point is not covered")
-  else begin
-    let space = Cover.union enc.Encoded.on enc.Encoded.dc in
-    if not (Cover.covers space a.cover) then
-      (false, "the cover asserts a point outside on-set + DC-set")
-    else (true, "")
-  end
+  else if
+    List.exists
+      (fun c -> List.exists (Cube.intersects dom c) enc.Encoded.off.Cover.cubes)
+      a.cover.Cover.cubes
+  then (false, "the cover asserts a point outside on-set + DC-set")
+  else (true, "")
 
 (* --- (e) trace equivalence --------------------------------------------- *)
 
@@ -253,14 +257,15 @@ module Inject = struct
 
   (* Ground truth for vetting cover mutations: a candidate cover is a
      genuine fault iff it misses an on-set point or escapes the on+DC
-     space of the (unmutated) encoded machine. Decided with the same
-     Logic primitives the certificate uses — but against the transition
-     table directly, so the injector never "asks the checker". *)
+     space of the (unmutated) encoded machine. Decided with Logic
+     containment against the full DC cover rebuilt from the transition
+     table ([Encoded.dc]), never against the off-set the certificate
+     uses, so the injector never "asks the checker". *)
   let breaks_function (m : Fsm.t) a cover' =
     let e = Encoding.make ~nbits:a.nbits a.codes in
     let enc = Encoded.build m e in
     (not (Cover.covers cover' enc.Encoded.on))
-    || not (Cover.covers (Cover.union enc.Encoded.on enc.Encoded.dc) cover')
+    || not (Cover.covers (Cover.union enc.Encoded.on (Encoded.dc enc)) cover')
 
   let with_cover a cubes = { a with cover = Cover.make a.cover.Cover.dom cubes }
 

@@ -31,17 +31,21 @@ let phase s (cover : Cover.t) f =
 let drained = function None -> false | Some b -> Budget.exhausted b
 let charge = function None -> () | Some b -> ignore (Budget.tick b)
 
-(* A cube may be raised at bit [i] iff the raised cube still intersects no
-   off-set cube. Intersection with the off-set is the only validity
-   criterion since the off-set is explicit. *)
-let valid dom c off = not (List.exists (fun o -> Cube.intersects dom c o) off)
-
 (* Expand one cube to a prime: repeatedly raise bits, preferring bits set
    in many of the not-yet-covered companion cubes so that the expansion
-   swallows as much of the rest of the cover as possible. *)
-let expand_cube dom c ~off ~companions ~passes ~raised =
+   swallows as much of the rest of the cover as possible. A raise is
+   valid iff the raised cube still meets no off cube; blocking counts
+   answer that without a pass over the off-set. [blk.(k)] is the number
+   of variables on which the cube and off cube [k] are disjoint, so
+   raising bit [i] of variable [v] makes it meet off cube [k] iff [k]
+   has [i], is disjoint from the cube on [v] and has [blk.(k) = 1]. A
+   cube that already meets the off-set can never be raised. *)
+let expand_cube dom c ~offs ~has ~var_of ~companions ~passes ~raised =
   let width = Domain.width dom in
   let cur = Bitvec.copy c in
+  let blk = Array.map (Cube.distance dom cur) offs in
+  let raisable = Array.for_all (fun b -> b > 0) blk in
+  let apart v k = not (Cube.var_intersects dom cur offs.(k) v) in
   (* The companions never change within one expansion, so each candidate
      bit is scored once up front; a raised bit enables re-examining the
      earlier rejects, so passes repeat only while the cube still grows. *)
@@ -58,13 +62,14 @@ let expand_cube dom c ~off ~companions ~passes ~raised =
     incr passes;
     List.iter
       (fun i ->
-        if not (Bitvec.get cur i) then begin
+        let v = var_of.(i) in
+        if raisable && (not (Bitvec.get cur i))
+           && not (Array.exists (fun k -> blk.(k) = 1 && apart v k) has.(i))
+        then begin
+          Array.iter (fun k -> if apart v k then blk.(k) <- blk.(k) - 1) has.(i);
           Bitvec.set cur i;
-          if valid dom cur off then begin
-            improved := true;
-            incr raised
-          end
-          else Bitvec.clear cur i
+          improved := true;
+          incr raised
         end)
       candidates
   done;
@@ -78,6 +83,17 @@ let expand ?budget (cover : Cover.t) ~(off : Cover.t) =
       Metrics.Registry.add c_expand_passes !passes;
       Metrics.Registry.add c_expand_raises !raised)
   @@ fun () ->
+  let offs = Array.of_list off.Cover.cubes in
+  let ks = List.init (Array.length offs) Fun.id in
+  (* For each bit, the off cubes that have it. *)
+  let has =
+    Array.init (Domain.width dom) (fun i ->
+        Array.of_list (List.filter (fun k -> Bitvec.get offs.(k) i) ks))
+  in
+  let var_of = Array.make (Domain.width dom) 0 in
+  for v = 0 to Domain.num_vars dom - 1 do
+    Array.fill var_of (Domain.offset dom v) (Domain.size dom v) v
+  done;
   (* Fewest-literal (largest) cubes first: their expansions swallow the
      most companions, shrinking the list early. *)
   let ordered =
@@ -92,24 +108,29 @@ let expand ?budget (cover : Cover.t) ~(off : Cover.t) =
         else if List.exists (fun e -> Cube.contains e c) acc then loop acc rest
         else begin
           charge budget;
-          let e = expand_cube dom c ~off:off.Cover.cubes ~companions:rest ~passes ~raised in
+          let e = expand_cube dom c ~offs ~has ~var_of ~companions:rest ~passes ~raised in
           let rest = List.filter (fun r -> not (Cube.contains e r)) rest in
           loop (e :: acc) rest
         end
   in
   Cover.make dom (loop [] ordered)
 
-let irredundant ?budget (cover : Cover.t) ~(dc : Cover.t) =
+(* The questions below are asked of covers disjoint from the off-set,
+   and answered on the care set alone. For such a cube [c] and any cover
+   [r], [c ⊆ r ∪ dc] iff [c ∩ care ⊆ r], and [c ∖ (r ∪ dc)] is
+   [(c ∩ care) ∖ r]: the don't-care set is never written down. *)
+let covered dom ~(care : Cover.t) r c =
+  List.for_all
+    (fun d -> match Cube.inter dom c d with None -> true | Some x -> Cover.covers_cube r x)
+    care.Cover.cubes
+
+let irredundant ?budget (cover : Cover.t) ~(care : Cover.t) =
   phase s_irredundant cover @@ fun () ->
   let dom = cover.Cover.dom in
   (* Try to remove big cubes last: small, specific cubes are more likely
      redundant leftovers of expansion. *)
   let ordered =
     List.sort (fun a b -> compare (Cube.num_minterms dom a) (Cube.num_minterms dom b)) cover.Cover.cubes
-  in
-  let redundant kept pending c =
-    let rest = Cover.make dom (kept @ pending @ dc.Cover.cubes) in
-    Cover.covers_cube rest c
   in
   let rec loop kept = function
     | [] -> List.rev kept
@@ -119,12 +140,13 @@ let irredundant ?budget (cover : Cover.t) ~(dc : Cover.t) =
         if drained budget then List.rev_append kept (c :: pending)
         else begin
           charge budget;
-          if redundant kept pending c then loop kept pending else loop (c :: kept) pending
+          if covered dom ~care (Cover.make dom (kept @ pending)) c then loop kept pending
+          else loop (c :: kept) pending
         end
   in
   Cover.make dom (loop [] ordered)
 
-let reduce ?budget (cover : Cover.t) ~(dc : Cover.t) =
+let reduce ?budget (cover : Cover.t) ~(care : Cover.t) =
   phase s_reduce cover @@ fun () ->
   let dom = cover.Cover.dom in
   (* Largest cubes first, per ESPRESSO: reducing big cubes frees room for
@@ -140,16 +162,23 @@ let reduce ?budget (cover : Cover.t) ~(dc : Cover.t) =
         if drained budget then List.rev_append done_ (c :: pending)
         else begin
           charge budget;
-          let rest = Cover.make dom (done_ @ pending @ dc.Cover.cubes) in
-          let unique = Cover.complement_within rest ~space:c in
-          match Cover.supercube unique with
+          let rest = Cover.make dom (done_ @ pending) in
+          let unique =
+            List.concat_map
+              (fun d ->
+                match Cube.inter dom c d with
+                | None -> []
+                | Some x -> (Cover.complement_within rest ~space:x).Cover.cubes)
+              care.Cover.cubes
+          in
+          match Cover.supercube (Cover.make dom unique) with
           | None -> loop done_ pending (* fully covered elsewhere: drop *)
           | Some sc -> loop (sc :: done_) pending
         end
   in
   Cover.make dom (loop [] ordered)
 
-let essential_primes ?budget (cover : Cover.t) ~(dc : Cover.t) =
+let essential_primes ?budget (cover : Cover.t) ~(care : Cover.t) =
   phase s_essential cover @@ fun () ->
   let dom = cover.Cover.dom in
   let essential c =
@@ -157,18 +186,42 @@ let essential_primes ?budget (cover : Cover.t) ~(dc : Cover.t) =
        an optimization, not needed for correctness). *)
     (not (drained budget))
     &&
-    let rest =
-      Cover.make dom
-        (dc.Cover.cubes @ List.filter (fun d -> not (Cube.equal d c)) cover.Cover.cubes)
-    in
+    let rest = Cover.make dom (List.filter (fun d -> not (Cube.equal d c)) cover.Cover.cubes) in
     charge budget;
-    not (Cover.covers_cube rest c)
+    not (covered dom ~care rest c)
   in
   Cover.make dom (List.filter essential cover.Cover.cubes)
 
 let cost (c : Cover.t) = (Cover.size c, Cover.literal_cost c)
 
-let minimize_with_off ?budget ~(dc : Cover.t) ~(off : Cover.t) (on : Cover.t) =
+(* REDUCE ; EXPAND ; IRREDUNDANT from the prime irredundant cover [f]
+   while the cost falls. *)
+let improve ?budget ~off ~care f =
+  let best = ref f in
+  (* The cost of the incumbent only changes when it is replaced: keep
+     it hoisted out of the loop instead of recomputing per iteration. *)
+  let best_cost = ref (cost f) in
+  let continue_ = ref true in
+  let iterations = ref 0 in
+  while !continue_ && !iterations < 12 && !best.Cover.cubes <> [] && not (drained budget) do
+    incr iterations;
+    Metrics.Registry.inc c_reduce_iterations;
+    let f = reduce ?budget !best ~care in
+    let f = expand ?budget f ~off in
+    let f = irredundant ?budget f ~care in
+    let fc = cost f in
+    (* A budget-truncated pass can leave reduced (non-prime) cubes in
+       [f]; the incumbent only ever moves to a cheaper full pass, so
+       [best] stays a valid cover either way. *)
+    if fc < !best_cost && not (drained budget) then begin
+      best := f;
+      best_cost := fc
+    end
+    else continue_ := false
+  done;
+  !best
+
+let minimize_off ?budget ~(off : Cover.t) ~(care : Cover.t) (on : Cover.t) =
   Metrics.Registry.inc c_minimize_calls;
   phase s_minimize on @@ fun () ->
   let dom = on.Cover.dom in
@@ -178,117 +231,28 @@ let minimize_with_off ?budget ~(dc : Cover.t) ~(off : Cover.t) (on : Cover.t) =
        on-set: always a valid cover, computed in linear passes. *)
   else begin
     let f = expand ?budget f ~off in
-    let f = irredundant ?budget f ~dc in
+    let f = irredundant ?budget f ~care in
     (* Set the essential primes aside: they are in every solution, so the
-       iteration only has to improve the rest. *)
-    let ess = essential_primes ?budget f ~dc in
+       iteration only has to improve the rest, on the care points they
+       leave (computed only when the iteration runs). *)
+    let ess = essential_primes ?budget f ~care in
     let f =
       Cover.make dom
         (List.filter (fun c -> not (List.exists (Cube.equal c) ess.Cover.cubes)) f.Cover.cubes)
     in
-    let dc = Cover.union dc ess in
-    let best = ref f in
-    (* The cost of the incumbent only changes when it is replaced: keep
-       it hoisted out of the loop instead of recomputing per iteration. *)
-    let best_cost = ref (cost f) in
-    let continue_ = ref true in
-    let iterations = ref 0 in
-    while !continue_ && !iterations < 12 && !best.Cover.cubes <> [] && not (drained budget) do
-      incr iterations;
-      Metrics.Registry.inc c_reduce_iterations;
-      let f = reduce ?budget !best ~dc in
-      let f = expand ?budget f ~off in
-      let f = irredundant ?budget f ~dc in
-      let fc = cost f in
-      (* A budget-truncated pass can leave reduced (non-prime) cubes in
-         [f]; the incumbent only ever moves to a cheaper full pass, so
-         [best] stays a valid cover either way. *)
-      if fc < !best_cost && not (drained budget) then begin
-        best := f;
-        best_cost := fc
-      end
-      else continue_ := false
-    done;
-    Cover.single_cube_containment (Cover.union ess !best)
+    let best =
+      if f.Cover.cubes = [] || drained budget then f
+      else improve ?budget ~off ~care:(Cover.diff care ess) f
+    in
+    Cover.single_cube_containment (Cover.union ess best)
   end
 
-let minimize ?budget ~dc on = minimize_with_off ?budget ~dc ~off:(off_set ~on ~dc) on
-
-(* --- Care-set driven variant ------------------------------------------ *)
-
-(* With dc = ¬(on ∪ off) implicit, a cube c of a valid cover (disjoint
-   from off) is redundant iff the rest covers c ∩ on; and its reduction
-   keeps only the part of c ∩ on the rest misses. *)
-
-let irredundant_care ?budget (cover : Cover.t) ~(care : Cover.t) =
-  let dom = cover.Cover.dom in
-  let ordered =
-    List.sort (fun a b -> compare (Cube.num_minterms dom a) (Cube.num_minterms dom b)) cover.Cover.cubes
-  in
-  let rec loop kept = function
-    | [] -> List.rev kept
-    | c :: pending ->
-        if drained budget then List.rev_append kept (c :: pending)
-        else begin
-          charge budget;
-          let rest = Cover.make dom (kept @ pending) in
-          let needed = Cover.intersect (Cover.make dom [ c ]) care in
-          if List.for_all (fun d -> Cover.covers_cube rest d) needed.Cover.cubes then
-            loop kept pending
-          else loop (c :: kept) pending
-        end
-  in
-  Cover.make dom (loop [] ordered)
-
-let reduce_care ?budget (cover : Cover.t) ~(care : Cover.t) =
-  let dom = cover.Cover.dom in
-  let ordered =
-    List.sort (fun a b -> compare (Cube.num_minterms dom b) (Cube.num_minterms dom a)) cover.Cover.cubes
-  in
-  let rec loop done_ = function
-    | [] -> List.rev done_
-    | c :: pending ->
-        if drained budget then List.rev_append done_ (c :: pending)
-        else begin
-          charge budget;
-          let rest = Cover.make dom (done_ @ pending) in
-          let needed = Cover.intersect (Cover.make dom [ c ]) care in
-          let unique =
-            List.concat_map
-              (fun d -> (Cover.complement_within rest ~space:d).Cover.cubes)
-              needed.Cover.cubes
-          in
-          match Cover.supercube (Cover.make dom unique) with
-          | None -> loop done_ pending
-          | Some sc -> loop (sc :: done_) pending
-        end
-  in
-  Cover.make dom (loop [] ordered)
+let minimize ?budget ~dc on =
+  minimize_off ?budget ~off:(off_set ~on ~dc) ~care:(Cover.diff on dc) on
 
 let minimize_care ?budget ~(off : Cover.t) (on : Cover.t) =
   Metrics.Registry.inc c_minimize_calls;
   phase s_minimize on @@ fun () ->
   let f = Cover.single_cube_containment on in
   if f.Cover.cubes = [] || drained budget then f
-  else begin
-    let f = expand ?budget f ~off in
-    let f = irredundant_care ?budget f ~care:on in
-    let best = ref f in
-    let best_cost = ref (cost f) in
-    let continue_ = ref true in
-    let iterations = ref 0 in
-    while !continue_ && !iterations < 12 && not (drained budget) do
-      incr iterations;
-      Metrics.Registry.inc c_reduce_iterations;
-      let f = reduce_care ?budget !best ~care:on in
-      let f = expand ?budget f ~off in
-      let f = irredundant_care ?budget f ~care:on in
-      let fc = cost f in
-      if fc < !best_cost && not (drained budget) then begin
-        best := f;
-        best_cost := fc
-      end
-      else continue_ := false
-    done;
-    !best
-  end
+  else improve ?budget ~off ~care:on (irredundant ?budget (expand ?budget f ~off) ~care:on)

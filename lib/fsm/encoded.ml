@@ -5,83 +5,40 @@ type t = {
   encoding : Encoding.t;
   dom : Domain.t;
   on : Cover.t;
-  dc : Cover.t;
+  off : Cover.t;
+  care : Cover.t;
 }
+
+(* Every row: inputs and present-state code bits as the base, the
+   destination's code bits and the outputs as the output plane. *)
+let rows (m : Fsm.t) (e : Encoding.t) dom =
+  let ni = m.Fsm.num_inputs and nb = e.Encoding.nbits in
+  List.map
+    (fun (tr : Fsm.transition) ->
+      let base = Personality.base dom tr.Fsm.input in
+      Option.iter
+        (fun s ->
+          for b = 0 to nb - 1 do
+            Bitvec.clear base (Domain.offset dom (ni + b) + 1 - Encoding.bit e s b)
+          done)
+        tr.Fsm.src;
+      let next b =
+        match tr.Fsm.dst with None -> '-' | Some s -> if Encoding.bit e s b = 1 then '1' else '0'
+      in
+      Personality.row base (String.init nb next ^ tr.Fsm.output))
+    m.Fsm.transitions
 
 let build (m : Fsm.t) (e : Encoding.t) =
   if Encoding.num_states e <> Array.length m.Fsm.states then
     invalid_arg "Encoded.build: encoding size mismatch";
-  let ni = m.Fsm.num_inputs and no = m.Fsm.num_outputs in
   let nb = e.Encoding.nbits in
-  let sizes = Array.append (Array.make (ni + nb) 2) [| nb + no |] in
+  let sizes = Array.append (Array.make (m.Fsm.num_inputs + nb) 2) [| nb + m.Fsm.num_outputs |] in
   let dom = Domain.create sizes in
-  let out_off = Domain.offset dom (ni + nb) in
-  let out_sz = nb + no in
-  (* Base cube of a row: inputs + present-state code bits, empty outputs. *)
-  let row_base (tr : Fsm.transition) =
-    let c = Bitvec.full (Domain.width dom) in
-    String.iteri
-      (fun v ch ->
-        match ch with
-        | '0' -> Bitvec.clear c (Domain.offset dom v + 1)
-        | '1' -> Bitvec.clear c (Domain.offset dom v + 0)
-        | '-' -> ()
-        | _ -> assert false)
-      tr.Fsm.input;
-    (match tr.Fsm.src with
-    | None -> ()
-    | Some s ->
-        for b = 0 to nb - 1 do
-          let v = ni + b in
-          if Encoding.bit e s b = 1 then Bitvec.clear c (Domain.offset dom v + 0)
-          else Bitvec.clear c (Domain.offset dom v + 1)
-        done);
-    Bitvec.clear_range c out_off out_sz;
-    c
-  in
-  let on = ref [] and dc = ref [] in
-  List.iter
-    (fun (tr : Fsm.transition) ->
-      let base = row_base tr in
-      let on_cols = ref [] in
-      (match tr.Fsm.dst with
-      | None -> ()
-      | Some s ->
-          for b = 0 to nb - 1 do
-            if Encoding.bit e s b = 1 then on_cols := b :: !on_cols
-          done);
-      String.iteri (fun j ch -> if ch = '1' then on_cols := (nb + j) :: !on_cols) tr.Fsm.output;
-      if !on_cols <> [] then begin
-        let c = Bitvec.copy base in
-        List.iter (fun col -> Bitvec.set c (out_off + col)) !on_cols;
-        on := c :: !on
-      end;
-      let dc_cols = ref [] in
-      (match tr.Fsm.dst with
-      | None -> for b = 0 to nb - 1 do dc_cols := b :: !dc_cols done
-      | Some _ -> ());
-      String.iteri (fun j ch -> if ch = '-' then dc_cols := (nb + j) :: !dc_cols) tr.Fsm.output;
-      if !dc_cols <> [] then begin
-        let c = Bitvec.copy base in
-        List.iter (fun col -> Bitvec.set c (out_off + col)) !dc_cols;
-        dc := c :: !dc
-      end)
-    m.Fsm.transitions;
-  (* Everything matched by no row — including unused codes — is free. *)
-  let projections =
-    List.map
-      (fun tr ->
-        let c = row_base tr in
-        Bitvec.set_range c out_off out_sz;
-        c)
-      m.Fsm.transitions
-  in
-  let unspecified = Cover.complement (Cover.make dom projections) in
-  let on = Cover.make dom (List.rev !on) in
-  let dc = Cover.union (Cover.make dom (List.rev !dc)) unspecified in
-  { machine = m; encoding = e; dom; on; dc }
+  let { Personality.on; off; care } = Personality.sets dom (rows m e dom) in
+  { machine = m; encoding = e; dom; on; off; care }
 
-let minimize ?budget t = Espresso.minimize ?budget ~dc:t.dc t.on
+let dc t = Personality.dc t.dom (rows t.machine t.encoding t.dom)
+let minimize ?budget t = Espresso.minimize_off ?budget ~off:t.off ~care:t.care t.on
 
 let area ~machine ~encoding ~num_cubes =
   let ni = machine.Fsm.num_inputs and no = machine.Fsm.num_outputs in

@@ -13,17 +13,26 @@ type t = {
   machine : Fsm.t;
   encoding : Encoding.t;
   dom : Domain.t;
-  on : Cover.t;
-  dc : Cover.t;
+  on : Cover.t;  (** one cube per row asserting a next-state bit or output *)
+  off : Cover.t;  (** exactly [¬(on ∪ dc t)], built from the rows' 0 entries *)
+  care : Cover.t;  (** the on-set points no don't-care covers *)
 }
 
-(** [build m e] encodes the transition table of [m] with [e]. The
-    don't-care set contains the region matched by no row (including
-    unused state codes), rows with unspecified next states, and ['-']
-    output entries. *)
+(** [build m e] encodes the transition table of [m] with [e]. Nothing is
+    complemented: [off] is each row's 0 entries minus what another row
+    asserts or leaves free (see {!Personality.sets}). *)
 val build : Fsm.t -> Encoding.t -> t
 
-(** [minimize t] is the ESPRESSO-minimized encoded cover. An exhausted
+(** [dc t] is the full don't-care cover — the region matched by no row
+    (including unused state codes), rows with unspecified next states,
+    and ['-'] output entries — computed from the rows with a complement,
+    independently of [t.off]. For tests and certification ground truth;
+    ESPRESSO never needs it. *)
+val dc : t -> Cover.t
+
+(** [minimize t] is the ESPRESSO-minimized encoded cover, from [t.off]
+    and [t.care] ({!Espresso.minimize_off}): the same cube list
+    [Espresso.minimize ~dc:(dc t) t.on] returns. An exhausted
     [budget] interrupts the minimizer, which degrades to a less-minimized
     (but still correct) cover — see {!Espresso.minimize}. *)
 val minimize : ?budget:Budget.t -> t -> Cover.t

@@ -4,7 +4,8 @@ type t = {
   machine : Fsm.t;
   dom : Domain.t;
   on : Cover.t;
-  dc : Cover.t;
+  off : Cover.t;
+  care : Cover.t;
   state_var : int;
   output_var : int;
 }
@@ -13,80 +14,31 @@ let num_states t = Array.length t.machine.Fsm.states
 let next_state_part _t s = s
 let output_part t j = num_states t + j
 
-(* Set the binary-input fields of [c] from an input pattern. *)
-let apply_input_pattern dom c pattern =
-  String.iteri
-    (fun v ch ->
-      match ch with
-      | '0' -> Bitvec.clear c (Domain.offset dom v + 1)
-      | '1' -> Bitvec.clear c (Domain.offset dom v + 0)
-      | '-' -> ()
-      | _ -> assert false)
-    pattern;
-  c
+(* Every row: inputs and the present state as the base, the 1-hot next
+   state and the outputs as the output plane. *)
+let rows (m : Fsm.t) dom =
+  let ns = Array.length m.Fsm.states in
+  let state_off = Domain.offset dom m.Fsm.num_inputs in
+  List.map
+    (fun (tr : Fsm.transition) ->
+      let base = Personality.base dom tr.Fsm.input in
+      Option.iter
+        (fun s ->
+          Bitvec.clear_range base state_off ns;
+          Bitvec.set base (state_off + s))
+        tr.Fsm.src;
+      let next s = match tr.Fsm.dst with None -> '-' | Some d -> if d = s then '1' else '0' in
+      Personality.row base (String.init ns next ^ tr.Fsm.output))
+    m.Fsm.transitions
 
 let of_fsm (m : Fsm.t) =
-  let ni = m.Fsm.num_inputs and no = m.Fsm.num_outputs in
-  let ns = Array.length m.Fsm.states in
-  let sizes = Array.append (Array.make ni 2) [| ns; ns + no |] in
-  let dom = Domain.create sizes in
-  let state_var = ni and output_var = ni + 1 in
-  let out_off = Domain.offset dom output_var in
-  let out_sz = Domain.size dom output_var in
-  let state_off = Domain.offset dom state_var in
-  (* Base cube of a row: input and present-state fields set, output field
-     cleared (to be populated with the asserted columns). *)
-  let row_base (tr : Fsm.transition) =
-    let c = apply_input_pattern dom (Bitvec.full (Domain.width dom)) tr.Fsm.input in
-    (match tr.Fsm.src with
-    | None -> ()
-    | Some s ->
-        Bitvec.clear_range c state_off ns;
-        Bitvec.set c (state_off + s));
-    Bitvec.clear_range c out_off out_sz;
-    c
-  in
-  let on = ref [] and dc = ref [] in
-  List.iter
-    (fun (tr : Fsm.transition) ->
-      let base = row_base tr in
-      (* ON: asserted next state (1-hot column) + asserted binary outputs. *)
-      let on_cols = ref [] in
-      (match tr.Fsm.dst with None -> () | Some s -> on_cols := s :: !on_cols);
-      String.iteri (fun j ch -> if ch = '1' then on_cols := (ns + j) :: !on_cols) tr.Fsm.output;
-      if !on_cols <> [] then begin
-        let c = Bitvec.copy base in
-        List.iter (fun col -> Bitvec.set c (out_off + col)) !on_cols;
-        on := c :: !on
-      end;
-      (* DC: unspecified next state opens all next-state columns;
-         '-' outputs open their column. *)
-      let dc_cols = ref [] in
-      (match tr.Fsm.dst with
-      | None -> for s = 0 to ns - 1 do dc_cols := s :: !dc_cols done
-      | Some _ -> ());
-      String.iteri (fun j ch -> if ch = '-' then dc_cols := (ns + j) :: !dc_cols) tr.Fsm.output;
-      if !dc_cols <> [] then begin
-        let c = Bitvec.copy base in
-        List.iter (fun col -> Bitvec.set c (out_off + col)) !dc_cols;
-        dc := c :: !dc
-      end)
-    m.Fsm.transitions;
-  (* The (input, state) region matched by no row is fully unspecified. *)
-  let projections =
-    List.map
-      (fun tr ->
-        let c = row_base tr in
-        Bitvec.set_range c out_off out_sz;
-        c)
-      m.Fsm.transitions
-  in
-  let unspecified = Cover.complement (Cover.make dom projections) in
-  let on = Cover.make dom (List.rev !on) in
-  let dc = Cover.union (Cover.make dom (List.rev !dc)) unspecified in
-  { machine = m; dom; on; dc; state_var; output_var }
+  let ni = m.Fsm.num_inputs and ns = Array.length m.Fsm.states in
+  let dom = Domain.create (Array.append (Array.make ni 2) [| ns; ns + m.Fsm.num_outputs |]) in
+  let { Personality.on; off; care } = Personality.sets dom (rows m dom) in
+  { machine = m; dom; on; off; care; state_var = ni; output_var = ni + 1 }
 
-let minimize ?budget t = Espresso.minimize ?budget ~dc:t.dc t.on
+let dc t = Personality.dc t.dom (rows t.machine t.dom)
+let minimize ?budget t = Espresso.minimize_off ?budget ~off:t.off ~care:t.care t.on
 
 let present_states t c =
   let ns = num_states t in

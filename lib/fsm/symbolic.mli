@@ -12,16 +12,23 @@ open Logic
 type t = {
   machine : Fsm.t;
   dom : Domain.t;
-  on : Cover.t;
-  dc : Cover.t;
+  on : Cover.t;  (** one cube per row asserting a next state or output *)
+  off : Cover.t;  (** exactly [¬(on ∪ dc t)], built from the rows' 0 entries *)
+  care : Cover.t;  (** the on-set points no don't-care covers *)
   state_var : int;  (** index of the present-state variable *)
   output_var : int;  (** index of the output variable *)
 }
 
-(** [of_fsm m] builds the symbolic cover. The don't-care set contains the
-    unspecified (input, state) region, rows with unspecified next states,
-    and ['-'] output entries. *)
+(** [of_fsm m] builds the symbolic cover. Nothing is complemented: a
+    row's 0 entries are the next-state columns other than its
+    destination and its ['0'] outputs (see {!Personality.sets}). *)
 val of_fsm : Fsm.t -> t
+
+(** [dc t] is the full don't-care cover — the unspecified (input, state)
+    region, rows with unspecified next states, and ['-'] output entries —
+    computed from the rows with a complement, independently of [t.off].
+    For tests; ESPRESSO never needs it. *)
+val dc : t -> Cover.t
 
 (** [num_states t] is the number of parts of the state variable. *)
 val num_states : t -> int
@@ -33,7 +40,9 @@ val next_state_part : t -> int -> int
 (** [output_part t j] is the output-variable part of binary output [j]. *)
 val output_part : t -> int -> int
 
-(** [minimize t] is the ESPRESSO-MV minimized symbolic cover. An
+(** [minimize t] is the ESPRESSO-MV minimized symbolic cover, from
+    [t.off] and [t.care]: the same cube list
+    [Espresso.minimize ~dc:(dc t) t.on] returns. An
     exhausted [budget] interrupts the minimizer, which degrades to a
     less-minimized (but still correct) cover — see {!Espresso.minimize}. *)
 val minimize : ?budget:Budget.t -> t -> Cover.t

@@ -435,6 +435,14 @@ let complement_within t ~space =
       let cubes = List.filter_map (fun c -> Cube.inter t.dom c space) comp in
       single_cube_containment { t with cubes })
 
+let diff a b =
+  let within c =
+    match List.filter (Cube.intersects a.dom c) b.cubes with
+    | [] -> [ c ]
+    | hits -> (complement_within { b with cubes = hits } ~space:c).cubes
+  in
+  { a with cubes = List.concat_map within a.cubes }
+
 let supercube t =
   match t.cubes with
   | [] -> None

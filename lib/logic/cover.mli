@@ -60,6 +60,11 @@ val complement : t -> t
 (** [complement_within t ~space] is a cover of [space AND NOT t]. *)
 val complement_within : t -> space:Cube.t -> t
 
+(** [diff a b] is a cover of [a AND NOT b]: each cube of [a] met by no
+    cube of [b] is kept as is, the others are split with
+    [complement_within]. *)
+val diff : t -> t -> t
+
 (** [supercube t] is the smallest single cube containing every cube,
     or [None] for the empty cover. *)
 val supercube : t -> Cube.t option

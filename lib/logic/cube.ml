@@ -98,6 +98,11 @@ let intersects d a b =
   in
   loop 0
 
+let var_intersects d a b v =
+  let w = (Domain.var_word1 d).(v) in
+  if w >= 0 then Bitvec.word a w land Bitvec.word b w land (Domain.var_mask1 d).(v) <> 0
+  else var_intersects_slow d a b v
+
 let inter d a b = if intersects d a b then Some (Bitvec.inter a b) else None
 
 let contains a b = Bitvec.subset b a
@@ -107,15 +112,9 @@ let cofactor d c ~wrt =
   if intersects d c wrt then Some (Bitvec.union c (Bitvec.complement wrt)) else None
 
 let distance d a b =
-  let vw = Domain.var_word1 d and vm = Domain.var_mask1 d in
   let count = ref 0 in
-  for v = 0 to Array.length vw - 1 do
-    let w = vw.(v) in
-    let hit =
-      if w >= 0 then Bitvec.word a w land Bitvec.word b w land vm.(v) <> 0
-      else var_intersects_slow d a b v
-    in
-    if not hit then incr count
+  for v = 0 to Domain.num_vars d - 1 do
+    if not (var_intersects d a b v) then incr count
   done;
   !count
 

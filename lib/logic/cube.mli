@@ -57,6 +57,10 @@ val inter : Domain.t -> t -> t -> t option
 (** [intersects d a b] holds iff [a] and [b] share a minterm. *)
 val intersects : Domain.t -> t -> t -> bool
 
+(** [var_intersects d a b v] holds iff the fields of variable [v] in
+    [a] and [b] share a part. *)
+val var_intersects : Domain.t -> t -> t -> int -> bool
+
 (** [contains a b] holds iff cube [b]'s minterms are all in [a]
     (bitwise subset, valid when neither is empty). *)
 val contains : t -> t -> bool

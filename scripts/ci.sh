@@ -73,6 +73,19 @@ grep -qF "35 product terms, PLA area 770" "$TMP/dk16-ihybrid.txt" \
   || { echo "dk16 ihybrid result moved"; cat "$TMP/dk16-ihybrid.txt"; exit 1; }
 echo "  embed counters 190490/190484/5753 and 35 terms, area 770: ok"
 
+echo "== espresso-identity smoke: dk16 ihybrid runs the same ESPRESSO =="
+# EXPAND's raises and their order are the minimizer's specification: an
+# off-set or care set written down differently must make exactly the
+# same decisions, and the 1-hot reference must come out the same.
+for pin in 'espresso.expand_passes"} 167' 'espresso.expand_raised_bits"} 373' \
+  'espresso.minimize_calls"} 3'; do
+  grep -qxF "nova_events_total{event=\"$pin" "$TMP/dk16-ihybrid.prom" \
+    || { echo "dk16 ihybrid espresso counter moved: expected $pin"; grep espresso "$TMP/dk16-ihybrid.prom"; exit 1; }
+done
+grep -qxF "(1-hot reference: 26 product terms, area 2288)" "$TMP/dk16-ihybrid.txt" \
+  || { echo "dk16 1-hot reference moved"; cat "$TMP/dk16-ihybrid.txt"; exit 1; }
+echo "  espresso counters 167/373/3 and 1-hot reference 26 terms, area 2288: ok"
+
 echo "== fault-injection smoke: injected faults must exit 6 =="
 for fault in duplicate-code drop-cube bogus-ic-claim; do
   rc=0; $NOVA encode -a ihybrid --certify --inject "$fault" lion \

@@ -96,6 +96,35 @@ let test_fault_matrix () =
         Check.Inject.all)
     matrix_machines
 
+(* The containment check asks the off-set, cube by cube: a cover that
+   asserts one single off point, and is otherwise the certified cover,
+   must fail it. The point is checked to lie outside on-set + DC-set on
+   the full-DC route too, so the test does not trust the off-set it
+   probes. *)
+let test_single_off_point () =
+  List.iter
+    (fun name ->
+      let m = Benchmarks.Suite.find name in
+      let o, r = report_of m Harness.Driver.Ihybrid in
+      let a = Harness.Certify.artifacts_of o r in
+      let enc = Encoded.build m (Encoding.make ~nbits:a.Check.nbits a.Check.codes) in
+      let dom = enc.Encoded.dom in
+      let point =
+        match enc.Encoded.off.Logic.Cover.cubes with
+        | [] -> Alcotest.failf "%s: empty off-set" name
+        | c :: _ ->
+            Logic.Cube.of_minterm dom
+              (Array.init (Logic.Domain.num_vars dom) (fun v -> List.hd (Logic.Cube.var_bits dom c v)))
+      in
+      let outside = Logic.Cover.union enc.Encoded.on (Encoded.dc enc) in
+      check (name ^ " point is outside on + DC") false
+        (Logic.Cover.covers_cube outside point);
+      let mutated = { a with Check.cover = Logic.Cover.union a.Check.cover (Logic.Cover.make dom [ point ]) } in
+      let cert = Check.certify m mutated in
+      check (name ^ " one off point caught by cover-containment") true
+        (List.exists (fun (c : Check.outcome) -> c.Check.id = Check.Cover_containment) (Check.failures cert)))
+    matrix_machines
+
 (* A machine with no outputs: corrupt-output is the one class that can
    be impossible, and the injector must say so rather than fabricate a
    non-fault. *)
@@ -202,6 +231,7 @@ let suite =
     Alcotest.test_case "seed-benchmark certification pin" `Quick test_seed_benchmarks_pin;
     Alcotest.test_case "encoder claims are non-vacuous" `Quick test_claims_nonvacuous;
     Alcotest.test_case "fault-injection matrix (9 classes x 3 machines)" `Quick test_fault_matrix;
+    Alcotest.test_case "one off-set point fails cover-containment" `Quick test_single_off_point;
     Alcotest.test_case "impossible fault class reported as None" `Quick
       test_inject_impossible_class;
     Alcotest.test_case "structural failure short-circuits" `Quick test_structural_short_circuit;

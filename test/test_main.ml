@@ -28,6 +28,7 @@ let () =
       ("symbolic-details", Test_symbolic_details.suite);
       ("roundtrips", Test_roundtrips.suite);
       ("espresso-differential", Test_espresso_differential.suite);
+      ("espresso-identity", Test_espresso_identity.suite);
       ("encode-differential", Test_encode_differential.suite);
       ("regression-counts", Test_regression_counts.suite);
       ("pipeline", Test_pipeline.suite);

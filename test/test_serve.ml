@@ -491,7 +491,7 @@ let test_serve_coalescing () =
     Thread.create
       (fun () ->
         let c = must_connect path in
-        blocker := Some (must_request c (request_line ~algorithm:"ihybrid" "dk16"));
+        blocker := Some (must_request c (request_line ~algorithm:"ihybrid" "styr"));
         Serve.Client.close c)
       ()
   in

@@ -47,7 +47,7 @@ let test_on_set_columns () =
 
 let test_dc_set_columns () =
   (* Output 2 of row 1 is '-'. *)
-  check "dash output in dc" true (covered sym.Symbolic.dc (minterm ~input:0 ~state:0 ~col:3));
+  check "dash output in dc" true (covered (Symbolic.dc sym) (minterm ~input:0 ~state:0 ~col:3));
   check "dash output not in on" false (covered sym.Symbolic.on (minterm ~input:0 ~state:0 ~col:3));
   (* State b is never specified: everything about it is dc. *)
   List.iter
@@ -55,14 +55,14 @@ let test_dc_set_columns () =
       check
         (Printf.sprintf "state b col %d in dc" col)
         true
-        (covered sym.Symbolic.dc (minterm ~input:0 ~state:1 ~col)))
+        (covered (Symbolic.dc sym) (minterm ~input:0 ~state:1 ~col)))
     [ 0; 1; 2; 3 ];
   check "state b not in on" false (covered sym.Symbolic.on (minterm ~input:0 ~state:1 ~col:0))
 
 let test_specified_behaviour_not_dc () =
   (* Row 1's asserted next state must not be a don't care. *)
-  check "row1 next not dc" false (covered sym.Symbolic.dc (minterm ~input:0 ~state:0 ~col:1));
-  check "row2 next not dc" false (covered sym.Symbolic.dc (minterm ~input:1 ~state:0 ~col:0))
+  check "row1 next not dc" false (covered (Symbolic.dc sym) (minterm ~input:0 ~state:0 ~col:1));
+  check "row2 next not dc" false (covered (Symbolic.dc sym) (minterm ~input:1 ~state:0 ~col:0))
 
 let test_constraint_extraction_none () =
   (* With 2 states there is no non-trivial group. *)

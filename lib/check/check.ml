@@ -165,22 +165,145 @@ let check_containment (enc : Encoded.t) a () =
 
 (* --- (e) trace equivalence --------------------------------------------- *)
 
-let check_traces ~seed ~exhaustive_inputs ~sample_traces ~sample_length (m : Fsm.t)
-    (enc : Encoded.t) a () =
-  let verdict =
-    if m.Fsm.num_inputs <= exhaustive_inputs then Simulate.check_cover enc a.cover
-    else
-      Simulate.check_cover_sampled
-        (Random.State.make [| seed; 0x5eed |])
-        enc a.cover ~traces:sample_traces ~length:sample_length
-  in
-  match verdict with
-  | Simulate.Equivalent -> (true, "")
-  | Simulate.Mismatch { state; input; detail } ->
-      (false, Printf.sprintf "state %s under input %s: %s" m.Fsm.states.(state) input detail)
+(* Exact at any input width, from the transition table, the raw codes
+   and [Logic] alone: nothing here goes through [Encoded], which builds
+   the minimizer's input. In state [s] a row's cube is its input pattern
+   at code(s), and its region is that cube minus the cubes of the
+   earlier rows that also match [s] — [Fsm.next]'s first-match rule. On
+   its region a row's 1 columns (destination code bits, '1' outputs)
+   must be covered and its 0 columns must meet no cover cube.
+   [dst = None], '-' outputs, unused codes and the region no row matches
+   are free: the don't-care policy of [Simulate], whose minterm walker
+   is this check's test oracle. *)
+let check_traces (m : Fsm.t) a () =
+  let ni = m.Fsm.num_inputs and no = m.Fsm.num_outputs and nb = a.nbits in
+  let cover = a.cover in
+  let dom = cover.Cover.dom and ov = ni + nb in
+  if not (Domain.equal dom (Domain.create (Array.append (Array.make ov 2) [| nb + no |]))) then
+    (false, "cover domain does not match the machine's inputs, code bits and outputs")
+  else begin
+    let out_off = Domain.offset dom ov in
+    (* The row's input pattern; every state and output part. *)
+    let pattern input =
+      let c = Cube.full dom in
+      String.iteri
+        (fun v ch ->
+          if ch <> '-' then Bitvec.clear c (Domain.offset dom v + if ch = '0' then 1 else 0))
+        input;
+      c
+    in
+    let at_code code c =
+      let c = Bitvec.copy c in
+      for b = 0 to nb - 1 do
+        Bitvec.clear c (Domain.offset dom (ni + b) + 1 - ((code lsr b) land 1))
+      done;
+      c
+    in
+    let with_parts parts c =
+      let c = Bitvec.copy c in
+      Bitvec.clear_range c out_off (nb + no);
+      List.iter (fun p -> Bitvec.set c (out_off + p)) parts;
+      c
+    in
+    (* The output parts a row specifies as 1 and as 0: next-state bits,
+       then the binary outputs. *)
+    let columns (tr : Fsm.transition) =
+      let next b =
+        match tr.Fsm.dst with
+        | None -> '-'
+        | Some d -> if (a.codes.(d) lsr b) land 1 = 1 then '1' else '0'
+      in
+      let plane = String.init nb next ^ tr.Fsm.output in
+      let parts ch = List.filter (fun p -> plane.[p] = ch) (List.init (nb + no) Fun.id) in
+      (parts '1', parts '0')
+    in
+    (* The rows that can match each state, in table order. *)
+    let rows = Array.make (Array.length m.Fsm.states) [] in
+    List.iter
+      (fun (tr : Fsm.transition) ->
+        let ones, zeros = columns tr in
+        let row = (tr, pattern tr.Fsm.input, ones, zeros) in
+        match tr.Fsm.src with
+        | Some s -> rows.(s) <- row :: rows.(s)
+        | None -> Array.iteri (fun s matching -> rows.(s) <- row :: matching) rows)
+      (List.rev m.Fsm.transitions);
+    (* What the walker reports at a minterm of cube [w], where row [tr]
+       is the first match in state [s] and some column disagrees. *)
+    let mismatch s (tr : Fsm.transition) w =
+      let values =
+        Array.init (ov + 1) (fun v ->
+            if v < ov && not (Bitvec.get w (Domain.offset dom v)) then 1 else 0)
+      in
+      let column p =
+        values.(ov) <- p;
+        Cover.contains_minterm cover values
+      in
+      let next = ref 0 in
+      for b = 0 to nb - 1 do
+        if column b then next := !next lor (1 lsl b)
+      done;
+      let input = String.init ni (fun v -> if values.(v) = 1 then '1' else '0') in
+      let detail =
+        match tr.Fsm.dst with
+        | Some d when !next <> a.codes.(d) ->
+            Printf.sprintf "next code %d, expected %d (state %s)" !next a.codes.(d)
+              m.Fsm.states.(d)
+        | Some _ | None -> Printf.sprintf "outputs disagree with %s" tr.Fsm.output
+      in
+      Printf.sprintf "state %s under input %s: %s" m.Fsm.states.(s) input detail
+    in
+    (* Row [tr] on region cube [r] in state [s], against the cover cubes
+       [here] that meet code(s). *)
+    let violation s here (tr, _, ones, zeros) r =
+      let uncovered () =
+        if ones = [] then None
+        else
+          let c = with_parts ones r in
+          if Cover.covers_cube here c then None
+          else
+            match (Cover.diff (Cover.make dom [ c ]) here).Cover.cubes with
+            | w :: _ -> Some (mismatch s tr w)
+            | [] -> None
+      in
+      let asserted () =
+        if zeros = [] then None
+        else
+          let c = with_parts zeros r in
+          List.find_map (fun k -> Option.map (mismatch s tr) (Cube.inter dom k c)) here.Cover.cubes
+      in
+      match uncovered () with Some _ as found -> found | None -> asserted ()
+    in
+    let check_state s =
+      let code = a.codes.(s) in
+      let here =
+        let space = at_code code (Cube.full dom) in
+        Cover.make dom (List.filter (Cube.intersects dom space) cover.Cover.cubes)
+      in
+      let rec go earlier = function
+        | [] -> None
+        | ((_, p, _, _) as row) :: rest -> (
+            let cube = at_code code p in
+            let region =
+              match List.filter (Cube.intersects dom p) earlier with
+              | [] -> [ cube ]
+              | hits ->
+                  let shadow = Cover.make dom (List.map (at_code code) hits) in
+                  (Cover.diff (Cover.make dom [ cube ]) shadow).Cover.cubes
+            in
+            match List.find_map (violation s here row) region with
+            | Some _ as found -> found
+            | None -> go (p :: earlier) rest)
+      in
+      go [] rows.(s)
+    in
+    let rec from s =
+      if s = Array.length rows then (true, "")
+      else match check_state s with Some detail -> (false, detail) | None -> from (s + 1)
+    in
+    from 0
+  end
 
-let certify ?(seed = 0) ?(exhaustive_inputs = 12) ?(sample_traces = 64) ?(sample_length = 32)
-    (m : Fsm.t) a =
+let certify (m : Fsm.t) a =
   let structural =
     [ run_check Injectivity (check_injectivity m a); run_check Code_length (check_code_length m a) ]
   in
@@ -196,8 +319,7 @@ let certify ?(seed = 0) ?(exhaustive_inputs = 12) ?(sample_traces = 64) ?(sample
           run_check Face_constraints (check_faces m e a);
           run_check Output_covering (check_covering m a);
           run_check Cover_containment (check_containment encoded a);
-          run_check Trace_equivalence
-            (check_traces ~seed ~exhaustive_inputs ~sample_traces ~sample_length m encoded a);
+          run_check Trace_equivalence (check_traces m a);
         ]
     end
   in

@@ -25,8 +25,16 @@
       stays inside on-set ∪ DC-set of the re-encoded transition table
       (decided with [Logic] containment/tautology primitives);
     - {b trace equivalence}: the PLA is trace-equivalent to the symbolic
-      machine via {!Simulate} — exhaustive for machines with few inputs,
-      seeded-sampled beyond {!certify}'s [exhaustive_inputs] threshold.
+      machine, decided exactly for any input width without walking
+      minterms. In state [s] each row's region is its input cube at
+      code(s) minus the earlier rows that also match [s] ({!Fsm.next}'s
+      first-match rule). On that region the columns the row specifies
+      as 1 must be covered ({!Cover.covers_cube}) and those it
+      specifies as 0 must meet no cover cube. Don't-cares follow
+      {!Simulate}'s policy, and {!Simulate.check_cover}, which walks
+      every minterm, is kept as this check's test oracle. A failure
+      names a witness minterm: ["state S under input I: next code X,
+      expected Y (state D)"] or ["... outputs disagree with O"].
 
     The checks that need a well-formed encoding (everything past code
     length) are skipped when injectivity or code length fail — the
@@ -87,19 +95,9 @@ type outcome = {
 type t = { ok : bool; checks : outcome list }
 
 (** [certify m artifacts] runs every applicable check and never raises.
-    [exhaustive_inputs] (default 12) bounds the exhaustive trace check:
-    machines with more primary inputs are verified with [sample_traces]
-    (default 64) seeded random traces of [sample_length] (default 32)
-    steps drawn from [seed] (default 0). Each check is also timed as
-    the section ["check.<name>"] ({!Metrics.span}). *)
-val certify :
-  ?seed:int ->
-  ?exhaustive_inputs:int ->
-  ?sample_traces:int ->
-  ?sample_length:int ->
-  Fsm.t ->
-  artifacts ->
-  t
+    Every check is exact whatever the input width. Each check is also
+    timed as the section ["check.<name>"] ({!Metrics.span}). *)
+val certify : Fsm.t -> artifacts -> t
 
 (** [failures c] is the failed subset of [c.checks]. *)
 val failures : t -> outcome list

@@ -69,12 +69,21 @@ let eval t cover ~input ~code =
   for b = 0 to nb - 1 do
     values.(ni + b) <- (code lsr b) land 1
   done;
-  let column o =
-    values.(ni + nb) <- o;
-    Cover.contains_minterm cover values
-  in
+  (* The point with every output part: a cube meets it iff it contains
+     the point, and then asserts its own output parts there. *)
+  let point = Cube.of_minterm t.dom values in
+  let off = Domain.offset t.dom (ni + nb) in
+  Bitvec.set_range point off (nb + no);
+  let asserted = Array.make (nb + no) false in
+  List.iter
+    (fun c ->
+      if Cube.intersects t.dom c point then
+        for p = 0 to nb + no - 1 do
+          if Bitvec.get c (off + p) then asserted.(p) <- true
+        done)
+    cover.Cover.cubes;
   let next = ref 0 in
   for b = 0 to nb - 1 do
-    if column b then next := !next lor (1 lsl b)
+    if asserted.(b) then next := !next lor (1 lsl b)
   done;
-  (!next, Array.init no (fun j -> column (nb + j)))
+  (!next, Array.sub asserted nb no)

@@ -76,6 +76,9 @@ let check_cover (enc : Encoded.t) cover =
   done;
   !verdict
 
+let check_at enc cover ~state ~input =
+  Option.value (check_step enc cover state input) ~default:Equivalent
+
 let check_cover_sampled rng (enc : Encoded.t) cover ~traces ~length =
   let m = enc.Encoded.machine in
   let start = Option.value m.Fsm.reset ~default:0 in

@@ -5,6 +5,13 @@
     correctness oracle for a state assignment: whatever the codes, the
     minimized PLA must realize every specified transition and output.
 
+    {!check_cover} walks every (state, input minterm), so it is
+    exponential in the input count. Certification does not call it:
+    [Check]'s trace-equivalence decides the same question exactly on
+    first-match row cubes, at any input width. The walker is kept as
+    that check's test oracle, the way [Cover.Naive] is kept for the
+    fast cover kernel.
+
     {2 Don't-care comparison policy}
 
     The equivalence checks compare the encoded implementation against the
@@ -59,6 +66,10 @@ type verdict =
     checker can verify the exact artifact a pipeline produced instead of
     re-minimizing. *)
 val check_cover : Encoded.t -> Logic.Cover.t -> verdict
+
+(** [check_at enc cover ~state ~input] is {!check_cover}'s verdict at
+    one point: [state] under the fully specified [input]. *)
+val check_at : Encoded.t -> Logic.Cover.t -> state:int -> input:string -> verdict
 
 (** [check_cover_sampled rng enc cover ~traces ~length] is the randomized
     version of {!check_cover} for machines with wide inputs: drives

@@ -6,7 +6,7 @@ let artifacts_of (o : Driver.outcome) (impl : Encoded.result) =
     claims = o.Driver.claims;
   }
 
-let run ?seed m (o : Driver.outcome) impl = Check.certify ?seed m (artifacts_of o impl)
+let run m (o : Driver.outcome) impl = Check.certify m (artifacts_of o impl)
 
 let error_of ~machine (cert : Check.t) =
   if cert.Check.ok then None

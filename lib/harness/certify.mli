@@ -10,9 +10,8 @@
     claims. *)
 val artifacts_of : Driver.outcome -> Encoded.result -> Check.artifacts
 
-(** [run ?seed m outcome impl] certifies the report. Sampling parameters
-    follow {!Check.certify}'s defaults. *)
-val run : ?seed:int -> Fsm.t -> Driver.outcome -> Encoded.result -> Check.t
+(** [run m outcome impl] certifies the report with {!Check.certify}. *)
+val run : Fsm.t -> Driver.outcome -> Encoded.result -> Check.t
 
 (** [error_of ~machine cert] is [Some (Certification_failed ...)] naming
     the failed checks, or [None] for a clean certificate. *)

@@ -41,10 +41,19 @@ rc=0; $NOVA report --jobs 0 lion > /dev/null 2>&1 || rc=$?
 echo "  report --jobs 0: exit 5 ok"
 
 echo "== certify smoke: suite machines under the independent checker =="
-for machine in lion dk16; do
+$NOVA gen -s 12 -p 48 -i 14 -o 4 -g 7 > "$TMP/wide.kiss2"
+for machine in lion dk16 sand "$TMP/wide.kiss2"; do
   $NOVA encode -a ihybrid --certify "$machine" > /dev/null
   echo "  certify $machine (ihybrid): exit 0 ok"
 done
+# Trace equivalence is exact at every input width: a corrupted output
+# column on the 14-input machine must fail it with a witness point.
+rc=0; $NOVA encode -a ihybrid --certify --inject corrupt-output "$TMP/wide.kiss2" \
+  > "$TMP/wide-inject.txt" 2>/dev/null || rc=$?
+[ "$rc" -eq 6 ] || { echo "14-input corrupt-output: expected exit 6, got $rc"; exit 1; }
+grep -qE '^  \[FAIL\] trace-equivalence .*state [^ ]+ under input [01]{14}: ' "$TMP/wide-inject.txt" \
+  || { echo "14-input corrupt-output: no trace-equivalence witness"; cat "$TMP/wide-inject.txt"; exit 1; }
+echo "  14-input corrupt-output: exit 6, trace-equivalence names a state and an input: ok"
 
 echo "== instrument smoke: --instrument dumps the registry, stderr empty without =="
 CHECK_PROM=_build/default/scripts/check_prom.exe

@@ -33,6 +33,7 @@ let () =
       ("regression-counts", Test_regression_counts.suite);
       ("pipeline", Test_pipeline.suite);
       ("check", Test_check.suite);
+      ("check-exact", Test_check_exact.suite);
       ("kiss-fuzz", Test_kiss_fuzz.suite);
       ("exec", Test_exec.suite);
       ("chaos", Test_chaos.suite);

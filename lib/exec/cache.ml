@@ -210,11 +210,13 @@ let parse_entry (task : Job.task) text =
   let claimed_ocs =
     counted "ocs" (fun l -> Scanf.sscanf l "%d %d" (fun u v -> (u, v)))
   in
-  (* The encoding must validate (distinct codes, declared width) before
-     we can rebuild the PLA domain the cubes live in. *)
+  (* The encoding must validate (distinct codes, declared width); a
+     wrong code count is left to recertification's injectivity check.
+     The cubes live in the PLA domain, which depends only on the
+     machine's widths and [nbits]. *)
   let encoding = Encoding.make ~nbits codes in
-  let built = Encoded.build task.Job.machine encoding in
-  let width = Logic.Domain.width built.Encoded.dom in
+  let dom = Encoded.domain task.Job.machine ~nbits in
+  let width = Logic.Domain.width dom in
   let cubes =
     counted "cubes" (fun l ->
         let v = Bitvec.of_string l in
@@ -222,7 +224,7 @@ let parse_entry (task : Job.task) text =
         v)
   in
   if next () <> "end" then raise Malformed;
-  let cover = Logic.Cover.make built.Encoded.dom cubes in
+  let cover = Logic.Cover.make dom cubes in
   let num_cubes = Logic.Cover.size cover in
   {
     Job.encoding;

@@ -1,4 +1,4 @@
-let iexact_max_work = 400_000
+let iexact_max_work = Harness.Driver.iexact_max_work
 
 let default_algorithms =
   [
@@ -7,8 +7,9 @@ let default_algorithms =
     Harness.Driver.Mustang (Baselines.Fanout, true); Harness.Driver.One_hot;
   ]
 
-(* iexact is exponential: cap it like Flow does, so a portfolio run
-   terminates deterministically (the cap is part of the cache key). *)
+(* iexact is exponential: cap it like the paper tables do, so a
+   portfolio run terminates deterministically (the cap is part of the
+   cache key). *)
 let tasks_for m =
   List.map
     (fun algo ->

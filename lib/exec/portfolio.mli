@@ -104,8 +104,8 @@ val race :
     mustang-nt / one-hot baselines. *)
 val default_algorithms : Harness.Driver.algorithm list
 
-(** [iexact_max_work] is the deterministic work cap applied to iexact
-    portfolio members (the paper itself gives up on the big machines). *)
+(** [iexact_max_work] is {!Harness.Driver.iexact_max_work}, the
+    deterministic work cap applied to iexact portfolio members. *)
 val iexact_max_work : int
 
 (** [tasks_for m] is [m]'s full portfolio as tasks in

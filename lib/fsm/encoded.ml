@@ -28,12 +28,14 @@ let rows (m : Fsm.t) (e : Encoding.t) dom =
       Personality.row base (String.init nb next ^ tr.Fsm.output))
     m.Fsm.transitions
 
+let domain (m : Fsm.t) ~nbits =
+  Domain.create
+    (Array.append (Array.make (m.Fsm.num_inputs + nbits) 2) [| nbits + m.Fsm.num_outputs |])
+
 let build (m : Fsm.t) (e : Encoding.t) =
   if Encoding.num_states e <> Array.length m.Fsm.states then
     invalid_arg "Encoded.build: encoding size mismatch";
-  let nb = e.Encoding.nbits in
-  let sizes = Array.append (Array.make (m.Fsm.num_inputs + nb) 2) [| nb + m.Fsm.num_outputs |] in
-  let dom = Domain.create sizes in
+  let dom = domain m ~nbits:e.Encoding.nbits in
   let { Personality.on; off; care } = Personality.sets dom (rows m e dom) in
   { machine = m; encoding = e; dom; on; off; care }
 

@@ -18,6 +18,11 @@ type t = {
   care : Cover.t;  (** the on-set points no don't-care covers *)
 }
 
+(** [domain m ~nbits] is the PLA domain of [m] under an [nbits]-bit
+    encoding: one binary variable per input and per code bit, then the
+    output variable with [nbits + #outputs] parts. *)
+val domain : Fsm.t -> nbits:int -> Domain.t
+
 (** [build m e] encodes the transition table of [m] with [e]. Nothing is
     complemented: [off] is each row's 0 entries minus what another row
     asserts or leaves free (see {!Personality.sets}). *)

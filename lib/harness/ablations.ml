@@ -69,15 +69,13 @@ let code_length ?(quick = false) ppf () =
     List.map
       (fun name ->
         let m = Benchmarks.Suite.find name in
-        let n = Fsm.num_states ~m in
-        let ics = Constraints.of_symbolic (Symbolic.of_fsm m) in
         let min_len = Fsm.min_code_length m in
         name
         :: List.concat_map
              (fun extra ->
-               let r = Ihybrid.ihybrid_code ~num_states:n ~nbits:(min_len + extra) ics in
-               let impl = Encoded.implement m r.Ihybrid.encoding in
-               [ soi r.Ihybrid.encoding.Encoding.nbits; soi impl.Encoded.area ])
+               match Driver.report ~bits:(min_len + extra) m Driver.Ihybrid with
+               | Ok (o, impl) -> [ soi o.Driver.encoding.Encoding.nbits; soi impl.Encoded.area ]
+               | Error err -> failwith (Nova_error.to_string err))
              [ 0; 1; 2; 3 ])
       (machines ~quick)
   in

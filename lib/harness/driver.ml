@@ -144,6 +144,8 @@ let degradation_warning o =
            (if attempts = 1 then "" else "s")
            why)
 
+let iexact_max_work = 400_000
+
 let why budget = Option.value (Budget.reason budget) ~default:Budget.Work
 
 let groups_of ics =

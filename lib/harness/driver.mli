@@ -83,6 +83,11 @@ val quiet : bool ref
     tests can assert on the exact text without scraping stderr. *)
 val degradation_warning : outcome -> string option
 
+(** [iexact_max_work] is the deterministic work cap the paper tables,
+    the portfolio and the certification bench put on iexact (the paper
+    itself gives up on the big machines). *)
+val iexact_max_work : int
+
 (** [encode ?bits ?budget ?fallback machine algo] runs the algorithm.
     [bits] overrides the code length where the algorithm accepts one.
     [budget] (default {!Budget.unlimited}) bounds the whole call — work,

@@ -22,6 +22,177 @@ let totals ppf label pairs =
       (float_of_int ours /. float_of_int theirs)
   else Format.fprintf ppf "%s: measured total %d@." label ours
 
+(* --- Per-machine results ------------------------------------------------ *)
+
+(* Everything the tables print about one machine. Every encoding the
+   driver can express comes from [Driver.report] with its default
+   unlimited budget and fallback, the same call [nova encode] makes.
+   Three computations need parameters the driver does not take and stay
+   direct calls: iexact (Tables II and VI print its [proven] flag), the
+   seeded random pool, and the multi-start ihybrid runs behind "best of
+   NOVA". ESPRESSO runs and factored-literal counts are memoized by code
+   array. *)
+type machine = {
+  fsm : Fsm.t;
+  ics : Constraints.input_constraint list Lazy.t;
+  iexact : Iexact.outcome Lazy.t;
+  randoms : Encoding.t list Lazy.t;  (** the paper's random-assignment pool *)
+  restarts : Encoding.t list Lazy.t;  (** ihybrid with [order_seed] 1-3 *)
+  reports : (Driver.algorithm, Driver.outcome * float) Hashtbl.t;
+      (** each driver outcome with the wall seconds of its call *)
+  impls : (int * int array, Encoded.result) Hashtbl.t;
+  lits : (int * int array, int) Hashtbl.t;
+}
+
+(* The paper used one random assignment per state; we cap the pool (see
+   DESIGN.md). *)
+let num_random_runs = 8
+
+let make name =
+  let fsm = Benchmarks.Suite.find name in
+  let n = Fsm.num_states ~m:fsm in
+  let ics = lazy (Constraints.of_symbolic (Symbolic.of_fsm fsm)) in
+  let groups () =
+    List.map (fun (ic : Constraints.input_constraint) -> ic.Constraints.states) (Lazy.force ics)
+  in
+  {
+    fsm;
+    ics;
+    iexact = lazy (Iexact.iexact_code ~num_states:n ~max_work:Driver.iexact_max_work (groups ()));
+    randoms =
+      lazy
+        (let nbits = Ihybrid.min_code_length n in
+         List.init num_random_runs (fun i ->
+             let rng = Random.State.make [| 77; i; n |] in
+             Encoding.random rng ~num_states:n ~nbits));
+    restarts =
+      lazy
+        (List.map
+           (fun os ->
+             (Ihybrid.ihybrid_code ~num_states:n ~order_seed:os (Lazy.force ics)).Ihybrid.encoding)
+           [ 1; 2; 3 ]);
+    reports = Hashtbl.create 11;
+    impls = Hashtbl.create 31;
+    lits = Hashtbl.create 7;
+  }
+
+(* Every machine's record sits in one table behind one mutex, held
+   while a row is computed, so the tables stay safe to print from
+   several domains. *)
+let machines : (string, machine) Hashtbl.t = Hashtbl.create 41
+let machines_lock = Mutex.create ()
+
+let with_machine name f =
+  Mutex.protect machines_lock @@ fun () ->
+  let mc =
+    match Hashtbl.find_opt machines name with
+    | Some mc -> mc
+    | None ->
+        let mc = make name in
+        Hashtbl.add machines name mc;
+        mc
+  in
+  f mc
+
+let memo tbl key compute =
+  match Hashtbl.find_opt tbl key with
+  | Some v -> v
+  | None ->
+      let v = compute () in
+      Hashtbl.add tbl key v;
+      v
+
+let key (e : Encoding.t) = (e.Encoding.nbits, e.Encoding.codes)
+
+let report mc algo =
+  memo mc.reports algo @@ fun () ->
+  let t0 = Unix.gettimeofday () in
+  match Driver.report mc.fsm algo with
+  | Error err ->
+      failwith
+        (Printf.sprintf "Tables: %s on %s: %s" (Driver.name algo) mc.fsm.Fsm.name
+           (Nova_error.to_string err))
+  | Ok (o, impl) ->
+      let wall = Unix.gettimeofday () -. t0 in
+      Hashtbl.replace mc.impls (key o.Driver.encoding) impl;
+      (o, wall)
+
+let encoding mc algo = (fst (report mc algo)).Driver.encoding
+let implement mc e = memo mc.impls (key e) (fun () -> Encoded.implement mc.fsm e)
+let area_of mc e = (implement mc e).Encoded.area
+
+let random_best_avg mc =
+  let areas = List.map (area_of mc) (Lazy.force mc.randoms) in
+  let best = List.fold_left min max_int areas in
+  let avg = List.fold_left ( + ) 0 areas / List.length areas in
+  (best, avg)
+
+let best_ih_ig mc =
+  let eh = encoding mc Driver.Ihybrid and eg = encoding mc Driver.Igreedy in
+  if area_of mc eh <= area_of mc eg then eh else eg
+
+(* The first of [candidates] that minimizes [measure]. *)
+let argmin measure candidates =
+  match candidates with
+  | [] -> invalid_arg "Tables.argmin"
+  | e :: rest -> List.fold_left (fun best c -> if measure c < measure best then c else best) e rest
+
+(* "Best of NOVA": the minimum area over the program's algorithms,
+   including a few multi-start ihybrid runs with shuffled equal-weight
+   accretion orders (the paper's tables likewise report the program's
+   best solution). *)
+let nova_best mc =
+  argmin (area_of mc)
+    (List.map (encoding mc) [ Driver.Ihybrid; Driver.Igreedy; Driver.Iohybrid ]
+    @ Lazy.force mc.restarts)
+
+(* The best MUSTANG encoding over the -n/-nt/-p/-pt flavors by cube
+   count, at the driver's default minimum code length (Table VII
+   protocol), with its flavor label. *)
+let mustang_best_cubes mc =
+  let candidates =
+    List.map
+      (fun (label, flavor, outputs) -> (encoding mc (Driver.Mustang (flavor, outputs)), label))
+      [
+        ("-n", Baselines.Fanout, false);
+        ("-nt", Baselines.Fanout, true);
+        ("-p", Baselines.Fanin, false);
+        ("-pt", Baselines.Fanin, true);
+      ]
+  in
+  argmin (fun (e, _) -> (implement mc e).Encoded.num_cubes) candidates
+
+(* Factored literals of the multilevel network built from the minimized
+   encoded cover. *)
+let factored_literals mc (e : Encoding.t) =
+  memo mc.lits (key e) @@ fun () ->
+  let net =
+    Multilevel.of_cover (implement mc e).Encoded.cover
+      ~num_binary_vars:(mc.fsm.Fsm.num_inputs + e.Encoding.nbits)
+  in
+  Multilevel.factored_literals (Multilevel.optimize net)
+
+type areas = {
+  nova_best : int;
+  ihybrid : int;
+  igreedy : int;
+  random_best : int;
+  random_avg : int;
+}
+
+let areas name =
+  with_machine name @@ fun mc ->
+  let random_best, random_avg = random_best_avg mc in
+  {
+    nova_best = area_of mc (nova_best mc);
+    ihybrid = area_of mc (encoding mc Driver.Ihybrid);
+    igreedy = area_of mc (encoding mc Driver.Igreedy);
+    random_best;
+    random_avg;
+  }
+
+(* --- Tables ------------------------------------------------------------- *)
+
 let table1 ?(quick = false) ppf () =
   let rows =
     List.map
@@ -45,28 +216,25 @@ let table2 ?(quick = false) ppf () =
   let rows = ref [] and area_pairs = ref [] in
   List.iter
     (fun name ->
-      let f = Flow.get name in
-      let iex =
-        if heavy name then Iexact.Exhausted else Stage.force f.Flow.iexact
-      in
+      with_machine name @@ fun mc ->
+      let iex = if heavy name then Iexact.Exhausted else Lazy.force mc.iexact in
       let iex_cells =
         match iex with
         | Iexact.Sat { k; codes; proven } ->
-            let e = Encoding.make ~nbits:k codes in
-            let r = Flow.implement f e in
+            let r = implement mc (Encoding.make ~nbits:k codes) in
             (* Unproven minimality is starred, like the paper's donfile
                entry. *)
             [ (soi k ^ if proven then "" else "*"); soi r.Encoded.num_cubes; soi r.Encoded.area ]
         | Iexact.Exhausted -> [ "-"; "-"; "-" ]
       in
-      let eh = (Stage.force f.Flow.ihybrid).Ihybrid.encoding in
-      let rh = Flow.implement f eh in
-      let eg = (Stage.force f.Flow.igreedy).Igreedy.encoding in
-      let rg = Flow.implement f eg in
+      let eh = encoding mc Driver.Ihybrid in
+      let rh = implement mc eh in
+      let eg = encoding mc Driver.Igreedy in
+      let rg = implement mc eg in
       (* 1-hot codes only fit the int-based encoding up to 60 states. *)
       let oh_cubes =
-        if Fsm.num_states ~m:f.Flow.machine > 60 then "-"
-        else soi (Flow.implement f (Stage.force f.Flow.one_hot)).Encoded.num_cubes
+        if Fsm.num_states ~m:mc.fsm > 60 then "-"
+        else soi (implement mc (encoding mc Driver.One_hot)).Encoded.num_cubes
       in
       area_pairs :=
         (min rh.Encoded.area rg.Encoded.area,
@@ -95,12 +263,12 @@ let table3 ?(quick = false) ppf () =
   let best_pairs = ref [] and rnd_pairs = ref [] in
   List.iter
     (fun name ->
-      let f = Flow.get name in
-      let eb = Flow.best_ih_ig f in
-      let rb = Flow.implement f eb in
-      let ek = Stage.force f.Flow.kiss in
-      let rk = Flow.implement f ek in
-      let rnd_best, rnd_avg = Flow.random_best_avg f in
+      with_machine name @@ fun mc ->
+      let eb = best_ih_ig mc in
+      let rb = implement mc eb in
+      let ek = encoding mc Driver.Kiss in
+      let rk = implement mc ek in
+      let rnd_best, rnd_avg = random_best_avg mc in
       best_pairs := (rb.Encoded.area, paper (fun r -> r.Benchmarks.Paper_data.best_ig_ih_area) name) :: !best_pairs;
       rnd_pairs := (rnd_best, paper (fun r -> r.Benchmarks.Paper_data.random_best_area) name) :: !rnd_pairs;
       rows :=
@@ -132,14 +300,14 @@ let table4 ?(quick = false) ppf () =
   let io_pairs = ref [] and nova_pairs = ref [] in
   List.iter
     (fun name ->
-      let f = Flow.get name in
-      let eio = (Stage.force f.Flow.iohybrid).Iohybrid.encoding in
-      let rio = Flow.implement f eio in
-      let eb = Flow.best_ih_ig f in
-      let rb = Flow.implement f eb in
-      let en = Flow.nova_best f in
-      let rn = Flow.implement f en in
-      let rnd_best, rnd_avg = Flow.random_best_avg f in
+      with_machine name @@ fun mc ->
+      let eio = encoding mc Driver.Iohybrid in
+      let rio = implement mc eio in
+      let eb = best_ih_ig mc in
+      let rb = implement mc eb in
+      let en = nova_best mc in
+      let rn = implement mc en in
+      let rnd_best, rnd_avg = random_best_avg mc in
       io_pairs := (rio.Encoded.area, paper (fun r -> r.Benchmarks.Paper_data.iohybrid_area) name) :: !io_pairs;
       nova_pairs := (rn.Encoded.area, paper (fun r -> r.Benchmarks.Paper_data.nova_best_area) name) :: !nova_pairs;
       rows :=
@@ -168,9 +336,9 @@ let table5 ?(quick = false) ppf () =
   List.iter
     (fun name ->
       if (not quick) || not (heavy name) then begin
-        let f = Flow.get name in
-        let eio = (Stage.force f.Flow.iohybrid).Iohybrid.encoding in
-        let rio = Flow.implement f eio in
+        with_machine name @@ fun mc ->
+        let eio = encoding mc Driver.Iohybrid in
+        let rio = implement mc eio in
         let capp = paper (fun r -> r.Benchmarks.Paper_data.cappuccino_area) name in
         pairs := (rio.Encoded.area, capp) :: !pairs;
         rows :=
@@ -193,20 +361,25 @@ let table6 ?(quick = false) ppf () =
   let rows = ref [] in
   List.iter
     (fun name ->
-      let f = Flow.get name in
-      let ih = Stage.force f.Flow.ihybrid in
-      let time = Stage.elapsed f.Flow.ihybrid in
-      let wsat =
-        List.fold_left (fun a (ic : Constraints.input_constraint) -> a + ic.Constraints.weight) 0 ih.Ihybrid.satisfied
+      with_machine name @@ fun mc ->
+      (* wsat is the weight of the constraints ihybrid claims satisfied;
+         time is the wall clock of the whole driver call (constraints,
+         embedding and ESPRESSO). *)
+      let ih, time = report mc Driver.Ihybrid in
+      let claimed = ih.Driver.claims.Check.claimed_ics in
+      let wsat, wunsat =
+        List.fold_left
+          (fun (s, u) (ic : Constraints.input_constraint) ->
+            if List.exists (Bitvec.equal ic.Constraints.states) claimed then
+              (s + ic.Constraints.weight, u)
+            else (s, u + ic.Constraints.weight))
+          (0, 0) (Lazy.force mc.ics)
       in
-      let wunsat =
-        List.fold_left (fun a (ic : Constraints.input_constraint) -> a + ic.Constraints.weight) 0 ih.Ihybrid.unsatisfied
-      in
-      let clength = (Stage.force f.Flow.kiss).Encoding.nbits in
+      let clength = (encoding mc Driver.Kiss).Encoding.nbits in
       let ex_clength =
         if heavy name then "?"
         else
-          match Stage.force f.Flow.iexact with
+          match Lazy.force mc.iexact with
           | Iexact.Sat { k; proven; _ } -> if proven then soi k else "<=" ^ soi k
           | Iexact.Exhausted -> "?"
       in
@@ -222,51 +395,31 @@ let table7_names ~quick =
   List.filter (fun n -> (not quick) || not (heavy n)) Benchmarks.Suite.table7
 
 (* NOVA's best minimum-code-length two-level result (Table VII protocol). *)
-let nova_best_minlen f =
-  let n = Fsm.num_states ~m:f.Flow.machine in
-  let min_len = Ihybrid.min_code_length n in
+let nova_best_minlen mc =
+  let min_len = Ihybrid.min_code_length (Fsm.num_states ~m:mc.fsm) in
   let candidates =
     List.filter
       (fun (e : Encoding.t) -> e.Encoding.nbits = min_len)
-      [
-        (Stage.force f.Flow.ihybrid).Ihybrid.encoding;
-        (Stage.force f.Flow.igreedy).Igreedy.encoding;
-        (Stage.force f.Flow.iohybrid).Iohybrid.encoding;
-      ]
+      (List.map (encoding mc) [ Driver.Ihybrid; Driver.Igreedy; Driver.Iohybrid ])
   in
-  match candidates with
-  | [] -> (Stage.force f.Flow.igreedy).Igreedy.encoding
-  | e :: rest ->
-      List.fold_left
-        (fun best c ->
-          if (Flow.implement f c).Encoded.num_cubes < (Flow.implement f best).Encoded.num_cubes
-          then c
-          else best)
-        e rest
+  if candidates = [] then encoding mc Driver.Igreedy
+  else argmin (fun e -> (implement mc e).Encoded.num_cubes) candidates
 
 let table7 ?(quick = false) ppf () =
   let rows = ref [] in
-  let mc = ref [] and nc = ref [] and ml = ref [] and nl = ref [] and rl = ref [] in
+  let mu_c = ref [] and nc = ref [] and ml = ref [] and nl = ref [] and rl = ref [] in
   List.iter
     (fun name ->
-      let f = Flow.get name in
-      let emu, flavor = Flow.mustang_best_cubes f in
-      let rmu = Flow.implement f emu in
-      let en = nova_best_minlen f in
-      let rn = Flow.implement f en in
-      let mu_lits = Flow.factored_literals f emu in
-      let nova_lits = Flow.factored_literals f en in
-      let rnd_lits =
-        let randoms = Stage.force f.Flow.randoms in
-        let best =
-          List.fold_left
-            (fun best e -> if Flow.area_of f e < Flow.area_of f best then e else best)
-            (List.hd randoms) (List.tl randoms)
-        in
-        Flow.factored_literals f best
-      in
+      with_machine name @@ fun mc ->
+      let emu, flavor = mustang_best_cubes mc in
+      let rmu = implement mc emu in
+      let en = nova_best_minlen mc in
+      let rn = implement mc en in
+      let mu_lits = factored_literals mc emu in
+      let nova_lits = factored_literals mc en in
+      let rnd_lits = factored_literals mc (argmin (area_of mc) (Lazy.force mc.randoms)) in
       let p field = paper field name in
-      mc := (rmu.Encoded.num_cubes, p (fun r -> r.Benchmarks.Paper_data.mustang_cubes)) :: !mc;
+      mu_c := (rmu.Encoded.num_cubes, p (fun r -> r.Benchmarks.Paper_data.mustang_cubes)) :: !mu_c;
       nc := (rn.Encoded.num_cubes, p (fun r -> r.Benchmarks.Paper_data.nova_cubes)) :: !nc;
       ml := (mu_lits, p (fun r -> r.Benchmarks.Paper_data.mustang_lits)) :: !ml;
       nl := (nova_lits, p (fun r -> r.Benchmarks.Paper_data.nova_lits)) :: !nl;
@@ -284,7 +437,7 @@ let table7 ?(quick = false) ppf () =
     ~header:
       [ "example"; "mu:flavor"; "mu:#cubes"; "nova:#cubes"; "mu:#lit"; "nova:#lit"; "rnd:#lit" ]
     (List.rev !rows);
-  totals ppf "MUSTANG cubes" !mc;
+  totals ppf "MUSTANG cubes" !mu_c;
   totals ppf "NOVA cubes" !nc;
   totals ppf "MUSTANG literals" !ml;
   totals ppf "NOVA literals" !nl;
@@ -293,7 +446,7 @@ let table7 ?(quick = false) ppf () =
   if t !nc > 0 && t !nl > 0 then
     Format.fprintf ppf
       "cube ratio MUSTANG/NOVA: %.2f (paper 1.24); literal ratio MUSTANG/NOVA: %.2f (paper 1.08); random/NOVA literals: %.2f (paper 1.30)@."
-      (float_of_int (t !mc) /. float_of_int (t !nc))
+      (float_of_int (t !mu_c) /. float_of_int (t !nc))
       (float_of_int (t !ml) /. float_of_int (t !nl))
       (float_of_int (t !rl) /. float_of_int (t !nl))
 
@@ -305,8 +458,7 @@ let figure ?(quick = false) ppf ~title ~series () =
   let data =
     List.map
       (fun name ->
-        let f = Flow.get name in
-        (name, List.map (fun (_, fn) -> fn f) series))
+        with_machine name @@ fun mc -> (name, List.map (fun (_, fn) -> fn mc) series))
       ns
   in
   let rows =
@@ -326,19 +478,19 @@ let figure ?(quick = false) ppf ~title ~series () =
     series;
   Format.fprintf ppf "@."
 
-let area_ratio f num den =
-  let a = num f and b = den f in
-  if b = 0 then None else Some (float_of_int a /. float_of_int b)
+let ratio a b = if b = 0 then None else Some (float_of_int a /. float_of_int b)
 
-let nova_area f = Flow.area_of f (Flow.nova_best f)
+(* The area of [algo]'s encoding over the best-of-NOVA area. *)
+let over_nova area mc = ratio (area mc) (area_of mc (nova_best mc))
+let algo_area algo mc = area_of mc (encoding mc algo)
 
 let fig8 ?quick ppf () =
   figure ?quick ppf ~title:"Table VIII (figure): area ratios over best of NOVA"
     ~series:
       [
-        ("KISS/NOVA", fun f -> area_ratio f (fun f -> Flow.area_of f (Stage.force f.Flow.kiss)) nova_area);
-        ("rnd-best/NOVA", fun f -> area_ratio f (fun f -> fst (Flow.random_best_avg f)) nova_area);
-        ("rnd-avg/NOVA", fun f -> area_ratio f (fun f -> snd (Flow.random_best_avg f)) nova_area);
+        ("KISS/NOVA", over_nova (algo_area Driver.Kiss));
+        ("rnd-best/NOVA", over_nova (fun mc -> fst (random_best_avg mc)));
+        ("rnd-avg/NOVA", over_nova (fun mc -> snd (random_best_avg mc)));
       ]
     ()
 
@@ -346,12 +498,8 @@ let fig9 ?quick ppf () =
   figure ?quick ppf ~title:"Table IX (figure): NOVA algorithm area ratios"
     ~series:
       [
-        ( "ihybrid/NOVA",
-          fun f ->
-            area_ratio f (fun f -> Flow.area_of f (Stage.force f.Flow.ihybrid).Ihybrid.encoding) nova_area );
-        ( "iohybrid/NOVA",
-          fun f ->
-            area_ratio f (fun f -> Flow.area_of f (Stage.force f.Flow.iohybrid).Iohybrid.encoding) nova_area );
+        ("ihybrid/NOVA", over_nova (algo_area Driver.Ihybrid));
+        ("iohybrid/NOVA", over_nova (algo_area Driver.Iohybrid));
       ]
     ()
 
@@ -360,19 +508,15 @@ let fig10 ?(quick = false) ppf () =
   let data =
     List.map
       (fun name ->
-        let f = Flow.get name in
-        let emu, _ = Flow.mustang_best_cubes f in
-        let en = nova_best_minlen f in
-        let cube_ratio =
-          let nc = (Flow.implement f en).Encoded.num_cubes in
-          if nc = 0 then None
-          else Some (float_of_int (Flow.implement f emu).Encoded.num_cubes /. float_of_int nc)
-        in
-        let lit_ratio =
-          let nl = Flow.factored_literals f en in
-          if nl = 0 then None else Some (float_of_int (Flow.factored_literals f emu) /. float_of_int nl)
-        in
-        (name, [ cube_ratio; lit_ratio ]))
+        with_machine name @@ fun mc ->
+        let emu, _ = mustang_best_cubes mc in
+        let en = nova_best_minlen mc in
+        let cubes e = (implement mc e).Encoded.num_cubes in
+        ( name,
+          [
+            ratio (cubes emu) (cubes en);
+            ratio (factored_literals mc emu) (factored_literals mc en);
+          ] ))
       ns
   in
   let rows =

@@ -38,5 +38,20 @@ val fig10 : ?quick:bool -> Format.formatter -> unit -> unit
 (** [all ?quick ppf ()] prints every table and figure. *)
 val all : ?quick:bool -> Format.formatter -> unit -> unit
 
+(** The PLA areas behind "best of NOVA" on one machine: the best of
+    NOVA, ihybrid, igreedy, and the best and average over the random
+    pool. *)
+type areas = {
+  nova_best : int;
+  ihybrid : int;
+  igreedy : int;
+  random_best : int;
+  random_avg : int;
+}
+
+(** [areas name] is {!areas} for benchmark machine [name], from the
+    same per-machine results the tables print. *)
+val areas : string -> areas
+
 (** The machines included at the given effort level, in Table I order. *)
 val names : quick:bool -> string list

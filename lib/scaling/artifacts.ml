@@ -152,10 +152,10 @@ let pipeline ?machines:ms ~quick ppf =
 (* Every row is expected to certify clean: a [false] in [ok] is a
    correctness regression, not a slow run. *)
 let check_row ppf (m : Fsm.t) algo =
-  (* iexact is exponential: the same work budget Flow uses keeps it
+  (* iexact is exponential: the work cap the paper tables use keeps it
      bounded (the fallback ladder still certifies whatever rung
      produced the encoding). *)
-  let budget = Budget.create ~max_work:400_000 () in
+  let budget = Budget.create ~max_work:Harness.Driver.iexact_max_work () in
   let algorithm = Harness.Driver.name algo in
   let head = [ ("name", str m.Fsm.name); ("algorithm", str algorithm) ] in
   match Harness.Driver.report ~budget m algo with

@@ -320,18 +320,13 @@ let test_cache_corrupt_entry_recomputed () =
   | Ok a, Ok b -> check "recomputed result matches" true (Exec.Job.success_equal a b)
   | _ -> Alcotest.fail "run failed")
 
-let test_cache_tampered_entry_fails_certification () =
-  with_temp_dir @@ fun dir ->
-  let task = sample_task "lion" in
-  let c = Exec.Cache.open_dir dir in
-  ignore (Exec.Portfolio.run ~cache:c [ task ]);
+(* Rewrite [task]'s entry payload line by line with [f], then recompute
+   the checksum header over the tampered payload: the entry stays
+   structurally pristine, so only re-certification can refuse it. (A
+   stale checksum would be caught earlier, by [fsck]-level structural
+   verification — deliberately bypassed here.) *)
+let tamper_entry dir task f =
   let path = Filename.concat dir (Exec.Job.key task ^ ".nova-cache") in
-  (* Drop one cube, fix the count, and recompute the checksum header
-     over the tampered payload: the entry is structurally pristine and
-     still parses, but the cover no longer implements the machine, so
-     only the independent re-certification gate can refuse to serve
-     it. (A stale checksum would be caught earlier, by [fsck]-level
-     structural verification — deliberately bypassed here.) *)
   let text = In_channel.with_open_bin path In_channel.input_all in
   let payload =
     (* strip "nova-cache/v2\nchecksum HEX\n" *)
@@ -339,33 +334,58 @@ let test_cache_tampered_entry_fails_certification () =
     let second = String.index_from text (first + 1) '\n' in
     String.sub text (second + 1) (String.length text - second - 1)
   in
-  let tampered_payload =
-    let dropping = ref false in
-    String.split_on_char '\n' payload
-    |> List.filter_map (fun l ->
-           if !dropping then begin
-             dropping := false;
-             None (* the first cube line after the header *)
-           end
-           else if String.length l > 6 && String.sub l 0 6 = "cubes " then begin
-             dropping := true;
-             let k = int_of_string (String.sub l 6 (String.length l - 6)) in
-             Some (Printf.sprintf "cubes %d" (k - 1))
-           end
-           else Some l)
-    |> String.concat "\n"
-  in
+  let tampered_payload = String.split_on_char '\n' payload |> f |> String.concat "\n" in
   Out_channel.with_open_bin path (fun oc ->
       Printf.fprintf oc "nova-cache/v2\nchecksum %s\n%s"
         (Digest.to_hex (Digest.string tampered_payload))
-        tampered_payload);
+        tampered_payload)
+
+(* The tampered entry is rejected once, never served, and recomputed. *)
+let check_rejected_and_recomputed dir task what =
   let c2 = Exec.Cache.open_dir dir in
   let rows = Exec.Portfolio.run ~cache:c2 [ task ] in
   let st = Exec.Cache.stats c2 in
-  check_int "tampered entry rejected by re-certification" 1 st.Exec.Cache.rejected;
-  check_int "tampered entry never served" 0 st.Exec.Cache.hits;
+  check_int (what ^ " rejected by re-certification") 1 st.Exec.Cache.rejected;
+  check_int (what ^ " never served") 0 st.Exec.Cache.hits;
   check "recomputed fine" true
     (match (List.hd rows).Exec.Job.result with Ok _ -> true | Error _ -> false)
+
+let test_cache_tampered_entry_fails_certification () =
+  with_temp_dir @@ fun dir ->
+  let task = sample_task "lion" in
+  let c = Exec.Cache.open_dir dir in
+  ignore (Exec.Portfolio.run ~cache:c [ task ]);
+  (* Drop one cube and fix the count: the entry still parses, but the
+     cover no longer implements the machine. *)
+  let dropping = ref false in
+  tamper_entry dir task
+    (List.filter_map (fun l ->
+         if !dropping then begin
+           dropping := false;
+           None (* the first cube line after the header *)
+         end
+         else if String.length l > 6 && String.sub l 0 6 = "cubes " then begin
+           dropping := true;
+           let k = int_of_string (String.sub l 6 (String.length l - 6)) in
+           Some (Printf.sprintf "cubes %d" (k - 1))
+         end
+         else Some l));
+  check_rejected_and_recomputed dir task "tampered entry"
+
+let test_cache_wrong_code_count () =
+  with_temp_dir @@ fun dir ->
+  let task = sample_task "lion" in
+  let c = Exec.Cache.open_dir dir in
+  ignore (Exec.Portfolio.run ~cache:c [ task ]);
+  (* One code short: the codes stay distinct and in range and the PLA
+     domain does not depend on their count, so the entry parses and only
+     the injectivity check can refuse it. *)
+  tamper_entry dir task
+    (List.map (fun l ->
+         if String.length l > 6 && String.sub l 0 6 = "codes " then
+           String.sub l 0 (String.rindex l ' ')
+         else l));
+  check_rejected_and_recomputed dir task "short code list"
 
 let test_cache_refuses_uncertified_store () =
   with_temp_dir @@ fun dir ->
@@ -471,6 +491,7 @@ let suite =
       test_cache_corrupt_entry_recomputed;
     Alcotest.test_case "cache: tampered entry fails re-certification" `Quick
       test_cache_tampered_entry_fails_certification;
+    Alcotest.test_case "cache: wrong code count rejected" `Quick test_cache_wrong_code_count;
     Alcotest.test_case "cache: uncertified success never stored" `Quick
       test_cache_refuses_uncertified_store;
     Alcotest.test_case "portfolio: jobs=4 rows equal jobs=1" `Quick

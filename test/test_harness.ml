@@ -1,5 +1,6 @@
-(* Tests for the experiment harness: report rendering and the cached
-   per-machine flow (kept to small machines so the suite stays fast). *)
+(* Tests for the experiment harness: report rendering and the
+   per-machine table results (kept to small machines so the suite stays
+   fast). *)
 
 let check = Alcotest.(check bool)
 
@@ -37,26 +38,13 @@ let test_spark () =
   Alcotest.(check string) "spark empty input" "" (Harness.Report.spark [ None; None ]);
   check "constant series renders" true (String.length (Harness.Report.spark [ Some 1.; Some 1. ]) > 0)
 
-let test_flow_caching () =
-  Harness.Flow.clear_cache ();
-  let f1 = Harness.Flow.get "lion" in
-  let f2 = Harness.Flow.get "lion" in
-  check "same flow object" true (f1 == f2);
-  let e = Stage.force f1.Harness.Flow.one_hot in
-  let r1 = Harness.Flow.implement f1 e in
-  let r2 = Harness.Flow.implement f1 e in
-  check "implement cached" true (r1 == r2)
-
-let test_flow_best_consistency () =
-  let f = Harness.Flow.get "lion" in
-  let best = Harness.Flow.nova_best f in
-  let area_best = Harness.Flow.area_of f best in
-  check "nova best no worse than ihybrid" true
-    (area_best <= Harness.Flow.area_of f (Stage.force f.Harness.Flow.ihybrid).Ihybrid.encoding);
-  check "nova best no worse than igreedy" true
-    (area_best <= Harness.Flow.area_of f (Stage.force f.Harness.Flow.igreedy).Igreedy.encoding);
-  let rb, ra = Harness.Flow.random_best_avg f in
-  check "best <= avg" true (rb <= ra)
+let test_best_of_nova_consistency () =
+  let { Harness.Tables.nova_best; ihybrid; igreedy; random_best; random_avg } =
+    Harness.Tables.areas "lion"
+  in
+  check "nova best no worse than ihybrid" true (nova_best <= ihybrid);
+  check "nova best no worse than igreedy" true (nova_best <= igreedy);
+  check "best <= avg" true (random_best <= random_avg)
 
 let test_names_quick () =
   let full = Harness.Tables.names ~quick:false in
@@ -78,8 +66,7 @@ let suite =
     Alcotest.test_case "print_table ragged" `Quick test_print_table_ragged;
     Alcotest.test_case "opt_int and ratio" `Quick test_opt_and_ratio;
     Alcotest.test_case "spark" `Quick test_spark;
-    Alcotest.test_case "flow caching" `Quick test_flow_caching;
-    Alcotest.test_case "flow best consistency" `Quick test_flow_best_consistency;
+    Alcotest.test_case "best of NOVA consistency" `Quick test_best_of_nova_consistency;
     Alcotest.test_case "quick machine list" `Quick test_names_quick;
     Alcotest.test_case "table1 smoke" `Quick test_table1_smoke;
   ]

@@ -1,4 +1,4 @@
-let kiss_encode ~num_states ?max_work ics =
+let kiss_encode ~num_states ?max_work ?budget ics =
   (* Room for projection up to one dimension per constraint guarantees
      full satisfaction (Proposition 4.2.1). *)
   let nbits_cap =
@@ -6,8 +6,8 @@ let kiss_encode ~num_states ?max_work ics =
   in
   let r =
     match max_work with
-    | Some w -> Ihybrid.ihybrid_code ~num_states ~nbits:nbits_cap ~max_work:w ics
-    | None -> Ihybrid.ihybrid_code ~num_states ~nbits:nbits_cap ics
+    | Some w -> Ihybrid.ihybrid_code ~num_states ~nbits:nbits_cap ~max_work:w ?budget ics
+    | None -> Ihybrid.ihybrid_code ~num_states ~nbits:nbits_cap ?budget ics
   in
   r.Ihybrid.encoding
 

@@ -14,9 +14,14 @@
 
 (** [kiss_encode ~num_states ics] returns an encoding satisfying every
     constraint in [ics] (possibly longer than the minimum length) and the
-    number of bits used. *)
+    number of bits used. [budget] (default [Budget.unlimited]) is the one
+    its accretion search ticks. *)
 val kiss_encode :
-  num_states:int -> ?max_work:int -> Constraints.input_constraint list -> Encoding.t
+  num_states:int ->
+  ?max_work:int ->
+  ?budget:Budget.t ->
+  Constraints.input_constraint list ->
+  Encoding.t
 
 type mustang_flavor =
   | Fanout  (** [-n]: attraction between present states with common

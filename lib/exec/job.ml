@@ -51,16 +51,14 @@ let key t =
 
 let machine_digest m = Digest.string (Kiss.to_string m)
 
-let run ?budget t =
+(* Every task ticks a fresh root of its own: the shared
+   [Budget.unlimited] would be written by every pool domain at once. *)
+let run ?budget ?ctx t =
   let budget =
-    match budget with
-    | Some b -> b
-    | None -> ( match t.max_work with
-        | Some w -> Budget.create ~max_work:w ()
-        | None -> Budget.unlimited)
+    match budget with Some b -> b | None -> Budget.create ?max_work:t.max_work ()
   in
   match
-    Harness.Driver.report ?bits:t.bits ~budget ~fallback:t.fallback t.machine t.algorithm
+    Harness.Driver.report ?ctx ?bits:t.bits ~budget ~fallback:t.fallback t.machine t.algorithm
   with
   | Error e -> Error e
   | Ok (o, r) ->

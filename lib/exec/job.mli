@@ -73,10 +73,15 @@ val machine_digest : Fsm.t -> Digest.t
     guarantee (jobs-independence, cold vs warm cache) quantifies over. *)
 val success_equal : success -> success -> bool
 
-(** [run ?budget t] executes the task through {!Harness.Driver.report}.
-    [budget] defaults to a fresh root with [t.max_work]; pass one to add
-    racing cancellation. *)
-val run : ?budget:Budget.t -> task -> (success, Nova_error.t) result
+(** [run ?budget ?ctx t] executes the task through
+    {!Harness.Driver.report}. [budget] defaults to a fresh root with
+    [t.max_work] (never the shared [Budget.unlimited]); pass one to add
+    racing cancellation. [ctx] shares the symbolic minimization and
+    equal-encoding ESPRESSO runs with the machine's other tasks, with
+    the same result and the same [Budget.spent]
+    (see {!Harness.Driver.context}). *)
+val run :
+  ?budget:Budget.t -> ?ctx:Harness.Driver.context -> task -> (success, Nova_error.t) result
 
 (** [artifacts_of m s] packages a success for re-certification by the
     independent checker. *)

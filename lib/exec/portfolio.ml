@@ -100,12 +100,12 @@ let traced_job (task : Job.task) f =
    its budget, a retried attempt starts from clean budget state and a
    fully absorbed schedule reproduces the fault-free result bit for
    bit. *)
-let supervised_run policy ?budget (task : Job.task) =
+let supervised_run policy ?budget ?ctx (task : Job.task) =
   Supervise.run policy ~machine:task.Job.machine.Fsm.name
     ~algorithm:(Harness.Driver.name task.Job.algorithm)
     (fun () ->
       Chaos.maybe_raise Chaos.Rung;
-      Metrics.span (job_section task) (fun () -> Job.run ?budget task))
+      Metrics.span (job_section task) (fun () -> Job.run ?budget ?ctx task))
 
 (* One plain (non-racing) job: cache lookup, else compute and store.
    [budget] is an externally imposed budget (the serving layer's
@@ -118,7 +118,7 @@ let supervised_run policy ?budget (task : Job.task) =
    a deadline hit, an admission work ceiling the fingerprint never saw)
    — it must never enter the cache. The intrinsic cap trips on the
    child, never the parent, so those stores proceed as usual. *)
-let run_one ~policy ?cache ?budget (task : Job.task) =
+let run_one ~policy ?cache ?budget ?ctx (task : Job.task) =
   traced_job task @@ fun () ->
   let t0 = Unix.gettimeofday () in
   let finish result origin =
@@ -133,7 +133,7 @@ let run_one ~policy ?cache ?budget (task : Job.task) =
         | Some b, Some w -> Some (Budget.sub ~max_work:w b)
         | Some b, None -> Some b
       in
-      let result = supervised_run policy ?budget:run_budget task in
+      let result = supervised_run policy ?budget:run_budget ?ctx task in
       let externally_degraded =
         match budget with Some b -> Budget.exhausted b | None -> false
       in
@@ -149,7 +149,7 @@ let run_task ?(policy = Supervise.default_policy) ?cache ?budget task =
    a crash outside the supervisor): restart the job once in-process —
    the domain is gone but the work is not, and the inline rerun is
    fully supervised, so a second crash lands in the typed path. *)
-let restart_isolated ~policy ?cache tasks slots =
+let restart_isolated ~policy ?cache ~ctxs tasks slots =
   Array.mapi
     (fun i slot ->
       match slot with
@@ -160,14 +160,43 @@ let restart_isolated ~policy ?cache tasks slots =
               ~attrs:
                 [ ("slot", Trace.Int i);
                   ("error", Trace.String (Printexc.to_string e)) ];
-          run_one ~policy ?cache tasks.(i))
+          run_one ~policy ?cache ~ctx:ctxs.(i) tasks.(i))
     slots
+
+(* One driver context per distinct machine of the task list, so its
+   tasks minimize the symbolic cover once and share equal-encoding
+   ESPRESSO runs. Machine values are told apart by physical equality
+   first and by [Job.machine_digest] after, and a digest is taken only
+   once a second machine value shows up: a one-machine portfolio never
+   prints its KISS2 text. The contexts live for this call only: a
+   process-wide memo would turn a repeated portfolio into lookups that
+   a one-shot [nova report] never gets. *)
+let contexts tasks =
+  let known = ref [] in
+  Array.map
+    (fun (task : Job.task) ->
+      let m = task.Job.machine in
+      match List.find_opt (fun (m', _, _) -> m' == m) !known with
+      | Some (_, _, ctx) -> ctx
+      | None ->
+          let d = lazy (Job.machine_digest m) in
+          let ctx =
+            match List.find_opt (fun (_, d', _) -> Lazy.force d' = Lazy.force d) !known with
+            | Some (_, _, ctx) -> ctx
+            | None -> Harness.Driver.context m
+          in
+          known := (m, d, ctx) :: !known;
+          ctx)
+    tasks
 
 let run ?(jobs = 1) ?cache ?(policy = Supervise.default_policy) tasks =
   let jobs = plan_jobs jobs in
   let tasks = Array.of_list tasks in
-  let slots = Pool.mapi_isolated ~jobs tasks ~f:(fun _ t -> run_one ~policy ?cache t) in
-  Array.to_list (restart_isolated ~policy ?cache tasks slots)
+  let ctxs = contexts tasks in
+  let slots =
+    Pool.mapi_isolated ~jobs tasks ~f:(fun i t -> run_one ~policy ?cache ~ctx:ctxs.(i) t)
+  in
+  Array.to_list (restart_isolated ~policy ?cache ~ctxs tasks slots)
 
 (* --- racing ------------------------------------------------------------- *)
 

@@ -243,7 +243,12 @@ let run_rung ~budget ~bits ~num_states ~ics ~problem (m : Fsm.t) algo rung =
                         cl.Constraints.edges)
                     r.Iohybrid.sat_clusters;
               } )
-    | Rung_kiss -> Ok (Baselines.kiss_encode ~num_states (Lazy.force ics), Check.no_claims)
+    | Rung_kiss ->
+        (* A baseline never runs out of budget: its search ticks a
+           fresh root of its own, not the shared [Budget.unlimited]. *)
+        Ok
+          ( Baselines.kiss_encode ~num_states ~budget:(Budget.create ()) (Lazy.force ics),
+            Check.no_claims )
     | Rung_mustang ->
         let flavor, include_outputs =
           match algo with Mustang (f, o) -> (f, o) | _ -> (Baselines.Fanout, true)
@@ -261,6 +266,105 @@ let run_rung ~budget ~bits ~num_states ~ics ~problem (m : Fsm.t) algo rung =
   | Invalid_argument msg -> Error (Nova_error.Infeasible { stage; msg })
   | Budget.Out_of_budget reason -> Error (Nova_error.Budget_exhausted { stage; reason })
 
+(* --- the per-machine context --------------------------------------- *)
+
+(* A once-cell: the first asker computes under the cell's lock, and an
+   asker on another domain waits for that value instead of computing it
+   again. *)
+type 'a once = { lock : Mutex.t; mutable value : 'a option }
+
+let once () = { lock = Mutex.create (); value = None }
+
+let force cell f =
+  Mutex.protect cell.lock @@ fun () ->
+  match cell.value with
+  | Some v -> v
+  | None ->
+      let v = f () in
+      cell.value <- Some v;
+      v
+
+(* What every task of one machine can share. A budgeted value is kept
+   with the ticks [t] it took under a fresh uncapped root. *)
+type context = {
+  machine : Fsm.t;
+  sym : Symbolic.t once;
+  mv : (Logic.Cover.t * int) once;  (** [Symbolic.minimize], ticks *)
+  ics : Constraints.input_constraint list once;  (** [Constraints.of_cover] of [mv] *)
+  impls : (int * int array, (Encoded.result * int) once) Hashtbl.t;
+      (** one ESPRESSO run per encoding [(nbits, codes)], ticks *)
+  impls_lock : Mutex.t;
+}
+
+let context machine =
+  { machine; sym = once (); mv = once (); ics = once (); impls = Hashtbl.create 7;
+    impls_lock = Mutex.create () }
+
+(* A context serves only its own machine: another machine, even one with
+   the same KISS2 text but its states in another order, computes
+   without it. *)
+let usable ctx (m : Fsm.t) =
+  match ctx with
+  | Some c
+    when c.machine == m
+         || c.machine.Fsm.num_inputs = m.Fsm.num_inputs
+            && c.machine.Fsm.num_outputs = m.Fsm.num_outputs
+            && c.machine.Fsm.states = m.Fsm.states
+            && c.machine.Fsm.transitions = m.Fsm.transitions ->
+      Some c
+  | Some _ | None -> None
+
+let metered f =
+  let b = Budget.create () in
+  let v = f b in
+  (v, Budget.spent b)
+
+let symbolic c = force c.sym (fun () -> Symbolic.of_fsm c.machine)
+let mv_cover c = force c.mv (fun () -> metered (fun b -> Symbolic.minimize ~budget:b (symbolic c)))
+
+let shared_ics c =
+  let cover, t = mv_cover c in
+  (force c.ics (fun () -> Constraints.of_cover (symbolic c) cover), t)
+
+let input_constraints c = fst (shared_ics c)
+
+(* The tick rule. A value that took [t] ticks is reused on [budget] only
+   when [t] ticks there could neither trip it nor be observed: no
+   deadline, callback or trip on its chain, and more than [t] work left
+   on every cap ({!Budget.headroom}). The private run would then tick
+   exactly [t] times and compute the same value, so those ticks are
+   charged instead. Otherwise the value is computed privately, under
+   [budget], as without a context; a budget with no headroom at all
+   does so without forcing the shared cell. *)
+let reuse budget ~shared ~private_ =
+  match Budget.headroom budget with
+  | Some h when h > 0 ->
+      let v, t = shared () in
+      if t < h then begin
+        Budget.charge budget t;
+        v
+      end
+      else private_ ()
+  | Some _ | None -> private_ ()
+
+let implement ?budget c (e : Encoding.t) =
+  let cell =
+    Mutex.protect c.impls_lock @@ fun () ->
+    let key = (e.Encoding.nbits, e.Encoding.codes) in
+    match Hashtbl.find_opt c.impls key with
+    | Some cell -> cell
+    | None ->
+        let cell = once () in
+        Hashtbl.add c.impls (e.Encoding.nbits, Array.copy e.Encoding.codes) cell;
+        cell
+  in
+  let shared () =
+    force cell (fun () -> metered (fun b -> Encoded.implement ~budget:b c.machine e))
+  in
+  match budget with
+  | None -> fst (shared ())
+  | Some b -> reuse b ~shared ~private_:(fun () -> Encoded.implement ~budget:b c.machine e)
+
 (* The root span of one encoding run. Its machine/algorithm attributes
    flow down by inheritance to every rung, stage, espresso-phase and
    check span opened below it on the same track, which is how every span
@@ -274,21 +378,38 @@ let encode_end_attrs = function
       ]
   | Error err -> [ ("error", Trace.String (Nova_error.to_string err)) ]
 
-let encode ?bits ?(budget = Budget.unlimited) ?(fallback = true) (m : Fsm.t) algo =
+let encode ?ctx ?bits ?(budget = Budget.unlimited) ?(fallback = true) (m : Fsm.t) algo =
   Metrics.span s_encode ~end_attrs:encode_end_attrs
     ~attrs:[ ("machine", Trace.String m.Fsm.name); ("algorithm", Trace.String (name algo)) ]
   @@ fun () ->
   let num_states = Fsm.num_states ~m in
+  let ctx = usable ctx m in
   (* Shared upstream artifacts, computed at most once per call whatever
-     rung (or rungs) the ladder visits. *)
-  let sym = lazy (Symbolic.of_fsm m) in
+     rung (or rungs) the ladder visits; with a context, at most once per
+     machine under the tick rule. *)
+  let sym = lazy (match ctx with Some c -> symbolic c | None -> Symbolic.of_fsm m) in
+  let own_ics () = Constraints.of_symbolic ~budget (Lazy.force sym) in
   let ics =
-    lazy (Metrics.span s_constraints (fun () -> Constraints.of_symbolic ~budget (Lazy.force sym)))
+    lazy
+      (Metrics.span s_constraints (fun () ->
+           match ctx with
+           | Some c -> reuse budget ~shared:(fun () -> shared_ics c) ~private_:own_ics
+           | None -> own_ics ()))
   in
   let problem =
     lazy
       (Metrics.span s_symbolic_min (fun () ->
-           (Symbmin.run ~budget (Lazy.force sym)).Symbmin.problem))
+           let cover =
+             match ctx with
+             | Some c ->
+                 reuse budget
+                   ~shared:(fun () ->
+                     let cover, t = mv_cover c in
+                     (Some cover, t))
+                   ~private_:(fun () -> None)
+             | None -> None
+           in
+           (Symbmin.run ~budget ?cover (Lazy.force sym)).Symbmin.problem))
   in
   let rung_end_attrs r =
     ("spent", Trace.Int (Budget.spent budget))
@@ -330,14 +451,18 @@ let encode ?bits ?(budget = Budget.unlimited) ?(fallback = true) (m : Fsm.t) alg
   in
   descend [] (ladder ~fallback algo)
 
-let report ?bits ?budget ?fallback m algo =
-  match encode ?bits ?budget ?fallback m algo with
+let report ?ctx ?bits ?budget ?fallback m algo =
+  let ctx = usable ctx m in
+  match encode ?ctx ?bits ?budget ?fallback m algo with
   | Error err -> Error err
   | Ok outcome ->
       let impl =
         Metrics.span s_implement
           ~attrs:[ ("machine", Trace.String m.Fsm.name); ("algorithm", Trace.String (name algo)) ]
           ~end_attrs:(fun impl -> [ ("num_cubes", Trace.Int impl.Encoded.num_cubes) ])
-          (fun () -> Encoded.implement ?budget m outcome.encoding)
+          (fun () ->
+            match ctx with
+            | Some c -> implement ?budget c outcome.encoding
+            | None -> Encoded.implement ?budget m outcome.encoding)
       in
       Ok (outcome, impl)

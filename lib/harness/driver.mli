@@ -88,7 +88,43 @@ val degradation_warning : outcome -> string option
     itself gives up on the big machines). *)
 val iexact_max_work : int
 
-(** [encode ?bits ?budget ?fallback machine algo] runs the algorithm.
+(** A per-machine context: what the tasks of one machine can share, so
+    that a portfolio minimizes the machine's symbolic cover once instead
+    of once per task. It holds mutex-guarded once-cells, safe to force
+    from several domains (a second asker waits for the first one's
+    value): [Symbolic.of_fsm m], the minimized MV cover with the ticks
+    [T] it took, the input constraints [Constraints.of_cover] extracts
+    from it, and one ESPRESSO result (with its ticks) per encoding
+    [(nbits, codes)]. A cell is forced on first use, never before.
+
+    {b The tick rule}: a shared value is computed once, under a fresh
+    uncapped root budget. A call reuses it only when its own budget has
+    no deadline, no cancellation callback and no trip anywhere on its
+    chain, and strictly more than [T] work left on its cap and on every
+    ancestor's ({!Budget.headroom}); it then charges those [T] ticks to
+    its budget ({!Budget.charge}). Otherwise it computes privately, as
+    without a context. Either way the outcome, the implementation and
+    [Budget.spent] are those of a context-free call. A budget another
+    domain may {!Budget.cancel} must not be used with a context: a
+    cancel landing mid-computation is observed privately, never by a
+    reused value. *)
+type context
+
+(** [context m] is an empty context for machine [m]. A call with
+    another machine ignores it (even one with the same KISS2 text, whose
+    states may be numbered differently). *)
+val context : Fsm.t -> context
+
+(** [input_constraints c] is the shared [Constraints.of_symbolic
+    (Symbolic.of_fsm m)] of [c]'s machine, computed without a cap. *)
+val input_constraints : context -> Constraints.input_constraint list
+
+(** [implement ?budget c e] is [Encoded.implement ?budget m e] for
+    [c]'s machine [m], sharing one ESPRESSO run per encoding under the
+    tick rule (an unbudgeted call always shares: it never ticks). *)
+val implement : ?budget:Budget.t -> context -> Encoding.t -> Encoded.result
+
+(** [encode ?ctx ?bits ?budget ?fallback machine algo] runs the algorithm.
     [bits] overrides the code length where the algorithm accepts one.
     [budget] (default {!Budget.unlimited}) bounds the whole call — work,
     wall-clock deadline and cancellation included; under an unlimited
@@ -98,8 +134,10 @@ val iexact_max_work : int
     instead — e.g. [Iexact] out of budget returns
     [Error (Budget_exhausted { stage = Iexact; _ })] rather than falling
     through to [semiexact]. No exception escapes: failures are
-    [Nova_error.t] values. *)
+    [Nova_error.t] values. [ctx] shares the symbolic cover and the input
+    constraints with the machine's other calls (see {!context}). *)
 val encode :
+  ?ctx:context ->
   ?bits:int ->
   ?budget:Budget.t ->
   ?fallback:bool ->
@@ -107,11 +145,12 @@ val encode :
   algorithm ->
   (outcome, Nova_error.t) result
 
-(** [report ?bits ?budget ?fallback machine algo] is [encode] plus the
-    minimized implementation (the final ESPRESSO run also draws on
+(** [report ?ctx ?bits ?budget ?fallback machine algo] is [encode] plus
+    the minimized implementation (the final ESPRESSO run also draws on
     [budget] — an exhausted budget yields a valid but less-minimized
-    cover). *)
+    cover; with [ctx], it is {!implement}). *)
 val report :
+  ?ctx:context ->
   ?bits:int ->
   ?budget:Budget.t ->
   ?fallback:bool ->

@@ -26,21 +26,22 @@ let totals ppf label pairs =
 
 (* Everything the tables print about one machine. Every encoding the
    driver can express comes from [Driver.report] with its default
-   unlimited budget and fallback, the same call [nova encode] makes.
-   Three computations need parameters the driver does not take and stay
-   direct calls: iexact (Tables II and VI print its [proven] flag), the
-   seeded random pool, and the multi-start ihybrid runs behind "best of
-   NOVA". ESPRESSO runs and factored-literal counts are memoized by code
-   array. *)
+   unlimited budget and fallback, the same call [nova encode] makes, on
+   the machine's driver context: the symbolic minimization, the input
+   constraints and the ESPRESSO run of each code array are computed
+   once per machine, by whichever table asks first. Three computations
+   need parameters the driver does not take and stay direct calls on
+   the context's constraints: iexact (Tables II and VI print its
+   [proven] flag), the seeded random pool, and the multi-start ihybrid
+   runs behind "best of NOVA". Factored-literal counts are memoized by
+   code array. *)
 type machine = {
   fsm : Fsm.t;
-  ics : Constraints.input_constraint list Lazy.t;
+  ctx : Driver.context;
   iexact : Iexact.outcome Lazy.t;
   randoms : Encoding.t list Lazy.t;  (** the paper's random-assignment pool *)
   restarts : Encoding.t list Lazy.t;  (** ihybrid with [order_seed] 1-3 *)
-  reports : (Driver.algorithm, Driver.outcome * float) Hashtbl.t;
-      (** each driver outcome with the wall seconds of its call *)
-  impls : (int * int array, Encoded.result) Hashtbl.t;
+  reports : (Driver.algorithm, Driver.outcome) Hashtbl.t;
   lits : (int * int array, int) Hashtbl.t;
 }
 
@@ -51,13 +52,14 @@ let num_random_runs = 8
 let make name =
   let fsm = Benchmarks.Suite.find name in
   let n = Fsm.num_states ~m:fsm in
-  let ics = lazy (Constraints.of_symbolic (Symbolic.of_fsm fsm)) in
+  let ctx = Driver.context fsm in
+  let ics () = Driver.input_constraints ctx in
   let groups () =
-    List.map (fun (ic : Constraints.input_constraint) -> ic.Constraints.states) (Lazy.force ics)
+    List.map (fun (ic : Constraints.input_constraint) -> ic.Constraints.states) (ics ())
   in
   {
     fsm;
-    ics;
+    ctx;
     iexact = lazy (Iexact.iexact_code ~num_states:n ~max_work:Driver.iexact_max_work (groups ()));
     randoms =
       lazy
@@ -68,11 +70,9 @@ let make name =
     restarts =
       lazy
         (List.map
-           (fun os ->
-             (Ihybrid.ihybrid_code ~num_states:n ~order_seed:os (Lazy.force ics)).Ihybrid.encoding)
+           (fun os -> (Ihybrid.ihybrid_code ~num_states:n ~order_seed:os (ics ())).Ihybrid.encoding)
            [ 1; 2; 3 ]);
     reports = Hashtbl.create 11;
-    impls = Hashtbl.create 31;
     lits = Hashtbl.create 7;
   }
 
@@ -104,21 +104,17 @@ let memo tbl key compute =
 
 let key (e : Encoding.t) = (e.Encoding.nbits, e.Encoding.codes)
 
-let report mc algo =
-  memo mc.reports algo @@ fun () ->
-  let t0 = Unix.gettimeofday () in
-  match Driver.report mc.fsm algo with
+let driver_report ctx (m : Fsm.t) algo =
+  match Driver.report ~ctx m algo with
   | Error err ->
       failwith
-        (Printf.sprintf "Tables: %s on %s: %s" (Driver.name algo) mc.fsm.Fsm.name
+        (Printf.sprintf "Tables: %s on %s: %s" (Driver.name algo) m.Fsm.name
            (Nova_error.to_string err))
-  | Ok (o, impl) ->
-      let wall = Unix.gettimeofday () -. t0 in
-      Hashtbl.replace mc.impls (key o.Driver.encoding) impl;
-      (o, wall)
+  | Ok (o, _) -> o
 
-let encoding mc algo = (fst (report mc algo)).Driver.encoding
-let implement mc e = memo mc.impls (key e) (fun () -> Encoded.implement mc.fsm e)
+let report mc algo = memo mc.reports algo (fun () -> driver_report mc.ctx mc.fsm algo)
+let encoding mc algo = (report mc algo).Driver.encoding
+let implement mc e = Driver.implement mc.ctx e
 let area_of mc e = (implement mc e).Encoded.area
 
 let random_best_avg mc =
@@ -363,9 +359,11 @@ let table6 ?(quick = false) ppf () =
     (fun name ->
       with_machine name @@ fun mc ->
       (* wsat is the weight of the constraints ihybrid claims satisfied;
-         time is the wall clock of the whole driver call (constraints,
-         embedding and ESPRESSO). *)
-      let ih, time = report mc Driver.Ihybrid in
+         time is the wall clock of a cold driver call (constraints,
+         embedding and ESPRESSO), on a fresh context. *)
+      let t0 = Unix.gettimeofday () in
+      let ih = driver_report (Driver.context mc.fsm) mc.fsm Driver.Ihybrid in
+      let time = Unix.gettimeofday () -. t0 in
       let claimed = ih.Driver.claims.Check.claimed_ics in
       let wsat, wunsat =
         List.fold_left
@@ -373,7 +371,7 @@ let table6 ?(quick = false) ppf () =
             if List.exists (Bitvec.equal ic.Constraints.states) claimed then
               (s + ic.Constraints.weight, u)
             else (s, u + ic.Constraints.weight))
-          (0, 0) (Lazy.force mc.ics)
+          (0, 0) (Driver.input_constraints mc.ctx)
       in
       let clength = (encoding mc Driver.Kiss).Encoding.nbits in
       let ex_clength =

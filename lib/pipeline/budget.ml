@@ -126,3 +126,21 @@ let reason b =
   | None -> if at_cap b then Some Work else None
 
 let spent b = b.work
+
+let rec headroom b =
+  if b.deadline <> None || b.cancel <> None || Atomic.get b.tripped <> None then None
+  else
+    let own = match b.max_work with Some cap -> cap - b.work | None -> max_int in
+    match b.parent with
+    | None -> Some own
+    | Some p -> Option.map (min own) (headroom p)
+
+(* [bump] [n] times over. No poll-counter bookkeeping: below the
+   headroom no node of the chain has a deadline or a callback, so a poll
+   there observes nothing. *)
+let rec charge b n =
+  b.work <- b.work + n;
+  (match b.max_work with
+  | Some cap when b.work > cap -> trip b Work
+  | Some _ | None -> ());
+  match b.parent with Some p -> charge p n | None -> ()

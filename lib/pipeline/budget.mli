@@ -83,6 +83,21 @@ val reason : t -> reason option
 (** [spent b] is the work charged to [b] (including by sub-budgets). *)
 val spent : t -> int
 
+(** [headroom b] is how many more ticks [b] could take unobserved:
+    [None] when some node of its chain has a deadline, a cancellation
+    callback or has already tripped (ticks there poll a clock or a
+    callback, or see the trip), otherwise [Some h] with [h] the least
+    [cap - work] over the capped nodes of the chain ([max_int] when none
+    is capped). [n < h] ticks on such a budget can neither trip it nor
+    make {!exhausted} true, whatever they compute. *)
+val headroom : t -> int option
+
+(** [charge b n] books [n] ticks on [b] and every ancestor at once: the
+    work counters and cap trips of [n] {!tick}s. Meant for [n] below
+    [b]'s {!headroom}, where those ticks trip nothing and poll nothing
+    observable. *)
+val charge : t -> int -> unit
+
 (** Raised by pipeline stages that cannot return a degraded result when
     their budget runs out mid-flight (e.g. {!Out_encoder}); the driver
     converts it into [Nova_error.Budget_exhausted]. *)

@@ -32,14 +32,14 @@ let project_io sym c =
 
 type order = Largest_first | Smallest_first | Index_order
 
-let run ?(order = Largest_first) ?budget (sym : Symbolic.t) =
+let run ?(order = Largest_first) ?budget ?cover (sym : Symbolic.t) =
   let dom = sym.Symbolic.dom in
   let ns = Symbolic.num_states sym in
   let out_off = Domain.offset dom sym.Symbolic.output_var in
   let is_binary_part p = p >= ns in
   (* The input cover C: disjoint minimization, split so that every cube
      asserts at most one next state. *)
-  let c0 = Symbolic.minimize ?budget sym in
+  let c0 = match cover with Some c -> c | None -> Symbolic.minimize ?budget sym in
   let split_cube c =
     let next_parts =
       List.filter (fun i -> Bitvec.get c (out_off + i)) (List.init ns (fun i -> i))

@@ -33,8 +33,10 @@ type order =
   | Smallest_first
   | Index_order
 
-(** [run ?order sym] executes the symbolic minimization loop. *)
-val run : ?order:order -> ?budget:Budget.t -> Symbolic.t -> t
+(** [run ?order ?cover sym] executes the symbolic minimization loop.
+    Its input cover is [Symbolic.minimize ?budget sym], unless [cover]
+    passes that cover in already minimized. *)
+val run : ?order:order -> ?budget:Budget.t -> ?cover:Cover.t -> Symbolic.t -> t
 
 (** [upper_bound t] is the product-term cardinality of the final cover —
     the encoding-independent upper bound symbolic minimization promises

@@ -117,6 +117,24 @@ diff "$TMP/report-j1.txt" "$TMP/report-j2.txt" \
   || { echo "parallel report differs from sequential"; exit 1; }
 echo "  report --jobs 2 bit-identical to --jobs 1: ok"
 
+echo "== shared-minimization pin: one portfolio, one symbolic minimization =="
+# A portfolio run minimizes each machine's symbolic cover once and runs
+# ESPRESSO once per distinct encoding its tasks may share, so dk16's
+# seven tasks make 18 minimizer calls (22 when every task computed its
+# own). The count repeats under -j 2 only if a second domain waits on
+# the first one's once-cell instead of computing it again. The rows
+# themselves must not move: stdout is pinned byte for byte.
+for j in 1 2; do
+  $NOVA report -j "$j" --no-cache --instrument dk16 > "$TMP/report-dk16-j$j.txt" \
+    2> "$TMP/report-dk16-j$j.prom"
+  grep -qxF 'nova_events_total{event="espresso.minimize_calls"} 18' "$TMP/report-dk16-j$j.prom" \
+    || { echo "dk16 report -j $j: espresso.minimize_calls moved from 18"; \
+         grep minimize_calls "$TMP/report-dk16-j$j.prom"; exit 1; }
+  diff bench/report_dk16.expected "$TMP/report-dk16-j$j.txt" \
+    || { echo "dk16 report -j $j: rows moved"; exit 1; }
+done
+echo "  dk16 report: 18 minimizer calls under -j 1 and -j 2, rows unchanged: ok"
+
 echo "== cache smoke: warm run must hit and match the cold run =="
 $NOVA report --cache "$TMP/cache" lion dk15 > "$TMP/report-cold.txt" 2>/dev/null
 $NOVA report --cache "$TMP/cache" lion dk15 > "$TMP/report-warm.txt" 2> "$TMP/warm-stderr.txt"

@@ -36,6 +36,7 @@ let () =
       ("check-exact", Test_check_exact.suite);
       ("kiss-fuzz", Test_kiss_fuzz.suite);
       ("exec", Test_exec.suite);
+      ("portfolio-shared", Test_portfolio_shared.suite);
       ("chaos", Test_chaos.suite);
       ("trace", Test_trace.suite);
       ("scaling", Test_scaling.suite);

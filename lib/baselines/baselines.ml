@@ -1,13 +1,16 @@
-let kiss_encode ~num_states ?max_work ?budget ics =
+let kiss_encode ~num_states ?max_work ics =
   (* Room for projection up to one dimension per constraint guarantees
      full satisfaction (Proposition 4.2.1). *)
   let nbits_cap =
     min 60 (Ihybrid.min_code_length num_states + max 1 (List.length ics))
   in
+  (* A fresh root of its own: the shared [Budget.unlimited] would be
+     ticked by every pool domain at once. *)
+  let budget = Budget.create () in
   let r =
     match max_work with
-    | Some w -> Ihybrid.ihybrid_code ~num_states ~nbits:nbits_cap ~max_work:w ?budget ics
-    | None -> Ihybrid.ihybrid_code ~num_states ~nbits:nbits_cap ?budget ics
+    | Some w -> Ihybrid.ihybrid_code ~num_states ~nbits:nbits_cap ~max_work:w ~budget ics
+    | None -> Ihybrid.ihybrid_code ~num_states ~nbits:nbits_cap ~budget ics
   in
   r.Ihybrid.encoding
 

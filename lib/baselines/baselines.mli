@@ -14,14 +14,10 @@
 
 (** [kiss_encode ~num_states ics] returns an encoding satisfying every
     constraint in [ics] (possibly longer than the minimum length) and the
-    number of bits used. [budget] (default [Budget.unlimited]) is the one
-    its accretion search ticks. *)
+    number of bits used. It never runs out of budget: its accretion
+    search ticks a fresh root of its own. *)
 val kiss_encode :
-  num_states:int ->
-  ?max_work:int ->
-  ?budget:Budget.t ->
-  Constraints.input_constraint list ->
-  Encoding.t
+  num_states:int -> ?max_work:int -> Constraints.input_constraint list -> Encoding.t
 
 type mustang_flavor =
   | Fanout  (** [-n]: attraction between present states with common

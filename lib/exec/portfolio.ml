@@ -163,29 +163,22 @@ let restart_isolated ~policy ?cache ~ctxs tasks slots =
           run_one ~policy ?cache ~ctx:ctxs.(i) tasks.(i))
     slots
 
-(* One driver context per distinct machine of the task list, so its
-   tasks minimize the symbolic cover once and share equal-encoding
-   ESPRESSO runs. Machine values are told apart by physical equality
-   first and by [Job.machine_digest] after, and a digest is taken only
-   once a second machine value shows up: a one-machine portfolio never
-   prints its KISS2 text. The contexts live for this call only: a
-   process-wide memo would turn a repeated portfolio into lookups that
-   a one-shot [nova report] never gets. *)
+(* One driver context per machine value of the task list, so its tasks
+   minimize the symbolic cover once and share equal-encoding ESPRESSO
+   runs ([tasks_for] builds a machine's tasks on one value). The
+   contexts live for this call only: a process-wide memo would turn a
+   repeated portfolio into lookups that a one-shot [nova report] never
+   gets. *)
 let contexts tasks =
   let known = ref [] in
   Array.map
     (fun (task : Job.task) ->
       let m = task.Job.machine in
-      match List.find_opt (fun (m', _, _) -> m' == m) !known with
-      | Some (_, _, ctx) -> ctx
+      match List.assq_opt m !known with
+      | Some ctx -> ctx
       | None ->
-          let d = lazy (Job.machine_digest m) in
-          let ctx =
-            match List.find_opt (fun (_, d', _) -> Lazy.force d' = Lazy.force d) !known with
-            | Some (_, _, ctx) -> ctx
-            | None -> Harness.Driver.context m
-          in
-          known := (m, d, ctx) :: !known;
+          let ctx = Harness.Driver.context m in
+          known := (m, ctx) :: !known;
           ctx)
     tasks
 

@@ -243,12 +243,7 @@ let run_rung ~budget ~bits ~num_states ~ics ~problem (m : Fsm.t) algo rung =
                         cl.Constraints.edges)
                     r.Iohybrid.sat_clusters;
               } )
-    | Rung_kiss ->
-        (* A baseline never runs out of budget: its search ticks a
-           fresh root of its own, not the shared [Budget.unlimited]. *)
-        Ok
-          ( Baselines.kiss_encode ~num_states ~budget:(Budget.create ()) (Lazy.force ics),
-            Check.no_claims )
+    | Rung_kiss -> Ok (Baselines.kiss_encode ~num_states (Lazy.force ics), Check.no_claims)
     | Rung_mustang ->
         let flavor, include_outputs =
           match algo with Mustang (f, o) -> (f, o) | _ -> (Baselines.Fanout, true)
@@ -285,7 +280,7 @@ let force cell f =
       v
 
 (* What every task of one machine can share. A budgeted value is kept
-   with the ticks [t] it took under a fresh uncapped root. *)
+   with the ticks [t] it took. *)
 type context = {
   machine : Fsm.t;
   sym : Symbolic.t once;
@@ -300,52 +295,52 @@ let context machine =
   { machine; sym = once (); mv = once (); ics = once (); impls = Hashtbl.create 7;
     impls_lock = Mutex.create () }
 
-(* A context serves only its own machine: another machine, even one with
-   the same KISS2 text but its states in another order, computes
-   without it. *)
+(* A context serves only the machine value it was made for. *)
 let usable ctx (m : Fsm.t) =
-  match ctx with
-  | Some c
-    when c.machine == m
-         || c.machine.Fsm.num_inputs = m.Fsm.num_inputs
-            && c.machine.Fsm.num_outputs = m.Fsm.num_outputs
-            && c.machine.Fsm.states = m.Fsm.states
-            && c.machine.Fsm.transitions = m.Fsm.transitions ->
-      Some c
-  | Some _ | None -> None
+  match ctx with Some c when c.machine == m -> ctx | Some _ | None -> None
 
-let metered f =
-  let b = Budget.create () in
-  let v = f b in
-  (v, Budget.spent b)
+(* The tick rule: [share budget cell f] is [f budget] and whether it is
+   the cell's value. A value that took [t] ticks is reused on [budget]
+   only when [t] ticks there could neither trip it nor be observed: no
+   deadline, callback or trip on its chain, and more than [t] work left
+   on every cap ({!Budget.headroom}); those [t] ticks are then charged
+   instead. An empty cell is filled by the first such asker, under the
+   cell's lock, running [f] on an uncapped child of [budget]: its ticks
+   are those of the private run. The value is stored only if they left
+   headroom, so a run its cap cut short stays that asker's own result.
+   Each asker thus computes at most once, bounded by its own caps. *)
+let share budget cell f =
+  match Budget.headroom budget with
+  | Some h when h > 0 -> (
+      Mutex.lock cell.lock;
+      match cell.value with
+      | Some (v, t) ->
+          Mutex.unlock cell.lock;
+          if t < h then begin
+            Budget.charge budget t;
+            (v, true)
+          end
+          else (f budget, false)
+      | None ->
+          Fun.protect ~finally:(fun () -> Mutex.unlock cell.lock) @@ fun () ->
+          let b = Budget.sub budget in
+          let v = f b in
+          let fits = match Budget.headroom budget with Some h' -> h' > 0 | None -> false in
+          if fits then cell.value <- Some (v, Budget.spent b);
+          (v, fits))
+  | Some _ | None -> (f budget, false)
 
 let symbolic c = force c.sym (fun () -> Symbolic.of_fsm c.machine)
-let mv_cover c = force c.mv (fun () -> metered (fun b -> Symbolic.minimize ~budget:b (symbolic c)))
+let mv_cover budget c = share budget c.mv (fun b -> Symbolic.minimize ~budget:b (symbolic c))
 
-let shared_ics c =
-  let cover, t = mv_cover c in
-  (force c.ics (fun () -> Constraints.of_cover (symbolic c) cover), t)
+(* [Constraints.of_symbolic ~budget], with the shared cover's
+   constraints extracted once. *)
+let constraints budget c =
+  let cover, shared = mv_cover budget c in
+  let of_cover () = Constraints.of_cover (symbolic c) cover in
+  if shared then force c.ics of_cover else of_cover ()
 
-let input_constraints c = fst (shared_ics c)
-
-(* The tick rule. A value that took [t] ticks is reused on [budget] only
-   when [t] ticks there could neither trip it nor be observed: no
-   deadline, callback or trip on its chain, and more than [t] work left
-   on every cap ({!Budget.headroom}). The private run would then tick
-   exactly [t] times and compute the same value, so those ticks are
-   charged instead. Otherwise the value is computed privately, under
-   [budget], as without a context; a budget with no headroom at all
-   does so without forcing the shared cell. *)
-let reuse budget ~shared ~private_ =
-  match Budget.headroom budget with
-  | Some h when h > 0 ->
-      let v, t = shared () in
-      if t < h then begin
-        Budget.charge budget t;
-        v
-      end
-      else private_ ()
-  | Some _ | None -> private_ ()
+let input_constraints c = constraints (Budget.create ()) c
 
 let implement ?budget c (e : Encoding.t) =
   let cell =
@@ -358,12 +353,8 @@ let implement ?budget c (e : Encoding.t) =
         Hashtbl.add c.impls (e.Encoding.nbits, Array.copy e.Encoding.codes) cell;
         cell
   in
-  let shared () =
-    force cell (fun () -> metered (fun b -> Encoded.implement ~budget:b c.machine e))
-  in
-  match budget with
-  | None -> fst (shared ())
-  | Some b -> reuse b ~shared ~private_:(fun () -> Encoded.implement ~budget:b c.machine e)
+  let budget = match budget with Some b -> b | None -> Budget.create () in
+  fst (share budget cell (fun b -> Encoded.implement ~budget:b c.machine e))
 
 (* The root span of one encoding run. Its machine/algorithm attributes
    flow down by inheritance to every rung, stage, espresso-phase and
@@ -378,37 +369,27 @@ let encode_end_attrs = function
       ]
   | Error err -> [ ("error", Trace.String (Nova_error.to_string err)) ]
 
-let encode ?ctx ?bits ?(budget = Budget.unlimited) ?(fallback = true) (m : Fsm.t) algo =
+(* [encode] with [ctx] already checked against [m] by {!usable}. *)
+let encode_in ctx ?bits ?(budget = Budget.unlimited) ?(fallback = true) (m : Fsm.t) algo =
   Metrics.span s_encode ~end_attrs:encode_end_attrs
     ~attrs:[ ("machine", Trace.String m.Fsm.name); ("algorithm", Trace.String (name algo)) ]
   @@ fun () ->
   let num_states = Fsm.num_states ~m in
-  let ctx = usable ctx m in
   (* Shared upstream artifacts, computed at most once per call whatever
      rung (or rungs) the ladder visits; with a context, at most once per
      machine under the tick rule. *)
   let sym = lazy (match ctx with Some c -> symbolic c | None -> Symbolic.of_fsm m) in
-  let own_ics () = Constraints.of_symbolic ~budget (Lazy.force sym) in
   let ics =
     lazy
       (Metrics.span s_constraints (fun () ->
            match ctx with
-           | Some c -> reuse budget ~shared:(fun () -> shared_ics c) ~private_:own_ics
-           | None -> own_ics ()))
+           | Some c -> constraints budget c
+           | None -> Constraints.of_symbolic ~budget (Lazy.force sym)))
   in
   let problem =
     lazy
       (Metrics.span s_symbolic_min (fun () ->
-           let cover =
-             match ctx with
-             | Some c ->
-                 reuse budget
-                   ~shared:(fun () ->
-                     let cover, t = mv_cover c in
-                     (Some cover, t))
-                   ~private_:(fun () -> None)
-             | None -> None
-           in
+           let cover = Option.map (fun c -> fst (mv_cover budget c)) ctx in
            (Symbmin.run ~budget ?cover (Lazy.force sym)).Symbmin.problem))
   in
   let rung_end_attrs r =
@@ -451,9 +432,12 @@ let encode ?ctx ?bits ?(budget = Budget.unlimited) ?(fallback = true) (m : Fsm.t
   in
   descend [] (ladder ~fallback algo)
 
+let encode ?ctx ?bits ?budget ?fallback m algo =
+  encode_in (usable ctx m) ?bits ?budget ?fallback m algo
+
 let report ?ctx ?bits ?budget ?fallback m algo =
   let ctx = usable ctx m in
-  match encode ?ctx ?bits ?budget ?fallback m algo with
+  match encode_in ctx ?bits ?budget ?fallback m algo with
   | Error err -> Error err
   | Ok outcome ->
       let impl =

@@ -97,31 +97,35 @@ val iexact_max_work : int
     from it, and one ESPRESSO result (with its ticks) per encoding
     [(nbits, codes)]. A cell is forced on first use, never before.
 
-    {b The tick rule}: a shared value is computed once, under a fresh
-    uncapped root budget. A call reuses it only when its own budget has
-    no deadline, no cancellation callback and no trip anywhere on its
-    chain, and strictly more than [T] work left on its cap and on every
-    ancestor's ({!Budget.headroom}); it then charges those [T] ticks to
-    its budget ({!Budget.charge}). Otherwise it computes privately, as
-    without a context. Either way the outcome, the implementation and
-    [Budget.spent] are those of a context-free call. A budget another
-    domain may {!Budget.cancel} must not be used with a context: a
-    cancel landing mid-computation is observed privately, never by a
-    reused value. *)
+    {b The tick rule}: a call reuses a value that took [T] ticks only
+    when its own budget has no deadline, no cancellation callback and no
+    trip anywhere on its chain, and strictly more than [T] work left on
+    its cap and on every ancestor's ({!Budget.headroom}); it then charges
+    those [T] ticks to its budget ({!Budget.charge}). An empty cell is
+    filled by the first such call, which computes on an uncapped child of
+    its own budget, so its ticks and its trip point are those of the
+    context-free call; the value is kept only if it left headroom, so a
+    run cut short by its cap is never shared. Any other call computes
+    privately, as without a context. Either way each call computes at
+    most once, bounded by its own caps, and the outcome, the
+    implementation and [Budget.spent] are those of a context-free call.
+    A budget another domain may {!Budget.cancel} must not be used with a
+    context: a cancel landing while a call reuses a value is not
+    observed. *)
 type context
 
-(** [context m] is an empty context for machine [m]. A call with
-    another machine ignores it (even one with the same KISS2 text, whose
-    states may be numbered differently). *)
+(** [context m] is an empty context for the machine value [m]. A call
+    with any other machine value ignores it, even an equal one. *)
 val context : Fsm.t -> context
 
-(** [input_constraints c] is the shared [Constraints.of_symbolic
-    (Symbolic.of_fsm m)] of [c]'s machine, computed without a cap. *)
+(** [input_constraints c] is [Constraints.of_symbolic (Symbolic.of_fsm m)]
+    for [c]'s machine [m], computed without a cap and shared. *)
 val input_constraints : context -> Constraints.input_constraint list
 
 (** [implement ?budget c e] is [Encoded.implement ?budget m e] for
     [c]'s machine [m], sharing one ESPRESSO run per encoding under the
-    tick rule (an unbudgeted call always shares: it never ticks). *)
+    tick rule (an unbudgeted call runs on a fresh uncapped root, so it
+    always shares). *)
 val implement : ?budget:Budget.t -> context -> Encoding.t -> Encoded.result
 
 (** [encode ?ctx ?bits ?budget ?fallback machine algo] runs the algorithm.

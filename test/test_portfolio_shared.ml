@@ -192,6 +192,43 @@ let test_tick_boundary_espresso () =
   ignore (cubes t);
   check_int "a reused run is the full minimization" full.Encoded.num_cubes (cubes (t + 1))
 
+(* A capped asker finding an empty cell computes once, on its own
+   chain, exactly as without a context; when its cap cuts that run short
+   the cell stays empty, so a later uncapped asker gets the full value. *)
+let test_cut_short_not_shared () =
+  let calls f =
+    let c0 = minimize_calls () in
+    let v = f () in
+    (v, minimize_calls () - c0)
+  in
+  let one_computation ctx (t : Exec.Job.task) =
+    let b0 = task_budget t and b1 = task_budget t in
+    let r0, free = calls (fun () -> Exec.Job.run ~budget:b0 t) in
+    let r1, shared = calls (fun () -> Exec.Job.run ~budget:b1 ~ctx t) in
+    check (label t ^ ": same row") true (same_result r0 r1);
+    check_int (label t ^ ": same spent") (Budget.spent b0) (Budget.spent b1);
+    check_int (label t ^ ": as many ESPRESSO runs as without a context") free shared
+  in
+  let m = Benchmarks.Suite.find "scud" in
+  let sym = Symbolic.of_fsm m in
+  let _, t = metered (fun budget -> Symbolic.minimize ~budget sym) in
+  let ctx = Harness.Driver.context m in
+  one_computation ctx (Exec.Job.task ~max_work:(t / 2) m Harness.Driver.Iexact);
+  check "the truncated MV cover was not kept" true
+    (Harness.Driver.input_constraints ctx = Constraints.of_symbolic sym);
+  let m = Benchmarks.Suite.find "shiftreg" in
+  let b = Budget.create () in
+  let outcome =
+    match Harness.Driver.encode ~budget:b m Harness.Driver.Iexact with
+    | Ok o -> o
+    | Error e -> Alcotest.fail (Nova_error.to_string e)
+  in
+  let full, t = metered (fun budget -> Encoded.implement ~budget m outcome.Harness.Driver.encoding) in
+  let ctx = Harness.Driver.context m in
+  one_computation ctx (Exec.Job.task ~max_work:(Budget.spent b + (t / 2)) m Harness.Driver.Iexact);
+  check_int "the truncated ESPRESSO run was not kept" full.Encoded.num_cubes
+    (Harness.Driver.implement ctx outcome.Harness.Driver.encoding).Encoded.num_cubes
+
 (* dk16's capped iexact degrades to igreedy on a drained budget: its
    ESPRESSO is cut short, so it must never reuse a full minimization of
    its encoding (which another task, or an unbudgeted call, shares). *)
@@ -230,6 +267,8 @@ let suite =
     Alcotest.test_case "shared: cells forced once, never on hits" `Quick test_cells_forced_once;
     Alcotest.test_case "shared: tick boundary, MV cover" `Quick test_tick_boundary_mv_cover;
     Alcotest.test_case "shared: tick boundary, ESPRESSO" `Quick test_tick_boundary_espresso;
+    Alcotest.test_case "shared: a run cut short computes once, keeps nothing" `Quick
+      test_cut_short_not_shared;
     Alcotest.test_case "shared: dk16 iexact never reuses igreedy's ESPRESSO" `Quick
       test_dk16_drained_iexact;
   ]

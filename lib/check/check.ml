@@ -150,16 +150,13 @@ let check_covering (m : Fsm.t) a () =
 (* The off-set is exactly the complement of on-set + DC-set, so staying
    inside on-set + DC-set is meeting no off cube: pairwise, no
    tautology. *)
-let check_containment (enc : Encoded.t) a () =
-  let dom = enc.Encoded.dom in
+let check_containment (dom, (on : Cover.t), (off : Cover.t)) a () =
   if not (Domain.equal a.cover.Cover.dom dom) then
     (false, "cover domain does not match the encoded machine's domain")
-  else if not (Cover.covers a.cover enc.Encoded.on) then
+  else if not (Cover.covers a.cover on) then
     (false, "a specified on-set point is not covered")
   else if
-    List.exists
-      (fun c -> List.exists (Cube.intersects dom c) enc.Encoded.off.Cover.cubes)
-      a.cover.Cover.cubes
+    List.exists (fun c -> List.exists (Cube.intersects dom c) off.Cover.cubes) a.cover.Cover.cubes
   then (false, "the cover asserts a point outside on-set + DC-set")
   else (true, "")
 
@@ -313,12 +310,12 @@ let certify (m : Fsm.t) a =
       (* The code array is now known injective and in range, so the
          validating constructor cannot refuse it. *)
       let e = Encoding.make ~nbits:a.nbits a.codes in
-      let encoded = Encoded.build m e in
+      let on_off = Encoded.on_off m e in
       structural
       @ [
           run_check Face_constraints (check_faces m e a);
           run_check Output_covering (check_covering m a);
-          run_check Cover_containment (check_containment encoded a);
+          run_check Cover_containment (check_containment on_off a);
           run_check Trace_equivalence (check_traces m a);
         ]
     end

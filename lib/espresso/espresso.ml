@@ -31,6 +31,34 @@ let phase s (cover : Cover.t) f =
 let drained = function None -> false | Some b -> Budget.exhausted b
 let charge = function None -> () | Some b -> ignore (Budget.tick b)
 
+(* The off-set side of EXPAND, fixed for a whole minimization: the off
+   cubes, for each bit the off cubes that have it (in increasing order)
+   and each bit's variable. *)
+type tables = { offs : Bitvec.t array; has : int array array; var_of : int array }
+
+let tables (off : Cover.t) =
+  let dom = off.Cover.dom in
+  let width = Domain.width dom in
+  let offs = Array.of_list off.Cover.cubes in
+  (* One sweep counts the off cubes per bit, a second files them. *)
+  let fill = Array.make width 0 in
+  Array.iter (Bitvec.iter (fun i -> fill.(i) <- fill.(i) + 1)) offs;
+  let has = Array.map (fun n -> Array.make n 0) fill in
+  Array.fill fill 0 width 0;
+  Array.iteri
+    (fun k o ->
+      Bitvec.iter
+        (fun i ->
+          has.(i).(fill.(i)) <- k;
+          fill.(i) <- fill.(i) + 1)
+        o)
+    offs;
+  let var_of = Array.make width 0 in
+  for v = 0 to Domain.num_vars dom - 1 do
+    Array.fill var_of (Domain.offset dom v) (Domain.size dom v) v
+  done;
+  { offs; has; var_of }
+
 (* Expand one cube to a prime: repeatedly raise bits, preferring bits set
    in many of the not-yet-covered companion cubes so that the expansion
    swallows as much of the rest of the cover as possible. A raise is
@@ -39,81 +67,106 @@ let charge = function None -> () | Some b -> ignore (Budget.tick b)
    of variables on which the cube and off cube [k] are disjoint, so
    raising bit [i] of variable [v] makes it meet off cube [k] iff [k]
    has [i], is disjoint from the cube on [v] and has [blk.(k) = 1]. A
-   cube that already meets the off-set can never be raised. *)
-let expand_cube dom c ~offs ~has ~var_of ~companions ~passes ~raised =
-  let width = Domain.width dom in
+   cube that already meets the off-set can never be raised.
+
+   A rejected bit stays rejected: the off cube [k] that blocked it keeps
+   [blk.(k) = 1] and stays disjoint from the cube on [v], since a raise
+   that would change either is itself blocked by [k]. So one pass over
+   the candidates decides every raise. [passes] counts the pass that
+   would re-examine the rejects after a raise, too (2 when the cube
+   grew, else 1), so it counts what the classic loop until nothing
+   grows makes.
+
+   [score.(i)] is the number of companions with bit [i]: a column sum
+   the caller keeps over the companions as they leave. *)
+let expand_cube dom { offs; has; var_of } c ~score ~passes ~raised =
   let cur = Bitvec.copy c in
   let blk = Array.map (Cube.distance dom cur) offs in
   let raisable = Array.for_all (fun b -> b > 0) blk in
   let apart v k = not (Cube.var_intersects dom cur offs.(k) v) in
-  (* The companions never change within one expansion, so each candidate
-     bit is scored once up front; a raised bit enables re-examining the
-     earlier rejects, so passes repeat only while the cube still grows. *)
-  let score = Array.make width 0 in
-  List.iter (fun comp -> Bitvec.iter (fun i -> score.(i) <- score.(i) + 1) comp) companions;
-  let candidates =
-    List.init width (fun i -> i)
-    |> List.filter (fun i -> not (Bitvec.get cur i))
-    |> List.sort (fun a b -> compare score.(b) score.(a))
+  let blocked v ks =
+    let rec from j = j < Array.length ks && ((blk.(ks.(j)) = 1 && apart v ks.(j)) || from (j + 1)) in
+    from 0
   in
-  let improved = ref true in
-  while !improved do
-    improved := false;
-    incr passes;
-    List.iter
+  let grew = ref false in
+  if raisable then begin
+    (* The companions never change within one expansion, so each
+       candidate bit is scored once up front: an insertion sort, highest
+       score first and ties in bit order. *)
+    let candidates = Array.make (Domain.width dom) 0 and n = ref 0 in
+    Bitvec.iter
       (fun i ->
-        let v = var_of.(i) in
-        if raisable && (not (Bitvec.get cur i))
-           && not (Array.exists (fun k -> blk.(k) = 1 && apart v k) has.(i))
-        then begin
-          Array.iter (fun k -> if apart v k then blk.(k) <- blk.(k) - 1) has.(i);
-          Bitvec.set cur i;
-          improved := true;
-          incr raised
-        end)
-      candidates
-  done;
+        let j = ref !n in
+        while !j > 0 && score.(candidates.(!j - 1)) < score.(i) do
+          candidates.(!j) <- candidates.(!j - 1);
+          decr j
+        done;
+        candidates.(!j) <- i;
+        incr n)
+      (Bitvec.complement cur);
+    for j = 0 to !n - 1 do
+      let i = candidates.(j) in
+      let v = var_of.(i) and ks = has.(i) in
+      if not (blocked v ks) then begin
+        Array.iter (fun k -> if apart v k then blk.(k) <- blk.(k) - 1) ks;
+        Bitvec.set cur i;
+        grew := true;
+        incr raised
+      end
+    done
+  end;
+  passes := !passes + if !grew then 2 else 1;
   cur
 
-let expand ?budget (cover : Cover.t) ~(off : Cover.t) =
+let expand_with ?budget tables (cover : Cover.t) =
   phase s_expand cover @@ fun () ->
   let dom = cover.Cover.dom in
+  let width = Domain.width dom in
   let passes = ref 0 and raised = ref 0 in
   Fun.protect ~finally:(fun () ->
       Metrics.Registry.add c_expand_passes !passes;
       Metrics.Registry.add c_expand_raises !raised)
   @@ fun () ->
-  let offs = Array.of_list off.Cover.cubes in
-  let ks = List.init (Array.length offs) Fun.id in
-  (* For each bit, the off cubes that have it. *)
-  let has =
-    Array.init (Domain.width dom) (fun i ->
-        Array.of_list (List.filter (fun k -> Bitvec.get offs.(k) i) ks))
-  in
-  let var_of = Array.make (Domain.width dom) 0 in
-  for v = 0 to Domain.num_vars dom - 1 do
-    Array.fill var_of (Domain.offset dom v) (Domain.size dom v) v
-  done;
   (* Fewest-literal (largest) cubes first: their expansions swallow the
-     most companions, shrinking the list early. *)
+     most companions, shrinking the list early. The sort is stable. *)
   let ordered =
-    List.sort (fun a b -> compare (Cube.num_literal_bits dom a) (Cube.num_literal_bits dom b)) cover.Cover.cubes
+    List.map (fun c -> (Cube.num_literal_bits dom c, c)) cover.Cover.cubes
+    |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
+    |> List.map snd
   in
+  (* Column sums over the cubes not yet taken up: a cube leaves them
+     when it is expanded, skipped or swallowed, so at each expansion they
+     count exactly the companions still to come. *)
+  let score = Array.make width 0 in
+  let count d c = Bitvec.iter (fun i -> score.(i) <- score.(i) + d) c in
+  List.iter (count 1) ordered;
   let rec loop acc = function
     | [] -> List.rev acc
     | c :: rest ->
         (* Out of budget: the remaining cubes stay unexpanded — still a
            valid cover of the same function, just not prime. *)
         if drained budget then List.rev_append acc (c :: rest)
-        else if List.exists (fun e -> Cube.contains e c) acc then loop acc rest
         else begin
-          charge budget;
-          let e = expand_cube dom c ~offs ~has ~var_of ~companions:rest ~passes ~raised in
-          let rest = List.filter (fun r -> not (Cube.contains e r)) rest in
-          loop (e :: acc) rest
+          count (-1) c;
+          if List.exists (fun e -> Cube.contains e c) acc then loop acc rest
+          else begin
+            charge budget;
+            let e = expand_cube dom tables c ~score ~passes ~raised in
+            let rest =
+              List.filter
+                (fun r ->
+                  let swallowed = Cube.contains e r in
+                  if swallowed then count (-1) r;
+                  not swallowed)
+                rest
+            in
+            loop (e :: acc) rest
+          end
         end
   in
   Cover.make dom (loop [] ordered)
+
+let expand ?budget cover ~off = expand_with ?budget (tables off) cover
 
 (* The questions below are asked of covers disjoint from the off-set,
    and answered on the care set alone. For such a cube [c] and any cover
@@ -192,11 +245,41 @@ let essential_primes ?budget (cover : Cover.t) ~(care : Cover.t) =
   in
   Cover.make dom (List.filter essential cover.Cover.cubes)
 
+(* The set-aside of [minimize_off], read off IRREDUNDANT's verdicts
+   instead of asked again. IRREDUNDANT keeps a cube only when the rest
+   of the cover (the cubes kept before it and all those still pending)
+   misses one of its care points, and afterwards the rest only shrinks;
+   so in a cover IRREDUNDANT has finished, every cube covers a care
+   point no other cube does, and {!essential_primes} would return all of
+   them (a cover it has not finished means a drained budget, for which
+   that returns none). The budget sees what [essential_primes] does: one
+   pre-check per cube and one tick per cube until it drains, so the
+   work counted and the point of a cap trip do not move. Returns the
+   essential cubes and the rest, each in cover order. *)
+let set_aside ?budget (f : Cover.t) =
+  let dom = f.Cover.dom in
+  let rest = ref [] in
+  let ess =
+    phase s_essential f @@ fun () ->
+    let ess, r =
+      List.partition
+        (fun _ ->
+          (not (drained budget))
+          &&
+          (charge budget;
+           true))
+        f.Cover.cubes
+    in
+    rest := r;
+    Cover.make dom ess
+  in
+  (ess, Cover.make dom !rest)
+
 let cost (c : Cover.t) = (Cover.size c, Cover.literal_cost c)
 
 (* REDUCE ; EXPAND ; IRREDUNDANT from the prime irredundant cover [f]
    while the cost falls. *)
-let improve ?budget ~off ~care f =
+let improve ?budget ~tables ~care f =
   let best = ref f in
   (* The cost of the incumbent only changes when it is replaced: keep
      it hoisted out of the loop instead of recomputing per iteration. *)
@@ -207,7 +290,7 @@ let improve ?budget ~off ~care f =
     incr iterations;
     Metrics.Registry.inc c_reduce_iterations;
     let f = reduce ?budget !best ~care in
-    let f = expand ?budget f ~off in
+    let f = expand_with ?budget tables f in
     let f = irredundant ?budget f ~care in
     let fc = cost f in
     (* A budget-truncated pass can leave reduced (non-prime) cubes in
@@ -224,25 +307,22 @@ let improve ?budget ~off ~care f =
 let minimize_off ?budget ~(off : Cover.t) ~(care : Cover.t) (on : Cover.t) =
   Metrics.Registry.inc c_minimize_calls;
   phase s_minimize on @@ fun () ->
-  let dom = on.Cover.dom in
   let f = Cover.single_cube_containment on in
   if f.Cover.cubes = [] || drained budget then f
     (* An exhausted budget degrades to single-cube containment of the
        on-set: always a valid cover, computed in linear passes. *)
   else begin
-    let f = expand ?budget f ~off in
+    let tables = tables off in
+    let f = expand_with ?budget tables f in
     let f = irredundant ?budget f ~care in
     (* Set the essential primes aside: they are in every solution, so the
        iteration only has to improve the rest, on the care points they
-       leave (computed only when the iteration runs). *)
-    let ess = essential_primes ?budget f ~care in
-    let f =
-      Cover.make dom
-        (List.filter (fun c -> not (List.exists (Cube.equal c) ess.Cover.cubes)) f.Cover.cubes)
-    in
+       leave (computed only when the iteration runs). IRREDUNDANT has
+       just decided which cubes they are. *)
+    let ess, f = set_aside ?budget f in
     let best =
       if f.Cover.cubes = [] || drained budget then f
-      else improve ?budget ~off ~care:(Cover.diff care ess) f
+      else improve ?budget ~tables ~care:(Cover.diff care ess) f
     in
     Cover.single_cube_containment (Cover.union ess best)
   end
@@ -255,4 +335,7 @@ let minimize_care ?budget ~(off : Cover.t) (on : Cover.t) =
   phase s_minimize on @@ fun () ->
   let f = Cover.single_cube_containment on in
   if f.Cover.cubes = [] || drained budget then f
-  else improve ?budget ~off ~care:on (irredundant ?budget (expand ?budget f ~off) ~care:on)
+  else begin
+    let tables = tables off in
+    improve ?budget ~tables ~care:on (irredundant ?budget (expand_with ?budget tables f) ~care:on)
+  end

@@ -4,9 +4,10 @@
     {[ EXPAND ; IRREDUNDANT ; loop (REDUCE ; EXPAND ; IRREDUNDANT) ]}
     over covers with an explicit off-set, in the formulation of Brayton
     et al. (Logic Minimization Algorithms for VLSI Synthesis, 1984):
-    EXPAND tests raises with blocking counts against the off-set, and
-    IRREDUNDANT, REDUCE and ESSENTIAL_PRIMES ask their questions on the
-    care set (the on-set points no don't-care covers). Multiple-output
+    EXPAND tests raises with blocking counts against the off-set, from
+    tables built once per minimization, and IRREDUNDANT, REDUCE and
+    ESSENTIAL_PRIMES ask their questions on the care set (the on-set
+    points no don't-care covers). Multiple-output
     functions are handled by the characteristic-function encoding of
     {!Logic.Cover} (the output is the last multiple-valued variable of
     the domain), which is exactly ESPRESSO-MV's positional treatment of
@@ -46,14 +47,24 @@ val reduce : ?budget:Budget.t -> Cover.t -> care:Cover.t -> Cover.t
 (** [essential_primes cover ~care] returns the cubes of [cover] covering
     some care point no other cube covers. Essential primes belong to
     every prime irredundant cover, so the minimization loop can set them
-    aside (classic ESPRESSO ESSENTIAL_PRIMES step). *)
+    aside (classic ESPRESSO ESSENTIAL_PRIMES step). On a cover
+    {!irredundant} has finished it returns every cube, since a kept cube
+    misses a care point of the rest and the rest only shrinks after it
+    is kept; {!minimize_off} therefore reads its set-aside off
+    IRREDUNDANT's verdicts instead of calling this, and ticks the budget
+    the same way. Brayton et al.'s test, on the consensus of the other
+    primes, is a different question (see ROADMAP). *)
 val essential_primes : ?budget:Budget.t -> Cover.t -> care:Cover.t -> Cover.t
 
 (** [minimize_off ~off ~care on] is a minimal cover [g] with
     [care <= g] and [g] disjoint from [off], for an on-set [on] whose
     don't-care set is everything outside [off] and [care]: [off] must be
     exactly [¬(on ∪ dc)] and [care] exactly [on ∖ dc], in any cube
-    representation. With [budget], every per-cube step of the
+    representation. After the first EXPAND and IRREDUNDANT it sets
+    every cube IRREDUNDANT kept aside as essential (what
+    {!essential_primes} returns on that cover) and iterates on the rest,
+    which is empty unless the budget drained during the set-aside.
+    With [budget], every per-cube step of the
     expand/irredundant/reduce loop pre-checks it: an exhausted budget
     (work cap, wall-clock deadline or cancellation) interrupts the
     iteration and the best valid cover found so far is returned —

@@ -48,15 +48,18 @@ let origin_name = function
   | Job.Cancelled_by_race -> "cancelled"
 
 (* Every finished row counts into the metrics registry by origin and
-   outcome; job granularity, so the labeled-counter lookup is cheap
-   relative to the work it labels. *)
+   outcome, each series interned on its first row. *)
+let m_jobs =
+  Metrics.interned (fun (origin, outcome) ->
+      Metrics.Registry.counter ~help:"Portfolio jobs by origin and outcome."
+        ~labels:[ ("origin", origin); ("outcome", outcome) ]
+        "nova_portfolio_jobs_total")
+
 let count_row (row : Job.row) =
   Metrics.Registry.inc
-    (Metrics.Registry.counter ~help:"Portfolio jobs by origin and outcome."
-       ~labels:
-         [ ("origin", origin_name row.Job.origin);
-           ("outcome", match row.Job.result with Ok _ -> "ok" | Error _ -> "error") ]
-       "nova_portfolio_jobs_total");
+    (m_jobs
+       ( origin_name row.Job.origin,
+         match row.Job.result with Ok _ -> "ok" | Error _ -> "error" ));
   row
 
 (* Sequential fallback: a domain pool on a machine without spare cores

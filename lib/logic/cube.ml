@@ -111,10 +111,23 @@ let supercube a b = Bitvec.union a b
 let cofactor d c ~wrt =
   if intersects d c wrt then Some (Bitvec.union c (Bitvec.complement wrt)) else None
 
+(* Word by word for the 2-part fields: with [x = a ∩ b], a field whose
+   low bit is [p] is disjoint iff bits [p] and [p+1] of [x] are both
+   clear, i.e. bit [p] of [x lor (x lsr 1)] is; one popcount per word
+   counts them all. The other fields take the per-variable path. *)
 let distance d a b =
+  let low = Domain.pair_low d in
   let count = ref 0 in
-  for v = 0 to Domain.num_vars d - 1 do
-    if not (var_intersects d a b v) then incr count
+  for w = 0 to Array.length low - 1 do
+    let m = low.(w) in
+    if m <> 0 then begin
+      let x = Bitvec.word a w land Bitvec.word b w in
+      count := !count + Bitvec.popcount_word (lnot (x lor (x lsr 1)) land m)
+    end
+  done;
+  let others = Domain.other_vars d in
+  for j = 0 to Array.length others - 1 do
+    if not (var_intersects d a b others.(j)) then incr count
   done;
   !count
 

@@ -14,6 +14,12 @@ type t = {
      word boundary and callers must fall back to [var_words]/[var_masks]. *)
   var_word1 : int array;
   var_mask1 : int array;
+  (* Word-parallel layout of the 2-part (binary) variables:
+     [pair_low.(w)] has the low bit of every 2-part field lying in word
+     [w]; [other_vars] lists the variables it leaves out (fields of
+     other sizes, and 2-part fields straddling a word boundary). *)
+  pair_low : int array;
+  other_vars : int array;
 }
 
 let bpw = Bitvec.bits_per_word
@@ -50,7 +56,23 @@ let create sizes =
       var_mask1.(v) <- var_masks.(v).(0)
     end
   done;
-  { sizes = Array.copy sizes; offsets; width = !w; var_words; var_masks; var_word1; var_mask1 }
+  let pair_low = Array.make ((!w + bpw - 1) / bpw) 0 and other = ref [] in
+  for v = n - 1 downto 0 do
+    if sizes.(v) = 2 && var_word1.(v) >= 0 then
+      pair_low.(var_word1.(v)) <- pair_low.(var_word1.(v)) lor (1 lsl (offsets.(v) mod bpw))
+    else other := v :: !other
+  done;
+  {
+    sizes = Array.copy sizes;
+    offsets;
+    width = !w;
+    var_words;
+    var_masks;
+    var_word1;
+    var_mask1;
+    pair_low;
+    other_vars = Array.of_list !other;
+  }
 
 let num_vars d = Array.length d.sizes
 let size d v = d.sizes.(v)
@@ -60,6 +82,8 @@ let var_words d v = d.var_words.(v)
 let var_masks d v = d.var_masks.(v)
 let var_word1 d = d.var_word1
 let var_mask1 d = d.var_mask1
+let pair_low d = d.pair_low
+let other_vars d = d.other_vars
 let equal a b = a.sizes = b.sizes
 
 let num_minterms d =

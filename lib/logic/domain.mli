@@ -45,6 +45,16 @@ val var_word1 : t -> int array
 
 val var_mask1 : t -> int array
 
+(** [pair_low d] and [other_vars d] split the variables for word-parallel
+    field tests: [pair_low d .(w)] has the low bit of every 2-part field
+    that lies in word [w] (its high bit is the next one up), and
+    [other_vars d] lists, in increasing order, every variable left out —
+    fields of any other size and 2-part fields straddling a word
+    boundary. Shared arrays — do not mutate. *)
+val pair_low : t -> int array
+
+val other_vars : t -> int array
+
 (** [equal a b] holds iff the two domains have identical variable sizes. *)
 val equal : t -> t -> bool
 

@@ -24,6 +24,24 @@ let sections ~prefix names =
   List.iter (fun n -> Hashtbl.replace table n (section (prefix ^ n))) names;
   fun n -> match Hashtbl.find_opt table n with Some s -> s | None -> section (prefix ^ n)
 
+(* A lock-free memo: an immutable association list behind an atomic.
+   A miss interns through [make] and publishes with a CAS; two callers
+   racing on one fresh key both call [make], which the registry answers
+   with the same series. *)
+let interned make =
+  let seen = Atomic.make [] in
+  let rec publish k v =
+    let l = Atomic.get seen in
+    if not (Atomic.compare_and_set seen l ((k, v) :: l)) then publish k v
+  in
+  fun k ->
+    match List.assoc_opt k (Atomic.get seen) with
+    | Some v -> v
+    | None ->
+        let v = make k in
+        publish k v;
+        v
+
 let timed s f =
   let t0 = Unix.gettimeofday () in
   match f () with

@@ -37,6 +37,16 @@ val sections : prefix:string -> string list -> string -> section
     to its section, which takes no lock. A name outside the set is
     interned on first use. *)
 
+val interned : ('k -> 'a) -> 'k -> 'a
+(** [interned make] is [make] memoized per key, for a labeled series
+    whose label values are only known at the call site: the first call
+    with a key interns the series through [make] (a registry lookup,
+    which must be idempotent), and every later one reads it back without
+    a lock. Nothing is registered before its first use, so no zero
+    series appears that the traffic never touched. Safe across domains:
+    callers racing on a fresh key may both call [make] and get the same
+    series. Keys are compared structurally. *)
+
 val span :
   ?attrs:Trace.attrs -> ?end_attrs:('a -> Trace.attrs) -> section -> (unit -> 'a) -> 'a
 (** [span s f] runs [f ()], observing its wall-clock seconds (also when

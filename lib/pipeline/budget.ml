@@ -60,17 +60,19 @@ let derive ?deadline_ms ?max_work caps =
 
 let reason_name = function Work -> "work" | Deadline -> "deadline" | Cancelled -> "cancelled"
 
+let m_trips =
+  Metrics.interned (fun r ->
+      Metrics.Registry.counter ~help:"Budget trips by reason."
+        ~labels:[ ("reason", reason_name r) ]
+        "nova_budget_trips_total")
+
 (* Trip [b] with [r] unless already tripped: the first reason wins, even
    against a concurrent trip from another domain. The winning trip emits
    a trace instant on the tripping domain's track and counts into the
-   metrics registry by reason (a trip fires at most once per budget
-   node, so the registration lookup is off the tick path). *)
+   metrics registry by reason, the series interned on its first trip. *)
 let trip b r =
   if Atomic.compare_and_set b.tripped None (Some r) then begin
-    Metrics.Registry.inc
-      (Metrics.Registry.counter ~help:"Budget trips by reason."
-         ~labels:[ ("reason", reason_name r) ]
-         "nova_budget_trips_total");
+    Metrics.Registry.inc (m_trips r);
     if Trace.enabled () then
       Trace.instant "budget.trip"
         ~attrs:[ ("reason", Trace.String (reason_name r)); ("spent", Trace.Int b.work) ]

@@ -69,17 +69,19 @@ type t = {
 
 (* Production metrics (default-on, see lib/metrics): request counts by
    verb, full-request latency by (tier, verb), and the four lifecycle
-   phases. Labeled instruments are interned per call — a mutexed table
-   lookup, noise against even a ping's socket round-trip. *)
-let m_requests verb =
-  Metrics.Registry.counter ~help:"Requests by verb (malformed lines count as invalid)."
-    ~labels:[ ("verb", verb) ] "nova_serve_requests_total"
+   phases. The per-request series are interned once per label value, on
+   the first request that carries it. *)
+let m_requests =
+  Metrics.interned (fun verb ->
+      Metrics.Registry.counter ~help:"Requests by verb (malformed lines count as invalid)."
+        ~labels:[ ("verb", verb) ] "nova_serve_requests_total")
 
-let m_request_seconds ~tier ~verb =
-  Metrics.Registry.histogram
-    ~help:"Full request latency by serving tier and verb."
-    ~labels:[ ("tier", tier); ("verb", verb) ]
-    "nova_serve_request_seconds"
+let m_request_seconds =
+  Metrics.interned (fun (tier, verb) ->
+      Metrics.Registry.histogram
+        ~help:"Full request latency by serving tier and verb."
+        ~labels:[ ("tier", tier); ("verb", verb) ]
+        "nova_serve_request_seconds")
 
 let m_phase phase =
   Metrics.Registry.histogram ~help:"Request lifecycle phase latency."
@@ -432,7 +434,7 @@ let summary_of_served verb ~machine ~algorithm (s : served) =
    entry stays within its fixed shape. *)
 let record_request t (s : summary) ~wall =
   Metrics.Registry.inc (m_requests s.s_verb);
-  Metrics.Registry.observe (m_request_seconds ~tier:s.s_tier ~verb:s.s_verb) wall;
+  Metrics.Registry.observe (m_request_seconds (s.s_tier, s.s_verb)) wall;
   let id = Atomic.fetch_and_add t.seq 1 in
   let entry =
     {

@@ -179,6 +179,129 @@ module Reference = struct
         (irredundant_care (expand f ~off) ~care:on)
 end
 
+(* EXPAND as it was before its tables were kept incrementally: the
+   bit -> off-cube index rebuilt with one filter per bit, companion
+   columns recounted per cube, [Cube.distance] field by field and
+   literal counts recomputed inside the sort comparator. Same budget
+   calls; returns the cover with its passes and raised bits. *)
+module Expand_reference = struct
+  let distance dom a b =
+    let count = ref 0 in
+    for v = 0 to Domain.num_vars dom - 1 do
+      if not (Cube.var_intersects dom a b v) then incr count
+    done;
+    !count
+
+  let drained = function None -> false | Some b -> Budget.exhausted b
+  let charge = function None -> () | Some b -> ignore (Budget.tick b)
+
+  let expand_cube dom c ~offs ~has ~var_of ~companions ~passes ~raised =
+    let width = Domain.width dom in
+    let cur = Bitvec.copy c in
+    let blk = Array.map (distance dom cur) offs in
+    let raisable = Array.for_all (fun b -> b > 0) blk in
+    let apart v k = not (Cube.var_intersects dom cur offs.(k) v) in
+    let score = Array.make width 0 in
+    List.iter (fun comp -> Bitvec.iter (fun i -> score.(i) <- score.(i) + 1) comp) companions;
+    let candidates =
+      List.init width (fun i -> i)
+      |> List.filter (fun i -> not (Bitvec.get cur i))
+      |> List.sort (fun a b -> compare score.(b) score.(a))
+    in
+    let improved = ref true in
+    while !improved do
+      improved := false;
+      incr passes;
+      List.iter
+        (fun i ->
+          let v = var_of.(i) in
+          if raisable && (not (Bitvec.get cur i))
+             && not (Array.exists (fun k -> blk.(k) = 1 && apart v k) has.(i))
+          then begin
+            Array.iter (fun k -> if apart v k then blk.(k) <- blk.(k) - 1) has.(i);
+            Bitvec.set cur i;
+            improved := true;
+            incr raised
+          end)
+        candidates
+    done;
+    cur
+
+  let expand ?budget (cover : Cover.t) ~(off : Cover.t) =
+    let dom = cover.Cover.dom in
+    let passes = ref 0 and raised = ref 0 in
+    let offs = Array.of_list off.Cover.cubes in
+    let ks = List.init (Array.length offs) Fun.id in
+    let has =
+      Array.init (Domain.width dom) (fun i ->
+          Array.of_list (List.filter (fun k -> Bitvec.get offs.(k) i) ks))
+    in
+    let var_of = Array.make (Domain.width dom) 0 in
+    for v = 0 to Domain.num_vars dom - 1 do
+      Array.fill var_of (Domain.offset dom v) (Domain.size dom v) v
+    done;
+    let ordered =
+      List.sort
+        (fun a b -> compare (Cube.num_literal_bits dom a) (Cube.num_literal_bits dom b))
+        cover.Cover.cubes
+    in
+    let rec loop acc = function
+      | [] -> List.rev acc
+      | c :: rest ->
+          if drained budget then List.rev_append acc (c :: rest)
+          else if List.exists (fun e -> Cube.contains e c) acc then loop acc rest
+          else begin
+            charge budget;
+            let e = expand_cube dom c ~offs ~has ~var_of ~companions:rest ~passes ~raised in
+            loop (e :: acc) (List.filter (fun r -> not (Cube.contains e r)) rest)
+          end
+    in
+    let cubes = loop [] ordered in
+    (Cover.make dom cubes, !passes, !raised)
+end
+
+(* [minimize_off] with the essential primes asked again, cube by cube,
+   after IRREDUNDANT: the formulation the set-aside replaces. *)
+module Minimize_reference = struct
+  let drained = Expand_reference.drained
+
+  let improve ?budget ~off ~care f =
+    let cost (c : Cover.t) = (Cover.size c, Cover.literal_cost c) in
+    let best = ref f and best_cost = ref (cost f) in
+    let continue_ = ref true and iterations = ref 0 in
+    while !continue_ && !iterations < 12 && !best.Cover.cubes <> [] && not (drained budget) do
+      incr iterations;
+      let f = Espresso.reduce ?budget !best ~care in
+      let f = Espresso.expand ?budget f ~off in
+      let f = Espresso.irredundant ?budget f ~care in
+      let fc = cost f in
+      if fc < !best_cost && not (drained budget) then begin
+        best := f;
+        best_cost := fc
+      end
+      else continue_ := false
+    done;
+    !best
+
+  let minimize_off ?budget ~(off : Cover.t) ~(care : Cover.t) (on : Cover.t) =
+    let dom = on.Cover.dom in
+    let f = Cover.single_cube_containment on in
+    if f.Cover.cubes = [] || drained budget then f
+    else begin
+      let f = Espresso.irredundant ?budget (Espresso.expand ?budget f ~off) ~care in
+      let ess = Espresso.essential_primes ?budget f ~care in
+      let f =
+        Cover.make dom
+          (List.filter (fun c -> not (List.exists (Cube.equal c) ess.Cover.cubes)) f.Cover.cubes)
+      in
+      let best =
+        if f.Cover.cubes = [] || drained budget then f
+        else improve ?budget ~off ~care:(Cover.diff care ess) f
+      in
+      Cover.single_cube_containment (Cover.union ess best)
+    end
+end
+
 let same_cubes ctx (want : Cover.t) (got : Cover.t) =
   if not (List.equal Cube.equal want.Cover.cubes got.Cover.cubes) then
     Alcotest.failf "%s: %d reference cubes, %d fast cubes, or a different order" ctx
@@ -329,6 +452,210 @@ let test_care_corpus_reduces () =
   Alcotest.(check bool) "espresso.reduce_iterations > 0" true (iterations () > before);
   Alcotest.(check bool) "some REDUCE pass lowered the cost" true (!Reference.improved > 0)
 
+(* --- EXPAND against its former tables ------------------------------------ *)
+
+(* Wide domains: with probability 1/2 a prefix of exactly 62 bits (3-part
+   and 2-part fields) puts a 2-part field across the first word
+   boundary, and a tail of up to 39 more variables takes widths past
+   one word and sometimes two; otherwise 2 to 12 variables. Fields beyond the prefix are
+   2-part two times in three, else 3 to 5 parts. *)
+let gen_wide_sizes st =
+  let r k = Random.State.int st k in
+  let tail n = List.init n (fun _ -> if r 3 = 0 then 3 + r 3 else 2) in
+  if Random.State.bool st then begin
+    let threes = 2 * r 6 in
+    let prefix = List.init threes (fun _ -> 3) @ List.init ((62 - (3 * threes)) / 2) (fun _ -> 2) in
+    let prefix = List.map snd (List.sort compare (List.map (fun x -> (r 1000, x)) prefix)) in
+    prefix @ [ 2 ] @ tail (r 40)
+  end
+  else tail (2 + r 11)
+
+(* A cube whose fields are full with probability 7/10, otherwise a
+   random non-empty part set. *)
+let gen_sparse_cube st dom =
+  let c = Cube.full dom in
+  for v = 0 to Domain.num_vars dom - 1 do
+    if Random.State.int st 10 >= 7 then begin
+      let sz = Domain.size dom v in
+      let parts = List.filter (fun _ -> Random.State.bool st) (List.init sz Fun.id) in
+      let parts = if parts = [] then [ Random.State.int st sz ] else parts in
+      Bitvec.clear_range c (Domain.offset dom v) sz;
+      List.iter (fun p -> Bitvec.set c (Domain.offset dom v + p)) parts
+    end
+  done;
+  c
+
+(* Off cubes are carved away from every on cube they meet (one field
+   replaced by the complement of the on cube's), and dropped when that
+   fails: the problem then has cubes that can grow. One problem in four
+   keeps a raw off cube, so some cubes meet the off-set and cannot. *)
+let gen_expand_problem =
+  QCheck.make
+    ~print:(fun (sizes, on, off, cap) ->
+      Printf.sprintf "dom=[%s] |on|=%d |off|=%d cap=%s"
+        (String.concat ";" (List.map string_of_int sizes))
+        (List.length on) (List.length off)
+        (match cap with None -> "none" | Some k -> string_of_int k))
+    (fun st ->
+      let sizes = gen_wide_sizes st in
+      let dom = Domain.create (Array.of_list sizes) in
+      let on = List.init (1 + Random.State.int st 10) (fun _ -> gen_sparse_cube st dom) in
+      let carve o =
+        List.fold_left
+          (fun o c ->
+            match o with
+            | Some o when Cube.intersects dom o c -> (
+                let vs =
+                  List.filter (fun v -> not (Cube.var_full dom c v)) (List.init (Domain.num_vars dom) Fun.id)
+                in
+                match vs with
+                | [] -> None
+                | _ ->
+                    let v = List.nth vs (Random.State.int st (List.length vs)) in
+                    let lo = Domain.offset dom v in
+                    let o = Bitvec.copy o in
+                    for p = 0 to Domain.size dom v - 1 do
+                      if Bitvec.get c (lo + p) then Bitvec.clear o (lo + p) else Bitvec.set o (lo + p)
+                    done;
+                    Some o)
+            | o -> o)
+          (Some o) on
+        |> Option.map (fun o -> (o, List.exists (Cube.intersects dom o) on))
+      in
+      let raw = Random.State.int st 4 = 0 in
+      let off =
+        List.filter_map
+          (fun _ ->
+            let o = gen_sparse_cube st dom in
+            match carve o with
+            | Some (o, false) -> Some o
+            | Some (_, true) | None -> if raw then Some o else None)
+          (List.init (Random.State.int st 25) Fun.id)
+      in
+      let cap = if Random.State.int st 3 = 0 then Some (Random.State.int st 6) else None in
+      (sizes, on, off, cap))
+
+let event_value name = Metrics.Registry.counter_value (Metrics.event name)
+
+let prop_expand_identity =
+  QCheck.Test.make ~name:"expand: same cubes, order, passes, raised bits and ticks as its former tables"
+    ~count:400 gen_expand_problem (fun (sizes, on, off, cap) ->
+      let dom = Domain.create (Array.of_list sizes) in
+      let on = Cover.make dom on and off = Cover.make dom off in
+      let budget () = Option.map (fun max_work -> Budget.create ~max_work ()) cap in
+      let b_ref = budget () and b_new = budget () in
+      let want, passes, raised = Expand_reference.expand ?budget:b_ref on ~off in
+      let was = Metrics.Registry.enabled () in
+      Metrics.Registry.set_enabled true;
+      let p0 = event_value "espresso.expand_passes" and r0 = event_value "espresso.expand_raised_bits" in
+      let got = Espresso.expand ?budget:b_new on ~off in
+      let p1 = event_value "espresso.expand_passes" and r1 = event_value "espresso.expand_raised_bits" in
+      Metrics.Registry.set_enabled was;
+      let spent = Option.map Budget.spent in
+      List.equal Cube.equal want.Cover.cubes got.Cover.cubes
+      && p1 - p0 = passes && r1 - r0 = raised
+      && spent b_ref = spent b_new)
+
+let prop_distance =
+  QCheck.Test.make ~name:"Cube.distance counts disjoint fields, word boundaries included" ~count:300
+    gen_expand_problem (fun (sizes, on, off, _) ->
+      let dom = Domain.create (Array.of_list sizes) in
+      List.for_all
+        (fun a -> List.for_all (fun b -> Cube.distance dom a b = Expand_reference.distance dom a b) (on @ off))
+        on)
+
+(* The generator really reaches the cases the word-parallel kernel
+   splits on: a 2-part field across a word boundary, widths past one
+   word, MV fields. *)
+let test_wide_corpus () =
+  let rand = Random.State.make [| 20261018 |] in
+  let straddles = ref 0 and wide = ref 0 and mv = ref 0 in
+  for _ = 1 to 200 do
+    let sizes, _, _, _ = QCheck.Gen.generate1 ~rand (QCheck.gen gen_expand_problem) in
+    let dom = Domain.create (Array.of_list sizes) in
+    if Domain.width dom > Bitvec.bits_per_word then incr wide;
+    if List.exists (fun s -> s > 2) sizes then incr mv;
+    if Array.exists (fun v -> Domain.size dom v = 2) (Domain.other_vars dom) then incr straddles
+  done;
+  Alcotest.(check bool) "some 2-part field straddles a word" true (!straddles > 0);
+  Alcotest.(check bool) "some domain is wider than a word" true (!wide > 0);
+  Alcotest.(check bool) "some domain has an MV field" true (!mv > 0)
+
+(* --- the essential-prime set-aside ---------------------------------------- *)
+
+let tick_machines () = List.map Benchmarks.Suite.find [ "lion"; "dk16"; "bbara" ]
+
+let tick_encodings (m : Fsm.t) =
+  let n = Array.length m.Fsm.states in
+  [
+    ("1-hot", Encoding.one_hot n);
+    ( "random seed 1",
+      Encoding.random (Random.State.make [| 1 |]) ~num_states:n ~nbits:(Fsm.min_code_length m) );
+  ]
+
+(* Every cap from the tick before the set-aside to the tick after it:
+   the cap trips before it, at each of its cubes, and after it. *)
+let test_set_aside_ticks () =
+  List.iter
+    (fun (m : Fsm.t) ->
+      List.iter
+        (fun (name, e) ->
+          let t = Encoded.build m e in
+          let on = t.Encoded.on and off = t.Encoded.off and care = t.Encoded.care in
+          let before = Budget.create () in
+          let f =
+            Espresso.irredundant ~budget:before
+              (Espresso.expand ~budget:before (Cover.single_cube_containment on) ~off)
+              ~care
+          in
+          let first = Budget.spent before in
+          for cap = first - 1 to first + Cover.size f + 1 do
+            let ctx = Printf.sprintf "%s under %s, cap %d" m.Fsm.name name cap in
+            let b_ref = Budget.create ~max_work:cap () and b_new = Budget.create ~max_work:cap () in
+            same_cubes ctx
+              (Minimize_reference.minimize_off ~budget:b_ref ~off ~care on)
+              (Espresso.minimize_off ~budget:b_new ~off ~care on);
+            Alcotest.(check int) (ctx ^ ": Budget.spent") (Budget.spent b_ref) (Budget.spent b_new)
+          done;
+          let b_ref = Budget.create () and b_new = Budget.create () in
+          same_cubes (m.Fsm.name ^ " unlimited")
+            (Minimize_reference.minimize_off ~budget:b_ref ~off ~care on)
+            (Espresso.minimize_off ~budget:b_new ~off ~care on);
+          Alcotest.(check int)
+            (m.Fsm.name ^ " unlimited: Budget.spent")
+            (Budget.spent b_ref) (Budget.spent b_new))
+        (tick_encodings m))
+    (tick_machines ())
+
+(* The invariant the set-aside rests on: ESSENTIAL_PRIMES keeps every
+   cube of a cover IRREDUNDANT has finished. *)
+let check_all_essential ctx ~off ~care on =
+  let f = Espresso.irredundant (Espresso.expand (Cover.single_cube_containment on) ~off) ~care in
+  same_cubes (ctx ^ ": essential_primes of an irredundant cover") f (Espresso.essential_primes f ~care)
+
+let test_irredundant_all_essential () =
+  List.iter
+    (fun (m : Fsm.t) ->
+      List.iter
+        (fun (name, e) ->
+          let t = Encoded.build m e in
+          check_all_essential (m.Fsm.name ^ " under " ^ name) ~off:t.Encoded.off ~care:t.Encoded.care
+            t.Encoded.on)
+        (encodings ~randoms:1 m);
+      let sym = Symbolic.of_fsm m in
+      check_all_essential (m.Fsm.name ^ " symbolic") ~off:sym.Symbolic.off ~care:sym.Symbolic.care
+        sym.Symbolic.on)
+    (List.filter (fun m -> Array.length m.Fsm.states <= 32) (suite_machines ()) @ generated_machines ())
+
+let prop_irredundant_all_essential =
+  QCheck.Test.make ~name:"essential_primes keeps every cube of an irredundant cover" ~count:300
+    (gen_problem ~on:8 ~other:4) (fun (sizes, on, dc) ->
+      let dom = Domain.create (Array.of_list sizes) in
+      let on = Cover.make dom on and dc = Cover.make dom dc in
+      let off = Espresso.off_set ~on ~dc and care = Cover.diff on dc in
+      let f = Espresso.irredundant (Espresso.expand (Cover.single_cube_containment on) ~off) ~care in
+      List.equal Cube.equal f.Cover.cubes (Espresso.essential_primes f ~care).Cover.cubes)
+
 let suite =
   [
     Alcotest.test_case "Encoded.minimize = reference on the suite (1-hot + 3 random)" `Quick
@@ -341,4 +668,13 @@ let suite =
     QCheck_alcotest.to_alcotest prop_minimize_identity;
     QCheck_alcotest.to_alcotest prop_minimize_care_identity;
     Alcotest.test_case "minimize_care corpus exercises REDUCE" `Quick test_care_corpus_reduces;
+    QCheck_alcotest.to_alcotest prop_expand_identity;
+    QCheck_alcotest.to_alcotest prop_distance;
+    Alcotest.test_case "wide corpus: straddling 2-part fields, > 63 bits, MV fields" `Quick
+      test_wide_corpus;
+    Alcotest.test_case "minimize_off set-aside: same cover and ticks at every cap (lion, dk16, bbara)"
+      `Quick test_set_aside_ticks;
+    Alcotest.test_case "essential_primes keeps every cube of an irredundant cover" `Quick
+      test_irredundant_all_essential;
+    QCheck_alcotest.to_alcotest prop_irredundant_all_essential;
   ]

@@ -323,6 +323,42 @@ let test_quarantine_snapshot () =
       check "detail mentions the crash" true (e.Exec.Supervise.q_detail <> "")
   | rows -> Alcotest.failf "expected one quarantine row, got %d" (List.length rows)
 
+(* [Metrics.interned]: a series appears on its first use, not before;
+   later uses get the same series back; two domains racing on fresh
+   keys bump one series per key and lose no count. *)
+let test_interned_series () =
+  let registered key =
+    List.exists
+      (fun ((s : Metrics.Registry.series), _) ->
+        s.Metrics.Registry.s_name = "test_interned_total" && s.Metrics.Registry.s_labels = [ ("k", key) ])
+      (Metrics.Registry.snapshot ()).Metrics.Registry.counters
+  in
+  let calls = Atomic.make 0 in
+  let series =
+    Metrics.interned (fun key ->
+        Atomic.incr calls;
+        Metrics.Registry.counter ~labels:[ ("k", key) ] "test_interned_total")
+  in
+  check "no series before its first use" false (registered "a");
+  let a = series "a" in
+  check "registered on first use" true (registered "a");
+  check "a later use returns the same series" true (series "a" == a);
+  check_int "one intern for repeated uses" 1 (Atomic.get calls);
+  check "an unused key stays unregistered" false (registered "b");
+  let bumps = 2000 and keys = [| "x"; "y"; "z" |] in
+  let worker () =
+    for i = 1 to bumps do
+      Metrics.Registry.inc (series keys.(i mod Array.length keys))
+    done
+  in
+  let d = Domain.spawn worker in
+  worker ();
+  Domain.join d;
+  let total =
+    Array.fold_left (fun acc k -> acc + Metrics.Registry.counter_value (series k)) 0 keys
+  in
+  check_int "every bump from both domains counted" (2 * bumps) total
+
 let suite =
   [
     Alcotest.test_case "histogram: quantiles within one bucket of exact" `Quick
@@ -333,6 +369,8 @@ let suite =
       test_histogram_two_domain_merge;
     Alcotest.test_case "registry: interning and labels" `Quick
       test_registry_interning_and_labels;
+    Alcotest.test_case "interned: a series per label value, on first use" `Quick
+      test_interned_series;
     Alcotest.test_case "registry: name validation" `Quick test_registry_validates_names;
     Alcotest.test_case "registry: enabled gate" `Quick test_registry_enabled_gate;
     Alcotest.test_case "expose: escaping round-trips" `Quick test_expose_escaping;

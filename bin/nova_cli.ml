@@ -17,27 +17,29 @@
 
 open Cmdliner
 
+(* A machine argument is a KISS2 file, named after its basename, when
+   one exists at [path]; otherwise it names a built-in machine. *)
+let kiss2_file path =
+  if Sys.file_exists path then
+    Some
+      ( Filename.remove_extension (Filename.basename path),
+        In_channel.with_open_text path In_channel.input_all )
+  else None
+
 let read_machine path =
-  if Sys.file_exists path then begin
-    let ic = open_in path in
-    let len = in_channel_length ic in
-    let text = really_input_string ic len in
-    close_in ic;
-    match
-      Kiss.parse_result ~name:(Filename.remove_extension (Filename.basename path)) ~file:path
-        text
-    with
-    | Ok m -> Ok m
-    | Error { Kiss.file; line; col; msg } ->
-        Error (Nova_error.Parse_error { file; line; col; msg })
-  end
-  else
-    match Benchmarks.Suite.find path with
-    | m -> Ok m
-    | exception Not_found ->
-        Error
-          (Nova_error.Invalid_request
-             (Printf.sprintf "no file and no built-in machine called %S (try `nova list`)" path))
+  match kiss2_file path with
+  | Some (name, text) -> (
+      match Kiss.parse_result ~name ~file:path text with
+      | Ok m -> Ok m
+      | Error { Kiss.file; line; col; msg } ->
+          Error (Nova_error.Parse_error { file; line; col; msg }))
+  | None -> (
+      match Benchmarks.Suite.find path with
+      | m -> Ok m
+      | exception Not_found ->
+          Error
+            (Nova_error.Invalid_request
+               (Printf.sprintf "no file and no built-in machine called %S (try `nova list`)" path)))
 
 (* Print the error the structured way and return its distinct exit
    code; every subcommand funnels failures through here. *)
@@ -74,7 +76,8 @@ let constraints_cmd =
   let run path =
     with_machine path @@ fun m ->
     let sym = Symbolic.of_fsm m in
-    let ics = Constraints.of_symbolic sym in
+    let cover = Symbolic.minimize sym in
+    let ics = Constraints.of_cover sym cover in
     Printf.printf "input constraints of %s (from multiple-valued minimization):\n" m.Fsm.name;
     List.iter
       (fun (ic : Constraints.input_constraint) ->
@@ -84,7 +87,7 @@ let constraints_cmd =
           (String.concat ","
              (List.map (fun s -> m.Fsm.states.(s)) (Bitvec.to_list ic.Constraints.states))))
       ics;
-    let sm = Symbmin.run sym in
+    let sm = Symbmin.run ~cover sym in
     Printf.printf "symbolic minimization: %d product terms, %d covering edges\n"
       (Symbmin.upper_bound sm) (List.length sm.Symbmin.graph);
     List.iter
@@ -100,44 +103,37 @@ let constraints_cmd =
 
 (* --- encode -------------------------------------------------------------- *)
 
-type algorithm =
-  | A_ihybrid
-  | A_igreedy
-  | A_iohybrid
-  | A_iovariant
-  | A_iexact
-  | A_kiss
-  | A_onehot
-  | A_random
-  | A_mustang of Baselines.mustang_flavor * bool
-
-let algorithms =
-  [
-    ("ihybrid", A_ihybrid); ("igreedy", A_igreedy); ("iohybrid", A_iohybrid);
-    ("iovariant", A_iovariant); ("iexact", A_iexact); ("kiss", A_kiss);
-    ("onehot", A_onehot); ("random", A_random);
-    ("mustang-n", A_mustang (Baselines.Fanout, false));
-    ("mustang-nt", A_mustang (Baselines.Fanout, true));
-    ("mustang-p", A_mustang (Baselines.Fanin, false));
-    ("mustang-pt", A_mustang (Baselines.Fanin, true));
-  ]
-
+(* [-a] takes any algorithm's {!Harness.Driver.name}; a bare [random]
+   is seeded by [--seed]. *)
 let algo_arg =
-  let doc =
-    "Encoding algorithm: " ^ String.concat ", " (List.map fst algorithms) ^ "."
+  let names =
+    String.concat ", " (List.map Harness.Driver.name Harness.Driver.named_algorithms)
+    ^ ", random"
   in
-  Arg.(
-    value
-    & opt (enum algorithms) A_ihybrid
-    & info [ "a"; "algorithm" ] ~docv:"ALGO" ~doc)
+  let parse s =
+    if s = "random" then Ok (fun seed -> Harness.Driver.Random seed)
+    else
+      match Harness.Driver.algorithm_of_name s with
+      | Some a -> Ok (fun _ -> a)
+      | None -> Error (`Msg (Printf.sprintf "unknown algorithm %S, expected one of %s" s names))
+  in
+  let print ppf algo = Format.pp_print_string ppf (Harness.Driver.name (algo 0)) in
+  let doc = "Encoding algorithm: " ^ names ^ " (seeded by $(b,--seed)) or random[SEED]." in
+  let seed_arg =
+    let doc = "Seed for the random algorithm." in
+    Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED" ~doc)
+  in
+  Term.(
+    const (fun algo seed -> algo seed)
+    $ Arg.(
+        value
+        & opt (conv (parse, print)) (fun _ -> Harness.Driver.Ihybrid)
+        & info [ "a"; "algorithm" ] ~docv:"ALGO" ~doc)
+    $ seed_arg)
 
 let bits_arg =
   let doc = "Code length in bits (defaults to the algorithm's choice)." in
   Arg.(value & opt (some int) None & info [ "b"; "bits" ] ~docv:"N" ~doc)
-
-let seed_arg =
-  let doc = "Seed for the random algorithm." in
-  Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED" ~doc)
 
 let pla_arg =
   let doc = "Also print the minimized encoded PLA personality." in
@@ -231,18 +227,6 @@ let budget_of budget_ms max_work =
   | None, None -> Budget.unlimited
   | deadline_ms, max_work -> Budget.create ?max_work ?deadline_ms ()
 
-let driver_algo_of algo seed =
-  match algo with
-  | A_ihybrid -> Harness.Driver.Ihybrid
-  | A_igreedy -> Harness.Driver.Igreedy
-  | A_iohybrid -> Harness.Driver.Iohybrid
-  | A_iovariant -> Harness.Driver.Iovariant
-  | A_iexact -> Harness.Driver.Iexact
-  | A_kiss -> Harness.Driver.Kiss
-  | A_onehot -> Harness.Driver.One_hot
-  | A_random -> Harness.Driver.Random seed
-  | A_mustang (flavor, include_outputs) -> Harness.Driver.Mustang (flavor, include_outputs)
-
 (* Certify the report (optionally after injecting a fault), print the
    per-check lines, and return the process exit code. *)
 let certify_and_report m outcome r inject =
@@ -280,7 +264,7 @@ let certify_and_report m outcome r inject =
 
 let s_cli_encode = Metrics.section "cli.encode"
 
-let encode algo bits seed pla instrument budget_ms max_work fallback no_fallback certify inject
+let encode algo bits pla instrument budget_ms max_work fallback no_fallback certify inject
     quiet trace path =
   if quiet then Harness.Driver.quiet := true;
   with_machine path @@ fun m ->
@@ -305,12 +289,12 @@ let encode algo bits seed pla instrument budget_ms max_work fallback no_fallback
     ~attrs:
       [
         ("machine", Trace.String m.Fsm.name);
-        ("algorithm", Trace.String (Harness.Driver.name (driver_algo_of algo seed)));
+        ("algorithm", Trace.String (Harness.Driver.name algo));
       ]
   @@ fun () ->
   let budget = budget_of budget_ms max_work in
   let fallback = fallback && not no_fallback in
-  match Harness.Driver.report ?bits ~budget ~fallback m (driver_algo_of algo seed) with
+  match Harness.Driver.report ?bits ~budget ~fallback m algo with
   | Error err -> fail_with err
   | Ok (outcome, r) ->
       let encoding = outcome.Harness.Driver.encoding in
@@ -341,7 +325,7 @@ let encode_cmd =
   Cmd.v
     (Cmd.info "encode" ~doc:"Encode a machine's states and report the implementation.")
     Term.(
-      const encode $ algo_arg $ bits_arg $ seed_arg $ pla_arg $ instrument_arg $ budget_ms_arg
+      const encode $ algo_arg $ bits_arg $ pla_arg $ instrument_arg $ budget_ms_arg
       $ max_work_arg $ fallback_arg $ no_fallback_arg $ certify_arg $ inject_arg $ quiet_arg
       $ trace_arg $ machine_arg)
 
@@ -412,19 +396,21 @@ let report_machines names heavy =
              else Some (Lazy.force e.Benchmarks.Suite.machine))
            Benchmarks.Suite.all)
   | names ->
-      List.fold_left
-        (fun acc name ->
-          match acc with
-          | Error _ -> acc
-          | Ok ms -> ( match read_machine name with
-              | Ok m -> Ok (m :: ms)
-              | Error e -> Error e))
-        (Ok []) names
-      |> Result.map List.rev
+      let rec read = function
+        | [] -> Ok []
+        | name :: rest ->
+            Result.bind (read_machine name) (fun m -> Result.map (List.cons m) (read rest))
+      in
+      read names
 
-(* What report and serve refuse before any work: a worker count below
+(* The setup report and serve share: [--quiet] silences both warning
+   sources; then what they refuse before any work, a worker count below
    one, then a malformed chaos schedule (a valid one is armed). *)
-let prepare_pool ~verb jobs chaos chaos_seed =
+let prepare_pool ~verb ~quiet jobs chaos chaos_seed =
+  if quiet then begin
+    Harness.Driver.quiet := true;
+    Exec.Supervise.quiet := true
+  end;
   if jobs < 1 then Error (Nova_error.Invalid_request (verb ^ ": --jobs must be >= 1"))
   else
     match chaos with
@@ -434,16 +420,16 @@ let prepare_pool ~verb jobs chaos chaos_seed =
         | Ok () -> Ok ()
         | Error msg -> Error (Nova_error.Invalid_request ("--chaos " ^ msg)))
 
+let open_cache ~no_cache cache_dir =
+  if no_cache then None
+  else Some (Exec.Cache.open_dir (Option.value cache_dir ~default:(default_cache_dir ())))
+
 (* stdout carries only deterministic data (the table); wall-clock and
    cache statistics go to stderr so output is byte-comparable across
    --jobs levels and cold/warm cache runs. *)
 let report jobs race cache_dir no_cache heavy instrument quiet trace chaos chaos_seed
     machines =
-  if quiet then begin
-    Harness.Driver.quiet := true;
-    Exec.Supervise.quiet := true
-  end;
-  match prepare_pool ~verb:"report" jobs chaos chaos_seed with
+  match prepare_pool ~verb:"report" ~quiet jobs chaos chaos_seed with
   | Error err -> fail_with err
   | Ok () -> (
   match report_machines machines heavy with
@@ -459,10 +445,7 @@ let report jobs race cache_dir no_cache heavy instrument quiet trace chaos chaos
             ("jobs", Trace.Int jobs);
           ]
       @@ fun () ->
-      let cache =
-        if no_cache then None
-        else Some (Exec.Cache.open_dir (Option.value cache_dir ~default:(default_cache_dir ())))
-      in
+      let cache = open_cache ~no_cache cache_dir in
       let t0 = Unix.gettimeofday () in
       (* [rows] feeds the table; [all_rows] (racing losers included)
          feeds the exit code, so a portfolio whose every member crashed
@@ -496,23 +479,7 @@ let report jobs race cache_dir no_cache heavy instrument quiet trace chaos chaos
             s.Exec.Cache.hits s.Exec.Cache.misses s.Exec.Cache.stores s.Exec.Cache.rejected
             (Exec.Cache.dir c));
       if instrument then prerr_string (Metrics.Expose.prometheus ());
-      (* Racing cancellations are the protocol working, not failures;
-         any other error row (a crash that exhausted its retries, a
-         quarantined rung, a budget trip outside racing) makes the
-         process exit with that error's code, first row wins. *)
-      match
-        List.find_map
-          (fun (r : Exec.Job.row) ->
-            match (r.Exec.Job.result, r.Exec.Job.origin) with
-            | Error _, Exec.Job.Cancelled_by_race -> None
-            | Error e, _ -> Some e
-            | Ok _, _ -> None)
-          all_rows
-      with
-      | None -> 0
-      | Some e ->
-          Printf.eprintf "nova: %s\n" (Nova_error.to_string e);
-          Nova_error.exit_code e)
+      match Exec.Portfolio.first_error all_rows with None -> 0 | Some e -> fail_with e)
 
 let report_cmd =
   Cmd.v
@@ -566,38 +533,22 @@ let dot_cmd =
     Term.(const run $ machine_arg)
 
 let blif_cmd =
-  let run algo bits seed path =
+  let run algo bits path =
     with_machine path @@ fun m ->
-    let n = Fsm.num_states ~m in
-    let encoding =
-      match algo with
-      | A_onehot -> Encoding.one_hot n
-      | A_random ->
-          let nbits = Option.value bits ~default:(Fsm.min_code_length m) in
-          Encoding.random (Random.State.make [| seed |]) ~num_states:n ~nbits
-      | A_mustang (flavor, include_outputs) ->
-          let nbits = Option.value bits ~default:(Fsm.min_code_length m) in
-          Baselines.mustang_encode m ~flavor ~include_outputs ~nbits
-      | A_ihybrid | A_igreedy | A_iohybrid | A_iovariant | A_iexact | A_kiss ->
-          let ics = Constraints.of_symbolic (Symbolic.of_fsm m) in
-          (Ihybrid.ihybrid_code ~num_states:n ?nbits:bits ics).Ihybrid.encoding
-    in
-    let r = Encoded.implement m encoding in
-    let net =
-      Multilevel.of_cover r.Encoded.cover
-        ~num_binary_vars:(m.Fsm.num_inputs + encoding.Encoding.nbits)
-    in
-    let net = Multilevel.optimize net in
-    Export.blif Format.std_formatter net ~name:m.Fsm.name
-      ~num_inputs:(m.Fsm.num_inputs + encoding.Encoding.nbits);
-    0
+    match Harness.Driver.report ?bits m algo with
+    | Error err -> fail_with err
+    | Ok (outcome, r) ->
+        let num_inputs = m.Fsm.num_inputs + outcome.Harness.Driver.encoding.Encoding.nbits in
+        let net = Multilevel.of_cover r.Encoded.cover ~num_binary_vars:num_inputs in
+        Export.blif Format.std_formatter (Multilevel.optimize net) ~name:m.Fsm.name ~num_inputs;
+        0
   in
   Cmd.v
     (Cmd.info "blif"
        ~doc:
          "Encode the machine, optimize the encoded network multilevel, and print it in BLIF \
           (state bits appear as extra inputs/outputs).")
-    Term.(const run $ algo_arg $ bits_arg $ seed_arg $ machine_arg)
+    Term.(const run $ algo_arg $ bits_arg $ machine_arg)
 
 (* --- gen ----------------------------------------------------------------- *)
 
@@ -713,130 +664,14 @@ let bench_parallel_cmd =
           against a fresh cache.")
     Term.(const run $ quick_arg $ jobs_arg $ out_arg "parallel")
 
-(* --- bench serve: daemon latency tiers ------------------------------------- *)
-
-exception Serve_bench_failed of string
-
-(* The three tiers against in-process daemons whose sockets and cache
-   live in [dir]: cold compute, certified hit, coalesced share. *)
-let serve_tiers ~dir machine clients =
-  let request_on sock line =
-    match Serve.Client.connect sock with
-    | Error m -> Error m
-    | Ok c ->
-        Fun.protect ~finally:(fun () -> Serve.Client.close c) (fun () -> Serve.Client.request c line)
-  in
-  let must = function
-    | Ok (r : Serve.Protocol.reply) when r.Serve.Protocol.ok -> r
-    | Ok r ->
-        raise
-          (Serve_bench_failed
-             ("server error: " ^ Option.value r.Serve.Protocol.error ~default:"?"))
-    | Error m -> raise (Serve_bench_failed m)
-  in
-  (* Start a daemon and wait for it to accept; a ping also warms the
-     code path so the cold sample measures encode, not module
-     initialization. It is shut down and joined however [f] exits. *)
-  let with_daemon ?cache sock f =
-    let cfg =
-      { (Serve.Server.default_config ~socket_path:sock) with Serve.Server.cache; quiet = true }
-    in
-    let server = Thread.create (fun () -> ignore (Serve.Server.run cfg)) () in
-    let rec await tries =
-      match request_on sock (Serve.Protocol.verb_line "ping") with
-      | Ok _ -> ()
-      | Error _ when tries > 0 ->
-          Thread.delay 0.02;
-          await (tries - 1)
-      | Error _ -> raise (Serve_bench_failed "daemon did not come up")
-    in
-    await 250;
-    Fun.protect
-      ~finally:(fun () ->
-        match request_on sock (Serve.Protocol.verb_line "shutdown") with
-        | Ok _ -> Thread.join server
-        | Error _ -> ())
-      (fun () -> f (fun line -> must (request_on sock line)))
-  in
-  let timed = Scaling.Artifacts.timed in
-  let line = Serve.Protocol.encode_line ~algorithm:"ihybrid" (Serve.Protocol.Builtin machine) in
-  (* A fresh cache: a shared directory would turn "cold" into a hit. *)
-  let cache = Exec.Cache.open_dir (Filename.concat dir "cache") in
-  with_daemon ~cache (Filename.concat dir "a.sock") @@ fun request ->
-  let _, cold_s = timed (fun () -> request line) in
-  let warm, warm_s = timed (fun () -> request line) in
-  (* Metered vs bare: the same warm (cache-hit) request hammered with the
-     metrics registry on, then off. The daemon runs in-process, so
-     [Metrics.Registry.set_enabled] reaches its hot paths directly; the
-     ratio is what CI gates metrics overhead on. *)
-  let warm_reps = 24 in
-  let hammer () =
-    for _ = 1 to warm_reps do
-      ignore (request line)
-    done
-  in
-  let _, metered_wall_s = timed hammer in
-  Metrics.Registry.set_enabled false;
-  let _, bare_wall_s = timed hammer in
-  Metrics.Registry.set_enabled true;
-  let metrics_overhead = if bare_wall_s > 0. then metered_wall_s /. bare_wall_s else 1. in
-  (* Coalesced tier: the same request against a second, cache-less
-     daemon. The key is fresh there, so one leader recomputes the cold
-     work while the other clients coalesce onto it; per-request wall is
-     directly comparable to [cold_s]. *)
-  let sock2 = Filename.concat dir "b.sock" in
-  let origins, batch_s =
-    with_daemon sock2 @@ fun _ ->
-    let replies = Array.make clients (Error "no reply") in
-    let _, batch_s =
-      timed (fun () ->
-          List.init clients (fun i ->
-              Thread.create (fun () -> replies.(i) <- request_on sock2 line) ())
-          |> List.iter Thread.join)
-    in
-    (Array.to_list replies |> List.filter_map (fun r -> (must r).Serve.Protocol.origin), batch_s)
-  in
-  let coalesced_n = List.length (List.filter (( = ) "coalesced") origins) in
-  let coalesced_s = batch_s /. float_of_int clients in
-  let rps = float_of_int clients /. batch_s in
-  Printf.printf
-    "serve bench %s: cold %.4fs, warm %.4fs (%.1fx), coalesced %.4fs/req over %d clients \
-     (%.1fx, %d shared), %.1f req/s, metrics overhead %.2fx over %d warm requests\n%!"
-    machine cold_s warm_s (cold_s /. warm_s) coalesced_s clients (cold_s /. coalesced_s)
-    coalesced_n rps metrics_overhead warm_reps;
-  let fixed = Scaling.Artifacts.fixed and int n = Json_min.Num (float_of_int n) in
-  let open Json_min in
-  let row =
-    [
-      ("name", Str machine); ("mode", Str "encode"); ("algorithm", Str "ihybrid");
-      ("cold_wall_s", fixed 6 cold_s); ("warm_wall_s", fixed 6 warm_s);
-      ("warm_origin", Str (Option.value warm.Serve.Protocol.origin ~default:"?"));
-      ("coalesced_wall_s", fixed 6 coalesced_s); ("rps", fixed 2 rps); ("clients", int clients);
-      ("coalesced", int coalesced_n); ("metered_wall_s", fixed 6 metered_wall_s);
-      ("bare_wall_s", fixed 6 bare_wall_s); ("metrics_overhead", fixed 4 metrics_overhead);
-    ]
-  in
-  Obj [ ("schema", Str "nova-bench-serve/v1"); ("mode", Str "default"); ("runs", Arr [ Obj row ]) ]
-
 let bench_serve_cmd =
   let run machine clients out =
     if clients < 2 then
       fail_with (Nova_error.Invalid_request "bench serve: --clients must be >= 2")
     else
-      match Benchmarks.Suite.find machine with
-      | exception Not_found ->
-          fail_with
-            (Nova_error.Invalid_request
-               (Printf.sprintf "bench serve: no built-in machine called %S (try `nova list`)"
-                  machine))
-      | _ -> (
-          match
-            Scaling.Artifacts.with_temp_dir "nova-serve-bench" (fun dir ->
-                serve_tiers ~dir machine clients)
-          with
-          | artifact -> write_artifact Format.err_formatter out artifact
-          | exception Serve_bench_failed m ->
-              fail_with (Nova_error.Invalid_request ("bench serve: " ^ m)))
+      match Scaling.Artifacts.serve ~machine ~clients Format.std_formatter with
+      | Ok artifact -> write_artifact Format.err_formatter out artifact
+      | Error m -> fail_with (Nova_error.Invalid_request ("bench serve: " ^ m))
   in
   let machine_name_arg =
     let doc = "Built-in machine to serve (the compute must dwarf the protocol overhead)." in
@@ -1000,21 +835,13 @@ let serve_cmd =
   in
   let run socket jobs max_inflight cap_ms cap_work cache_dir no_cache quiet trace chaos
       chaos_seed access_log flight_record flight_capacity =
-    if quiet then begin
-      Harness.Driver.quiet := true;
-      Exec.Supervise.quiet := true
-    end;
-    match prepare_pool ~verb:"serve" jobs chaos chaos_seed with
+    match prepare_pool ~verb:"serve" ~quiet jobs chaos chaos_seed with
     | Error err -> fail_with err
     | Ok () -> (
         run_traced trace
           ~meta:[ ("socket", Trace.String socket); ("jobs", Trace.Int jobs) ]
         @@ fun () ->
-        let cache =
-          if no_cache then None
-          else
-            Some (Exec.Cache.open_dir (Option.value cache_dir ~default:(default_cache_dir ())))
-        in
+        let cache = open_cache ~no_cache cache_dir in
         let cfg =
           {
             Serve.Server.socket_path = socket; jobs; max_inflight;
@@ -1068,19 +895,12 @@ let client_roundtrip socket line =
           | Error m -> fail_with (Nova_error.Invalid_request ("client: " ^ m))
           | Ok reply -> client_finish reply)
 
-(* Same resolution order as [read_machine], but a file travels as its
-   KISS2 text (the server never reads client-side paths) and a non-file
-   as a built-in suite name the server resolves. *)
+(* A file travels as its KISS2 text (the server never reads client-side
+   paths), anything else as a built-in name the server resolves. *)
 let machine_ref_of path =
-  if Sys.file_exists path then begin
-    let ic = open_in path in
-    let len = in_channel_length ic in
-    let text = really_input_string ic len in
-    close_in ic;
-    Serve.Protocol.Kiss2
-      { name = Some (Filename.remove_extension (Filename.basename path)); text }
-  end
-  else Serve.Protocol.Builtin path
+  match kiss2_file path with
+  | Some (name, text) -> Serve.Protocol.Kiss2 { name = Some name; text }
+  | None -> Serve.Protocol.Builtin path
 
 let client_cmd =
   let verb_cmd name doc =

@@ -18,16 +18,6 @@ let tasks_for m =
       | _ -> Job.task m algo)
     default_algorithms
 
-let primary_stage = function
-  | Harness.Driver.Iexact -> Nova_error.Iexact
-  | Harness.Driver.Ihybrid -> Nova_error.Ihybrid
-  | Harness.Driver.Igreedy -> Nova_error.Igreedy
-  | Harness.Driver.Iohybrid -> Nova_error.Iohybrid
-  | Harness.Driver.Iovariant -> Nova_error.Iovariant
-  | Harness.Driver.Kiss | Harness.Driver.Mustang _ | Harness.Driver.One_hot
-  | Harness.Driver.Random _ ->
-      Nova_error.Baseline
-
 (* One timed section per algorithm; every random seed shares
    [exec.job.random], keeping the span label set finite. *)
 let job_label = function Harness.Driver.Random _ -> "random" | a -> Harness.Driver.name a
@@ -35,10 +25,7 @@ let job_label = function Harness.Driver.Random _ -> "random" | a -> Harness.Driv
 let job_section =
   let section =
     Metrics.sections ~prefix:"exec.job."
-      (List.map job_label
-         (Harness.Driver.Mustang (Baselines.Fanout, false)
-         :: Harness.Driver.Mustang (Baselines.Fanin, false)
-         :: Harness.Driver.all_algorithms))
+      ("random" :: List.map Harness.Driver.name Harness.Driver.named_algorithms)
   in
   fun (task : Job.task) -> section (job_label task.Job.algorithm)
 
@@ -46,6 +33,15 @@ let origin_name = function
   | Job.Computed -> "computed"
   | Job.Cached -> "cached"
   | Job.Cancelled_by_race -> "cancelled"
+
+let first_error rows =
+  List.find_map
+    (fun (r : Job.row) ->
+      match (r.Job.result, r.Job.origin) with
+      | Error _, Job.Cancelled_by_race -> None
+      | Error e, _ -> Some e
+      | Ok _, _ -> None)
+    rows
 
 (* Every finished row counts into the metrics registry by origin and
    outcome, each series interned on its first row. *)
@@ -246,7 +242,10 @@ let race ?(jobs = 1) ?cache ?(policy = Supervise.default_policy) tasks =
         result =
           Error
             (Nova_error.Budget_exhausted
-               { stage = primary_stage task.Job.algorithm; reason = Budget.Cancelled });
+               {
+                 stage = Harness.Driver.primary_stage task.Job.algorithm;
+                 reason = Budget.Cancelled;
+               });
         origin = Job.Cancelled_by_race;
         wall_s = Unix.gettimeofday () -. t0;
       }

@@ -111,3 +111,14 @@ val iexact_max_work : int
 (** [tasks_for m] is [m]'s full portfolio as tasks in
     {!default_algorithms} order. *)
 val tasks_for : Fsm.t -> Job.task list
+
+(** [origin_name o] is the wire and metrics spelling of a row's origin:
+    ["computed"], ["cached"] or ["cancelled"]. *)
+val origin_name : Job.origin -> string
+
+(** [first_error rows] is the error of the first row that failed for a
+    reason other than losing a race: a crash that exhausted its retries,
+    a quarantined rung, a budget trip outside racing. Racing
+    cancellations are the protocol working, not failures. [None] when
+    every row succeeded or was raced out. *)
+val first_error : Job.row list -> Nova_error.t option

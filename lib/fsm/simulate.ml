@@ -105,7 +105,3 @@ let check_cover_sampled rng (enc : Encoded.t) cover ~traces ~length =
 let check_encoding (m : Fsm.t) e =
   let enc = Encoded.build m e in
   check_cover enc (Encoded.minimize enc)
-
-let check_encoding_sampled rng (m : Fsm.t) e ~traces ~length =
-  let enc = Encoded.build m e in
-  check_cover_sampled rng enc (Encoded.minimize enc) ~traces ~length

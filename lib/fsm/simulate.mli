@@ -81,8 +81,3 @@ val check_cover_sampled :
 (** [check_encoding m e] is {!check_cover} on the ESPRESSO-minimized
     implementation of [m] under encoding [e]. *)
 val check_encoding : Fsm.t -> Encoding.t -> verdict
-
-(** [check_encoding_sampled rng m e ~traces ~length] is the sampled
-    variant of {!check_encoding}. *)
-val check_encoding_sampled :
-  Random.State.t -> Fsm.t -> Encoding.t -> traces:int -> length:int -> verdict

@@ -36,22 +36,20 @@ let all_algorithms =
     One_hot; Random 0;
   ]
 
+let named_algorithms =
+  [
+    Ihybrid; Igreedy; Iohybrid; Iovariant; Iexact; Kiss; One_hot;
+    Mustang (Baselines.Fanout, false); Mustang (Baselines.Fanout, true);
+    Mustang (Baselines.Fanin, false); Mustang (Baselines.Fanin, true);
+  ]
+
 let algorithm_of_name s =
-  match s with
-  | "ihybrid" -> Some Ihybrid
-  | "igreedy" -> Some Igreedy
-  | "iohybrid" -> Some Iohybrid
-  | "iovariant" -> Some Iovariant
-  | "iexact" -> Some Iexact
-  | "kiss" -> Some Kiss
-  | "mustang-n" -> Some (Mustang (Baselines.Fanout, false))
-  | "mustang-nt" -> Some (Mustang (Baselines.Fanout, true))
-  | "mustang-p" -> Some (Mustang (Baselines.Fanin, false))
-  | "mustang-pt" -> Some (Mustang (Baselines.Fanin, true))
-  | "onehot" -> Some One_hot
-  | _ ->
-      (* random[SEED] *)
-      (try Some (Random (Scanf.sscanf s "random[%d]" (fun n -> n))) with _ -> None)
+  match List.find_opt (fun a -> name a = s) named_algorithms with
+  | Some a -> Some a
+  | None -> (
+      match Scanf.sscanf_opt s "random[%d]" (fun n -> Random n) with
+      | Some a when name a = s -> Some a
+      | _ -> None)
 
 type rung =
   | Rung_iexact
@@ -118,6 +116,8 @@ let ladder ~fallback algo =
     | Random _ -> [ Rung_random ]
   in
   if fallback then rungs else [ List.hd rungs ]
+
+let primary_stage algo = stage_of (List.hd (ladder ~fallback:false algo))
 
 type outcome = {
   encoding : Encoding.t;

@@ -21,8 +21,13 @@ val name : algorithm -> string
     sensible reporting order. *)
 val all_algorithms : algorithm list
 
-(** [algorithm_of_name s] inverts {!name} ([random] seeds included:
-    ["random[7]"]). [None] on an unknown spelling. *)
+(** [named_algorithms] is every algorithm whose spelling is fixed: all
+    but [Random], whose spelling carries its seed. *)
+val named_algorithms : algorithm list
+
+(** [algorithm_of_name s] inverts {!name}: it is [Some a] exactly when
+    [name a = s] ([random] seeds included: ["random[7]"]). [None] on an
+    unknown spelling. *)
 val algorithm_of_name : string -> algorithm option
 
 (** A rung of the fallback ladder: the concrete encoder that produced
@@ -58,6 +63,10 @@ val rung_of_name : string -> rung option
 (** [ladder ~fallback algo] is the rung sequence [encode] tries, in
     order; with [fallback = false], just the first rung. *)
 val ladder : fallback:bool -> algorithm -> rung list
+
+(** [primary_stage algo] is the pipeline stage of [algo]'s first rung:
+    the stage an error names when that rung fails. *)
+val primary_stage : algorithm -> Nova_error.stage
 
 type outcome = {
   encoding : Encoding.t;

@@ -246,3 +246,117 @@ let parallel ?machines:ms ~quick ~jobs ppf =
             ("hit_rate", fixed 4 hit_rate);
           ] );
     ]
+
+(* --- serve --------------------------------------------------------------- *)
+
+exception Serve_bench_failed of string
+
+(* The three tiers against in-process daemons whose sockets and cache
+   live in [dir]: cold compute, certified hit, coalesced share. *)
+let serve_tiers ~dir ~machine ~clients ppf =
+  let request_on sock line =
+    match Serve.Client.connect sock with
+    | Error m -> Error m
+    | Ok c ->
+        Fun.protect ~finally:(fun () -> Serve.Client.close c) (fun () -> Serve.Client.request c line)
+  in
+  let must = function
+    | Ok (r : Serve.Protocol.reply) when r.Serve.Protocol.ok -> r
+    | Ok r ->
+        raise
+          (Serve_bench_failed
+             ("server error: " ^ Option.value r.Serve.Protocol.error ~default:"?"))
+    | Error m -> raise (Serve_bench_failed m)
+  in
+  (* Start a daemon and wait for it to accept; a ping also warms the
+     code path so the cold sample measures encode, not module
+     initialization. It is shut down and joined however [f] exits. *)
+  let with_daemon ?cache sock f =
+    let cfg =
+      { (Serve.Server.default_config ~socket_path:sock) with Serve.Server.cache; quiet = true }
+    in
+    let server = Thread.create (fun () -> ignore (Serve.Server.run cfg)) () in
+    let rec await tries =
+      match request_on sock (Serve.Protocol.verb_line "ping") with
+      | Ok _ -> ()
+      | Error _ when tries > 0 ->
+          Thread.delay 0.02;
+          await (tries - 1)
+      | Error _ -> raise (Serve_bench_failed "daemon did not come up")
+    in
+    await 250;
+    Fun.protect
+      ~finally:(fun () ->
+        match request_on sock (Serve.Protocol.verb_line "shutdown") with
+        | Ok _ -> Thread.join server
+        | Error _ -> ())
+      (fun () -> f (fun line -> must (request_on sock line)))
+  in
+  let line = Serve.Protocol.encode_line ~algorithm:"ihybrid" (Serve.Protocol.Builtin machine) in
+  (* A fresh cache: a shared directory would turn "cold" into a hit. *)
+  let cache = Exec.Cache.open_dir (Filename.concat dir "cache") in
+  with_daemon ~cache (Filename.concat dir "a.sock") @@ fun request ->
+  let _, cold_s = timed (fun () -> request line) in
+  let warm, warm_s = timed (fun () -> request line) in
+  (* Metered vs bare: the same warm (cache-hit) request hammered with the
+     metrics registry on, then off. The daemon runs in-process, so
+     [Metrics.Registry.set_enabled] reaches its hot paths directly; the
+     ratio is what CI gates metrics overhead on. *)
+  let warm_reps = 24 in
+  let hammer () =
+    for _ = 1 to warm_reps do
+      ignore (request line)
+    done
+  in
+  let _, metered_wall_s = timed hammer in
+  Metrics.Registry.set_enabled false;
+  let _, bare_wall_s = timed hammer in
+  Metrics.Registry.set_enabled true;
+  let metrics_overhead = if bare_wall_s > 0. then metered_wall_s /. bare_wall_s else 1. in
+  (* Coalesced tier: the same request against a second, cache-less
+     daemon. The key is fresh there, so one leader recomputes the cold
+     work while the other clients coalesce onto it; per-request wall is
+     directly comparable to [cold_s]. *)
+  let sock2 = Filename.concat dir "b.sock" in
+  let origins, batch_s =
+    with_daemon sock2 @@ fun _ ->
+    let replies = Array.make clients (Error "no reply") in
+    let _, batch_s =
+      timed (fun () ->
+          List.init clients (fun i ->
+              Thread.create (fun () -> replies.(i) <- request_on sock2 line) ())
+          |> List.iter Thread.join)
+    in
+    (Array.to_list replies |> List.filter_map (fun r -> (must r).Serve.Protocol.origin), batch_s)
+  in
+  let coalesced_n = List.length (List.filter (( = ) "coalesced") origins) in
+  let coalesced_s = batch_s /. float_of_int clients in
+  let rps = float_of_int clients /. batch_s in
+  Format.fprintf ppf
+    "serve bench %s: cold %.4fs, warm %.4fs (%.1fx), coalesced %.4fs/req over %d clients \
+     (%.1fx, %d shared), %.1f req/s, metrics overhead %.2fx over %d warm requests@."
+    machine cold_s warm_s (cold_s /. warm_s) coalesced_s clients (cold_s /. coalesced_s)
+    coalesced_n rps metrics_overhead warm_reps;
+  let open Json_min in
+  let row =
+    [
+      ("name", Str machine); ("mode", Str "encode"); ("algorithm", Str "ihybrid");
+      ("cold_wall_s", seconds cold_s); ("warm_wall_s", seconds warm_s);
+      ("warm_origin", Str (Option.value warm.Serve.Protocol.origin ~default:"?"));
+      ("coalesced_wall_s", seconds coalesced_s); ("rps", fixed 2 rps); ("clients", int clients);
+      ("coalesced", int coalesced_n); ("metered_wall_s", seconds metered_wall_s);
+      ("bare_wall_s", seconds bare_wall_s); ("metrics_overhead", fixed 4 metrics_overhead);
+    ]
+  in
+  Obj [ ("schema", Str "nova-bench-serve/v1"); ("mode", Str "default"); ("runs", Arr [ Obj row ]) ]
+
+let serve ~machine ~clients ppf =
+  match Benchmarks.Suite.find machine with
+  | exception Not_found ->
+      Error (Printf.sprintf "no built-in machine called %S (try `nova list`)" machine)
+  | _ -> (
+      match
+        with_temp_dir "nova-serve-bench" (fun dir -> serve_tiers ~dir ~machine ~clients ppf)
+      with
+      | artifact -> Ok artifact
+      | exception Serve_bench_failed m -> Error m)

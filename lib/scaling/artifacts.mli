@@ -1,5 +1,5 @@
 (** The point-sample artifacts of [nova bench MODE], beside {!Report}'s
-    scaling grid. Each mode runs its machines (default {!machines}),
+    scaling grid, and the serve tiers. Each mode runs its machines (default {!machines}),
     prints one progress line per row on the formatter and returns the
     artifact for {!Trace.write_atomic}. Rows keep the identity fields
     ([name], [mode], [algorithm]) [nova bench-diff] matches on. *)
@@ -25,6 +25,16 @@ val parallel :
 (** [nova-bench-parallel/v1]: the portfolio sequentially, on [jobs]
     domains, bare and supervised, and cold then warm against a fresh
     cache. *)
+
+val serve : machine:string -> clients:int -> Format.formatter -> (Json_min.t, string) result
+(** [nova-bench-serve/v1]: the daemon's three latency tiers for an
+    ihybrid encode of the built-in [machine], against in-process
+    servers whose sockets and fresh cache live in a private temporary
+    directory: cold compute, certified cache hit (timed again with the
+    metrics registry off, for the overhead ratio) and the per-request
+    share of [clients] identical concurrent requests coalesced onto one
+    computation. Prints one summary line. [Error] names an unknown
+    machine (before any file is made) or a request that failed. *)
 
 val fixed : int -> float -> Json_min.t
 (** [fixed digits f] is [f] rounded to [digits] decimals: the artifacts'

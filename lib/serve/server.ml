@@ -161,11 +161,6 @@ let with_slot t f =
     Trace.instant "serve.queue" ~attrs:[ ("queue_ms", Trace.Float queue_ms) ];
   Fun.protect ~finally:(fun () -> Semaphore.Counting.release t.slots) (fun () -> f ())
 
-let origin_name = function
-  | Exec.Job.Computed -> "computed"
-  | Exec.Job.Cached -> "cached"
-  | Exec.Job.Cancelled_by_race -> "cancelled"
-
 let count_origin t (row : Exec.Job.row) =
   match row.Exec.Job.origin with
   | Exec.Job.Computed -> Atomic.incr t.c_computed
@@ -215,16 +210,16 @@ let serve_encode t (req : Protocol.encode_request) =
         let row = timed m_compute (fun () -> Exec.Portfolio.run_task ?cache ~budget task) in
         count_origin t row;
         let spent = Budget.spent budget in
+        let origin = Exec.Portfolio.origin_name row.Exec.Job.origin in
         match row.Exec.Job.result with
         | Ok s ->
             {
               payload = Some (timed m_render (fun () -> render_encode t ~plain m s ~budget));
               err = None;
-              origin = origin_name row.Exec.Job.origin;
+              origin;
               spent;
             }
-        | Error e ->
-            { payload = None; err = Some e; origin = origin_name row.Exec.Job.origin; spent }
+        | Error e -> { payload = None; err = Some e; origin; spent }
       in
       if not plain then leader ()
       else
@@ -261,15 +256,7 @@ let serve_report t ~budget_ms machine =
             (rows, Budget.spent budget)
         in
         List.iter (count_origin t) rows;
-        let err =
-          List.find_map
-            (fun (r : Exec.Job.row) ->
-              match (r.Exec.Job.result, r.Exec.Job.origin) with
-              | Error _, Exec.Job.Cancelled_by_race -> None
-              | Error e, _ -> Some e
-              | Ok _, _ -> None)
-            rows
-        in
+        let err = Exec.Portfolio.first_error rows in
         let origin =
           if List.exists (fun (r : Exec.Job.row) -> r.Exec.Job.origin = Exec.Job.Computed) rows
           then "computed"

@@ -40,6 +40,23 @@ rc=0; $NOVA report --jobs 0 lion > /dev/null 2>&1 || rc=$?
 [ "$rc" -eq 5 ] || { echo "report --jobs 0: expected exit 5, got $rc"; exit 1; }
 echo "  report --jobs 0: exit 5 ok"
 
+echo "== blif smoke: every -a spelling encodes with its own algorithm =="
+# blif encodes through the same driver call as encode, so its BLIF
+# declares the machine's primary inputs plus exactly the state bits
+# encode reports: for kiss on dk16 (2 inputs), 10 bits, not ihybrid's 5.
+for A in ihybrid igreedy iohybrid iovariant iexact kiss onehot random \
+  mustang-n mustang-nt mustang-p mustang-pt; do
+  $NOVA encode -a "$A" lion > /dev/null 2>&1 || { echo "encode -a $A lion: nonzero exit"; exit 1; }
+  $NOVA blif -a "$A" lion > /dev/null 2>&1 || { echo "blif -a $A lion: nonzero exit"; exit 1; }
+  bits=$($NOVA encode -a "$A" dk16 2>/dev/null | sed -n 's/.* encoded in \([0-9]*\) bits$/\1/p')
+  inputs=$($NOVA blif -a "$A" dk16 2>/dev/null | sed -n 's/^\.inputs //p' | wc -w)
+  [ "$inputs" -eq $((bits + 2)) ] \
+    || { echo "blif -a $A dk16: $inputs inputs, expected 2 + $bits state bits"; exit 1; }
+  [ "$A" != kiss ] || [ "$bits" -eq 10 ] \
+    || { echo "encode -a kiss dk16: $bits bits, expected 10"; exit 1; }
+done
+echo "  12 spellings: encode and blif exit 0 on lion, blif state bits = encode bits on dk16: ok"
+
 echo "== certify smoke: suite machines under the independent checker =="
 $NOVA gen -s 12 -p 48 -i 14 -o 4 -g 7 > "$TMP/wide.kiss2"
 for machine in lion dk16 sand "$TMP/wide.kiss2"; do

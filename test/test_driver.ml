@@ -35,6 +35,33 @@ let test_names_unique () =
   Alcotest.(check int) "all distinct" (List.length names)
     (List.length (List.sort_uniq compare names))
 
+(* The one vocabulary of algorithm names: the twelve spellings [nova
+   encode -a] takes (a bare [random] is seeded by [--seed]), each the
+   [name] of exactly one algorithm that [algorithm_of_name] gives back. *)
+let test_names_round_trip () =
+  let open Harness.Driver in
+  Alcotest.(check (list string))
+    "the twelve -a spellings"
+    [ "iexact"; "igreedy"; "ihybrid"; "iohybrid"; "iovariant"; "kiss"; "mustang-n";
+      "mustang-nt"; "mustang-p"; "mustang-pt"; "onehot"; "random" ]
+    (List.sort compare ("random" :: List.map name named_algorithms));
+  List.iter
+    (fun a -> check (name a ^ " round-trips") true (algorithm_of_name (name a) = Some a))
+    (named_algorithms @ [ Random 0; Random 7; Random (-3) ]);
+  List.iter
+    (fun a -> check (name a ^ " is spelled") true (algorithm_of_name (name a) <> None))
+    all_algorithms;
+  List.iter
+    (fun s -> check (Printf.sprintf "%S is unknown" s) true (algorithm_of_name s = None))
+    [ ""; "nope"; "IHYBRID"; "ihy"; "random"; "random[x]"; "random[7]x"; "random[+7]" ]
+
+let test_primary_stage () =
+  let open Harness.Driver in
+  check "iexact" true (primary_stage Iexact = Nova_error.Iexact);
+  check "iohybrid" true (primary_stage Iohybrid = Nova_error.Iohybrid);
+  check "kiss is a baseline" true (primary_stage Kiss = Nova_error.Baseline);
+  check "random is a baseline" true (primary_stage (Random 3) = Nova_error.Baseline)
+
 let test_random_seeded () =
   let m = Benchmarks.Suite.find "dk15" in
   let e1 = encode_exn m (Harness.Driver.Random 7) in
@@ -66,6 +93,8 @@ let suite =
     Alcotest.test_case "all algorithms run" `Slow test_all_algorithms_run;
     Alcotest.test_case "bits override" `Quick test_bits_override;
     Alcotest.test_case "names unique" `Quick test_names_unique;
+    Alcotest.test_case "names round-trip" `Quick test_names_round_trip;
+    Alcotest.test_case "primary stage" `Quick test_primary_stage;
     Alcotest.test_case "random is seeded" `Quick test_random_seeded;
     Alcotest.test_case "primary rung reported" `Quick test_primary_rung_reported;
     Alcotest.test_case "ladder shapes" `Quick test_ladder_shapes;

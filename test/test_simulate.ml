@@ -59,10 +59,11 @@ let test_check_encoding_benchmarks () =
 let test_check_sampled () =
   let m = Benchmarks.Suite.find "beecount" in
   let n = Fsm.num_states ~m in
-  let e = Encoding.one_hot n in
+  let enc = Encoded.build m (Encoding.one_hot n) in
   let rng = Random.State.make [| 9 |] in
   check "sampled equivalent" true
-    (Simulate.check_encoding_sampled rng m e ~traces:10 ~length:12 = Simulate.Equivalent)
+    (Simulate.check_cover_sampled rng enc (Encoded.minimize enc) ~traces:10 ~length:12
+    = Simulate.Equivalent)
 
 let test_check_detects_bad_pla () =
   (* Deliberately corrupt: claim equivalence against a machine whose

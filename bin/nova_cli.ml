@@ -104,32 +104,32 @@ let constraints_cmd =
 (* --- encode -------------------------------------------------------------- *)
 
 (* [-a] takes any algorithm's {!Harness.Driver.name}; a bare [random]
-   is seeded by [--seed]. *)
-let algo_arg =
-  let names =
-    String.concat ", " (List.map Harness.Driver.name Harness.Driver.named_algorithms)
-    ^ ", random"
-  in
+   is seeded by [--seed] where the command has one, and means
+   [random[0]] where it does not. *)
+let algo_names =
+  String.concat ", " (List.map Harness.Driver.name Harness.Driver.named_algorithms) ^ ", random"
+
+let algo_info doc = Arg.info [ "a"; "algorithm" ] ~docv:"ALGO" ~doc
+
+let algo_opt =
   let parse s =
     if s = "random" then Ok (fun seed -> Harness.Driver.Random seed)
     else
       match Harness.Driver.algorithm_of_name s with
       | Some a -> Ok (fun _ -> a)
-      | None -> Error (`Msg (Printf.sprintf "unknown algorithm %S, expected one of %s" s names))
+      | None ->
+          Error (`Msg (Printf.sprintf "unknown algorithm %S, expected one of %s" s algo_names))
   in
   let print ppf algo = Format.pp_print_string ppf (Harness.Driver.name (algo 0)) in
-  let doc = "Encoding algorithm: " ^ names ^ " (seeded by $(b,--seed)) or random[SEED]." in
+  Arg.opt (Arg.conv (parse, print)) (fun _ -> Harness.Driver.Ihybrid)
+
+let algo_arg =
+  let doc = "Encoding algorithm: " ^ algo_names ^ " (seeded by $(b,--seed)) or random[SEED]." in
   let seed_arg =
     let doc = "Seed for the random algorithm." in
     Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED" ~doc)
   in
-  Term.(
-    const (fun algo seed -> algo seed)
-    $ Arg.(
-        value
-        & opt (conv (parse, print)) (fun _ -> Harness.Driver.Ihybrid)
-        & info [ "a"; "algorithm" ] ~docv:"ALGO" ~doc)
-    $ seed_arg)
+  Term.(const (fun algo seed -> algo seed) $ Arg.value (algo_opt (algo_info doc)) $ seed_arg)
 
 let bits_arg =
   let doc = "Code length in bits (defaults to the algorithm's choice)." in
@@ -908,8 +908,8 @@ let client_cmd =
     Cmd.v (Cmd.info name ~doc) Term.(const run $ socket_arg)
   in
   let algo_name_arg =
-    let doc = "Encoding algorithm, by driver name (e.g. ihybrid, iexact, mustang-nt)." in
-    Arg.(value & opt string "ihybrid" & info [ "a"; "algorithm" ] ~docv:"ALGO" ~doc)
+    let doc = "Encoding algorithm: " ^ algo_names ^ " (as random[0]) or random[SEED]." in
+    Term.(const (fun algo -> Harness.Driver.name (algo 0)) $ Arg.value (algo_opt (algo_info doc)))
   in
   let encode_cmd =
     let run socket algo bits max_work fallback no_fallback budget_ms path =

@@ -106,49 +106,51 @@ let supervised_run policy ?budget ?ctx (task : Job.task) =
       Chaos.maybe_raise Chaos.Rung;
       Metrics.span (job_section task) (fun () -> Job.run ?budget ?ctx task))
 
-(* One plain (non-racing) job: cache lookup, else compute and store.
-   [budget] is an externally imposed budget (the serving layer's
-   per-request admission budget). It *wraps* the task's intrinsic
-   [max_work] cap rather than replacing it — the cap is part of the
-   cache fingerprint, so it must keep tripping at exactly the same
-   point as a one-shot run; the external ceiling rides above it as a
-   [Budget.sub] parent. A result produced under a tripped external
-   budget is degraded by something outside the content address (when
-   a deadline hit, an admission work ceiling the fingerprint never saw)
-   — it must never enter the cache. The intrinsic cap trips on the
-   child, never the parent, so those stores proceed as usual. *)
-let run_one ~policy ?cache ?budget ?ctx (task : Job.task) =
+(* The one job step of [run], [run_task] and [race]: cache lookup, else
+   compute and store, then count the row. [outer] is a budget imposed
+   from outside the task: the serving layer's per-request admission
+   budget, or a racer's cancellable root. It *wraps* the task's
+   intrinsic [max_work] cap rather than replacing it — the cap is part
+   of the cache fingerprint, so it must keep tripping at exactly the
+   same point as a one-shot run; the outer budget rides above it as a
+   [Budget.sub] parent. A result produced under a tripped outer budget
+   is degraded by something outside the content address (a deadline,
+   an admission work ceiling, a race cancellation) — it must never
+   enter the cache. The intrinsic cap trips on the child, never the
+   parent, so those stores proceed as usual. [settle] sees each row
+   before it is counted (the racing bookkeeping). *)
+let job_step ~policy ?cache ?outer ?ctx ?(settle = Fun.id) (task : Job.task) =
   traced_job task @@ fun () ->
   let t0 = Unix.gettimeofday () in
   let finish result origin =
-    count_row { Job.task; result; origin; wall_s = Unix.gettimeofday () -. t0 }
+    count_row (settle { Job.task; result; origin; wall_s = Unix.gettimeofday () -. t0 })
   in
   match Option.bind cache (fun c -> Cache.find c task) with
   | Some s -> finish (Ok s) Job.Cached
   | None ->
-      let run_budget =
-        match (budget, task.Job.max_work) with
-        | None, _ -> None
+      let budget =
+        match (outer, task.Job.max_work) with
         | Some b, Some w -> Some (Budget.sub ~max_work:w b)
-        | Some b, None -> Some b
+        | outer, _ -> outer
       in
-      let result = supervised_run policy ?budget:run_budget ?ctx task in
-      let externally_degraded =
-        match budget with Some b -> Budget.exhausted b | None -> false
-      in
+      let result = supervised_run policy ?budget ?ctx task in
+      let externally_degraded = match outer with Some b -> Budget.exhausted b | None -> false in
       (match (cache, result) with
       | Some c, Ok s when not externally_degraded -> Cache.store c task s
       | _ -> ());
       finish result Job.Computed
 
 let run_task ?(policy = Supervise.default_policy) ?cache ?budget task =
-  run_one ~policy ?cache ?budget task
+  job_step ~policy ?cache ?outer:budget task
 
-(* A slot the pool itself had to isolate (an injected domain death, or
-   a crash outside the supervisor): restart the job once in-process —
-   the domain is gone but the work is not, and the inline rerun is
-   fully supervised, so a second crash lands in the typed path. *)
-let restart_isolated ~policy ?cache ~ctxs tasks slots =
+(* [step] over the tasks on the pool, in task order. A slot the pool
+   itself had to isolate (an injected domain death, or a crash outside
+   the supervisor) restarts once in-process — the domain is gone but
+   the work is not, and the inline rerun is fully supervised, so a
+   second crash lands in the typed path. A racer's budget may have been
+   cancelled meanwhile, which the rerun observes exactly as the
+   sequential protocol would. *)
+let run_pooled ~jobs tasks step =
   Array.mapi
     (fun i slot ->
       match slot with
@@ -159,8 +161,8 @@ let restart_isolated ~policy ?cache ~ctxs tasks slots =
               ~attrs:
                 [ ("slot", Trace.Int i);
                   ("error", Trace.String (Printexc.to_string e)) ];
-          run_one ~policy ?cache ~ctx:ctxs.(i) tasks.(i))
-    slots
+          step i tasks.(i))
+    (Pool.mapi_isolated ~jobs tasks ~f:step)
 
 (* One driver context per machine value of the task list, so its tasks
    minimize the symbolic cover once and share equal-encoding ESPRESSO
@@ -185,10 +187,8 @@ let run ?(jobs = 1) ?cache ?(policy = Supervise.default_policy) tasks =
   let jobs = plan_jobs jobs in
   let tasks = Array.of_list tasks in
   let ctxs = contexts tasks in
-  let slots =
-    Pool.mapi_isolated ~jobs tasks ~f:(fun i t -> run_one ~policy ?cache ~ctx:ctxs.(i) t)
-  in
-  Array.to_list (restart_isolated ~policy ?cache ~ctxs tasks slots)
+  Array.to_list
+    (run_pooled ~jobs tasks (fun i t -> job_step ~policy ?cache ~ctx:ctxs.(i) t))
 
 (* --- racing ------------------------------------------------------------- *)
 
@@ -219,23 +219,38 @@ let race ?(jobs = 1) ?cache ?(policy = Supervise.default_policy) tasks =
           [ ("winner", Trace.Int i);
             ("algorithm", Trace.String (Harness.Driver.name task.Job.algorithm)) ]
   in
-  let budgets =
-    Array.map (fun (t : Job.task) -> Budget.create ?max_work:t.Job.max_work ()) tasks
-  in
+  (* Each racer's cancellable root: uncapped, so the task's own cap
+     rides below it as in every other job step, and [Budget.reason]
+     walks up from that cap to a cancellation here. *)
+  let roots = Array.map (fun _ -> Budget.create ()) tasks in
   let cancel_losers () =
     let w = Atomic.get winner in
     if w < n then
       for j = w + 1 to n - 1 do
-        (if Trace.enabled () && Budget.reason budgets.(j) = None then
+        (if Trace.enabled () && Budget.reason roots.(j) = None then
            Trace.instant "race.cancel"
              ~attrs:
                [ ("loser", Trace.Int j);
                  ("algorithm",
                   Trace.String (Harness.Driver.name tasks.(j).Job.algorithm)) ]);
-        Budget.cancel budgets.(j)
+        Budget.cancel roots.(j)
       done
   in
-  let cancelled_row (task : Job.task) t0 =
+  (* A computed row whose root was cancelled lost the race (its result,
+     if any, is degraded and went uncached); any other acceptable row
+     bids for the win. *)
+  let settle i (row : Job.row) =
+    if row.Job.origin = Job.Computed && Budget.reason roots.(i) = Some Budget.Cancelled then
+      { row with Job.origin = Job.Cancelled_by_race }
+    else begin
+      if acceptable row.Job.result then begin
+        won i row.Job.task;
+        cancel_losers ()
+      end;
+      row
+    end
+  in
+  let skipped (task : Job.task) =
     count_row
       {
         Job.task;
@@ -247,60 +262,14 @@ let race ?(jobs = 1) ?cache ?(policy = Supervise.default_policy) tasks =
                  reason = Budget.Cancelled;
                });
         origin = Job.Cancelled_by_race;
-        wall_s = Unix.gettimeofday () -. t0;
+        wall_s = 0.;
       }
   in
   let run_racer i (task : Job.task) =
-    traced_job task @@ fun () ->
-    let t0 = Unix.gettimeofday () in
-    if Atomic.get winner < i then cancelled_row task t0
-    else
-      match Option.bind cache (fun c -> Cache.find c task) with
-      | Some s ->
-          if acceptable (Ok s) then begin
-            won i task;
-            cancel_losers ()
-          end;
-          count_row
-            { Job.task; result = Ok s; origin = Job.Cached; wall_s = Unix.gettimeofday () -. t0 }
-      | None ->
-          let result = supervised_run policy ~budget:budgets.(i) task in
-          let raced_out = Budget.reason budgets.(i) = Some Budget.Cancelled in
-          if (not raced_out) && acceptable result then begin
-            won i task;
-            cancel_losers ()
-          end;
-          (* A loser that was tripped mid-run produced a degraded (or
-             no) result: it must never enter the cache. *)
-          (match (cache, result) with
-          | Some c, Ok s when not raced_out -> Cache.store c task s
-          | _ -> ());
-          count_row
-            {
-              Job.task;
-              result;
-              origin = (if raced_out then Job.Cancelled_by_race else Job.Computed);
-              wall_s = Unix.gettimeofday () -. t0;
-            }
+    if Atomic.get winner < i then traced_job task (fun () -> skipped task)
+    else job_step ~policy ?cache ~outer:roots.(i) ~settle:(settle i) task
   in
-  let slots = Pool.mapi_isolated ~jobs tasks ~f:run_racer in
-  (* A pool-isolated racer crash restarts inline like [run]'s; its
-     budget may have been cancelled meanwhile, which the rerun observes
-     exactly as the sequential protocol would. *)
-  let rows =
-    Array.mapi
-      (fun i slot ->
-        match slot with
-        | Ok row -> row
-        | Error (e, _) ->
-            if Trace.enabled () then
-              Trace.instant "supervise.restart"
-                ~attrs:
-                  [ ("slot", Trace.Int i);
-                    ("error", Trace.String (Printexc.to_string e)) ];
-            run_racer i tasks.(i))
-      slots
-  in
+  let rows = run_pooled ~jobs tasks run_racer in
   let best_by_area () =
     let best = ref None in
     Array.iteri

@@ -13,6 +13,14 @@
     deterministic too (see below), so racing output is also independent
     of [jobs].
 
+    {b One job step}: {!run}, {!run_task} and {!race} execute every
+    task through the same step: cache lookup, else compute under
+    {!Supervise.run} beneath an optional outer budget that wraps the
+    task's [max_work] cap with {!Budget.sub}, store unless that outer
+    budget tripped, count the row. The outer budget is a serving
+    layer's admission budget ({!run_task}) or a racer's cancellable
+    root ({!race}).
+
     {b Supervision}: every compute step runs under {!Supervise.run} —
     a crash inside an encoder retries with seeded backoff per the
     [policy] (default {!Supervise.default_policy}), exhausted retries
@@ -46,12 +54,11 @@ val run :
   ?jobs:int -> ?cache:Cache.t -> ?policy:Supervise.policy ->
   Job.task list -> Job.row list
 
-(** [run_task ?policy ?cache ?budget task] is the supervised single-job
-    path {!run} applies to each task — cache lookup, else compute under
-    {!Supervise.run} and store — exposed for callers that schedule jobs
-    themselves (the [lib/serve] daemon). [budget] is an {e external}
-    admission budget (a serving layer's per-request deadline/work
-    ceiling). It wraps — never replaces — the task's own [max_work]
+(** [run_task ?policy ?cache ?budget task] is the job step {!run}
+    applies to each task, exposed for callers that schedule jobs
+    themselves (the [lib/serve] daemon). [budget] is the {e outer}
+    budget: an admission budget (a serving layer's per-request
+    deadline/work ceiling). It wraps — never replaces — the task's own [max_work]
     cap: the task cap becomes a {!Budget.sub} child so it trips at
     exactly the one-shot point (it is part of the cache fingerprint),
     while the external ceiling rides above it. A result produced under
@@ -87,9 +94,10 @@ val run_task :
     the first acceptable one are simply never started. Either way the
     winning row is bit-identical.
 
-    Cancelled losers are never written to the cache (their budgets
-    tripped); the winner always ran uncancelled, so its cached entry
-    equals the sequential result.
+    Each task runs through the job step under its own cancellable,
+    uncapped root as the outer budget. Cancelled losers are never
+    written to the cache (their roots tripped); the winner always ran
+    uncancelled, so its cached entry equals the sequential result.
 
     A racer that crashes (supervision exhausted, or quarantined)
     settles as [Error (Job_crashed _)] — never acceptable, so the race

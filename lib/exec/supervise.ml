@@ -47,20 +47,16 @@ let m_occupancy =
 let crash_site_of_what what =
   match String.index_opt what ' ' with Some i -> String.sub what 0 i | None -> what
 
-type policy = {
-  max_attempts : int;
-  base_backoff_ms : float;
-  multiplier : float;
-  jitter : float;
-  seed : int;
-}
+type policy = { max_attempts : int; base_backoff_ms : float }
 
-let default_policy =
-  { max_attempts = 3; base_backoff_ms = 1.0; multiplier = 2.0; jitter = 0.5; seed = 0 }
+let default_policy = { max_attempts = 3; base_backoff_ms = 1.0 }
 
 (* One attempt, no backoff: the unsupervised reference path the bench
    overhead measurement compares against. *)
-let off = { default_policy with max_attempts = 1; base_backoff_ms = 0.0 }
+let off = { max_attempts = 1; base_backoff_ms = 0.0 }
+
+let backoff_multiplier = 2.0
+let backoff_jitter = 0.5
 
 let quiet = ref false
 
@@ -68,14 +64,14 @@ let warn fmt =
   Printf.ksprintf (fun line -> if not !quiet then prerr_endline ("nova: warning: " ^ line)) fmt
 
 (* Backoff for the [attempt]-th failure (1-based): exponential in the
-   attempt with a deterministic jitter drawn from (policy seed, job
-   key, attempt) — seeded, so a replayed run backs off identically. *)
+   attempt with a deterministic jitter drawn from (job key, attempt) —
+   seeded, so a replayed run backs off identically. *)
 let backoff_ms policy ~key ~attempt =
   if policy.base_backoff_ms <= 0.0 then 0.0
   else
-    let base = policy.base_backoff_ms *. (policy.multiplier ** float_of_int (attempt - 1)) in
-    let rng = Random.State.make [| 0xbac0ff; policy.seed; Hashtbl.hash key; attempt |] in
-    let spread = policy.jitter *. base in
+    let base = policy.base_backoff_ms *. (backoff_multiplier ** float_of_int (attempt - 1)) in
+    let rng = Random.State.make [| 0xbac0ff; 0; Hashtbl.hash key; attempt |] in
+    let spread = backoff_jitter *. base in
     base -. spread +. (2.0 *. spread *. Random.State.float rng 1.0)
 
 let sleep_ms ms = if ms > 0.0 then Unix.sleepf (ms /. 1000.0)

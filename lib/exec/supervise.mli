@@ -8,8 +8,8 @@
     immediately and never swallowed.
 
     {b Retry}: seeded jittered exponential backoff. The jitter is drawn
-    from (policy seed, job key, attempt), so a replayed run backs off
-    identically — supervision adds no nondeterminism.
+    from (job key, attempt), so a replayed run backs off identically —
+    supervision adds no nondeterminism.
 
     {b Quarantine}: a per-process registry of (machine, algorithm)
     pairs whose jobs crashed through their whole attempt budget. After
@@ -25,12 +25,9 @@
 type policy = {
   max_attempts : int;  (** total attempts, including the first (>= 1) *)
   base_backoff_ms : float;  (** backoff before the second attempt *)
-  multiplier : float;  (** exponential growth per further attempt *)
-  jitter : float;  (** relative jitter: backoff varies by +-[jitter] *)
-  seed : int;  (** seeds the jitter (deterministic replay) *)
 }
 
-(** 3 attempts, 1ms base backoff, doubling, +-50% jitter, seed 0. *)
+(** 3 attempts, 1ms base backoff. *)
 val default_policy : policy
 
 (** One attempt, no backoff: the unsupervised reference path (bench
@@ -40,9 +37,16 @@ val off : policy
 (** Suppresses the retry / give-up / quarantine stderr warnings. *)
 val quiet : bool ref
 
+(** Backoff growth per further attempt (2.0) and relative jitter: a
+    backoff varies by +-[backoff_jitter] (0.5). *)
+val backoff_multiplier : float
+
+val backoff_jitter : float
+
 (** [backoff_ms policy ~key ~attempt] is the deterministic backoff
     before retry number [attempt + 1] (1-based failures) of job [key].
-    Always within [base * multiplier^(attempt-1)] times [1 +- jitter]. *)
+    Always within [base * backoff_multiplier^(attempt-1)] times
+    [1 +- backoff_jitter]. *)
 val backoff_ms : policy -> key:string -> attempt:int -> float
 
 (** Exhausted crash cycles after which a (machine, algorithm) pair is

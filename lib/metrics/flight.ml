@@ -1,7 +1,6 @@
 type entry = {
   seq : int;
   at : float;
-  id : int;
   verb : string;
   machine : string;
   algorithm : string;
@@ -10,6 +9,7 @@ type entry = {
   ok : bool;
   code : int;
   error : string;
+  spent : int;
 }
 
 type t = {
@@ -23,11 +23,12 @@ let create capacity =
 
 let capacity t = Array.length t.ring
 
-let record t e =
+let record ?(sink = ignore) t e =
   Mutex.protect t.lock (fun () ->
-      let seq = t.next_seq in
-      t.next_seq <- seq + 1;
-      t.ring.(seq mod Array.length t.ring) <- Some { e with seq })
+      let e = { e with seq = t.next_seq } in
+      t.next_seq <- e.seq + 1;
+      t.ring.(e.seq mod Array.length t.ring) <- Some e;
+      sink e)
 
 let recorded t = Mutex.protect t.lock (fun () -> t.next_seq)
 
@@ -48,7 +49,7 @@ let entry_json e =
     [
       ("seq", Json_min.Num (float_of_int e.seq));
       ("at", Json_min.Num e.at);
-      ("id", Json_min.Num (float_of_int e.id));
+      ("id", Json_min.Num (float_of_int e.seq));
       ("verb", Json_min.Str e.verb);
       ("machine", Json_min.Str e.machine);
       ("algorithm", Json_min.Str e.algorithm);
@@ -57,6 +58,7 @@ let entry_json e =
       ("ok", Json_min.Bool e.ok);
       ("code", Json_min.Num (float_of_int e.code));
       ("error", Json_min.Str e.error);
+      ("spent", Json_min.Num (float_of_int e.spent));
     ]
 
 let to_json ?(reason = "request") t =

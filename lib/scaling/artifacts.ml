@@ -299,19 +299,29 @@ let serve_tiers ~dir ~machine ~clients ppf =
   let _, cold_s = timed (fun () -> request line) in
   let warm, warm_s = timed (fun () -> request line) in
   (* Metered vs bare: the same warm (cache-hit) request hammered with the
-     metrics registry on, then off. The daemon runs in-process, so
+     metrics registry on and off. The daemon runs in-process, so
      [Metrics.Registry.set_enabled] reaches its hot paths directly; the
-     ratio is what CI gates metrics overhead on. *)
-  let warm_reps = 24 in
-  let hammer () =
-    for _ = 1 to warm_reps do
-      ignore (request line)
-    done
+     ratio of the two medians is what CI gates metrics overhead on.
+     Rounds alternate which side goes first, so neither always runs on
+     the warmer process. *)
+  let warm_reps = 24 and rounds = 5 in
+  let hammer metered =
+    Metrics.Registry.set_enabled metered;
+    let _, wall = timed (fun () -> for _ = 1 to warm_reps do ignore (request line) done) in
+    Metrics.Registry.set_enabled true;
+    wall
   in
-  let _, metered_wall_s = timed hammer in
-  Metrics.Registry.set_enabled false;
-  let _, bare_wall_s = timed hammer in
-  Metrics.Registry.set_enabled true;
+  let samples =
+    List.init rounds (fun r ->
+        if r mod 2 = 0 then
+          let m = hammer true in
+          (m, hammer false)
+        else
+          let b = hammer false in
+          (hammer true, b))
+  in
+  let metered_wall_s = Measure.median (List.map fst samples) in
+  let bare_wall_s = Measure.median (List.map snd samples) in
   let metrics_overhead = if bare_wall_s > 0. then metered_wall_s /. bare_wall_s else 1. in
   (* Coalesced tier: the same request against a second, cache-less
      daemon. The key is fresh there, so one leader recomputes the cold
@@ -334,9 +344,10 @@ let serve_tiers ~dir ~machine ~clients ppf =
   let rps = float_of_int clients /. batch_s in
   Format.fprintf ppf
     "serve bench %s: cold %.4fs, warm %.4fs (%.1fx), coalesced %.4fs/req over %d clients \
-     (%.1fx, %d shared), %.1f req/s, metrics overhead %.2fx over %d warm requests@."
+     (%.1fx, %d shared), %.1f req/s, metrics overhead %.2fx over %d rounds of %d warm \
+     requests@."
     machine cold_s warm_s (cold_s /. warm_s) coalesced_s clients (cold_s /. coalesced_s)
-    coalesced_n rps metrics_overhead warm_reps;
+    coalesced_n rps metrics_overhead rounds warm_reps;
   let open Json_min in
   let row =
     [

@@ -61,10 +61,8 @@ type t = {
   conns : (Unix.file_descr, unit) Hashtbl.t;
   conns_mutex : Mutex.t;
   started : float;
-  seq : int Atomic.t;  (* server-assigned request ids (access log, flight ring) *)
-  flight : Metrics.Flight.t;
+  flight : Metrics.Flight.t;  (* its sequence numbers are the request ids *)
   access : out_channel option;
-  access_lock : Mutex.t;
 }
 
 (* Production metrics (default-on, see lib/metrics): request counts by
@@ -189,100 +187,91 @@ let render_encode t ~plain m (s : Exec.Job.success) ~budget =
     ~area:s.Exec.Job.area
     ~onehot:(onehot_reference t ~plain ~budget m)
 
-(* A plain request (no budget_ms / max_work ask) takes the full serving
-   path: coalescing table, cache read, store under the determinism
-   gate, and the 1-hot reference memo. A constrained request computes
-   individually — its degradation level depends on its asks, so sharing
-   a computation (or a cached full-quality entry whose fingerprint
-   never saw the ask) would break "byte-identical to the one-shot CLI
-   with the same flags". *)
+let refused e = { payload = None; err = Some e; origin = "request"; spent = 0 }
+
+(* The one coalesced leader of [encode] and [report]. A plain request
+   (no budget_ms / max_work ask) passes a [key] and takes the full
+   serving path: the coalescing table, then [lead] with the daemon's
+   cache (read, and store under the determinism gate); a follower gets
+   the leader's value under origin "coalesced". A constrained request
+   passes no key and leads alone without the cache — its degradation
+   level depends on its asks, so sharing a computation (or a cached
+   full-quality entry whose fingerprint never saw the ask) would break
+   "byte-identical to the one-shot CLI with the same flags". Either way
+   the leader runs in a compute slot. *)
+let coalesced t ?key lead =
+  let in_slot cache () = with_slot t (fun () -> lead cache) in
+  match key with
+  | None -> in_slot None ()
+  | Some key -> (
+      match Exec.Inflight.run t.inflight ~key (in_slot t.cfg.cache) with
+      | served, `Leader -> served
+      | served, `Coalesced ->
+          Atomic.incr t.c_coalesced;
+          { served with origin = "coalesced" })
+
 let serve_encode t (req : Protocol.encode_request) =
   match resolve_machine req.Protocol.machine with
-  | Error e -> { payload = None; err = Some e; origin = "request"; spent = 0 }
-  | Ok m -> (
+  | Error e -> refused e
+  | Ok m ->
       let task = Exec.Job.task ?bits:req.bits ~fallback:req.fallback m req.algorithm in
       let plain = req.budget_ms = None && req.max_work = None in
-      let leader ?cache () =
-        with_slot t @@ fun () ->
-        let budget =
-          Budget.derive ?deadline_ms:req.budget_ms ?max_work:req.max_work (caps t)
-        in
-        let row = timed m_compute (fun () -> Exec.Portfolio.run_task ?cache ~budget task) in
-        count_origin t row;
-        let spent = Budget.spent budget in
-        let origin = Exec.Portfolio.origin_name row.Exec.Job.origin in
-        match row.Exec.Job.result with
-        | Ok s ->
-            {
-              payload = Some (timed m_render (fun () -> render_encode t ~plain m s ~budget));
-              err = None;
-              origin;
-              spent;
-            }
-        | Error e -> { payload = None; err = Some e; origin; spent }
-      in
-      if not plain then leader ()
-      else
-        match
-          Exec.Inflight.run t.inflight ~key:(Exec.Job.key task) (fun () ->
-              leader ?cache:t.cfg.cache ())
-        with
-        | served, `Leader -> served
-        | served, `Coalesced ->
-            Atomic.incr t.c_coalesced;
-            { served with origin = "coalesced" })
+      coalesced t ?key:(if plain then Some (Exec.Job.key task) else None) @@ fun cache ->
+      let budget = Budget.derive ?deadline_ms:req.budget_ms ?max_work:req.max_work (caps t) in
+      let row = timed m_compute (fun () -> Exec.Portfolio.run_task ?cache ~budget task) in
+      count_origin t row;
+      let spent = Budget.spent budget in
+      let origin = Exec.Portfolio.origin_name row.Exec.Job.origin in
+      (match row.Exec.Job.result with
+      | Ok s ->
+          {
+            payload = Some (timed m_render (fun () -> render_encode t ~plain m s ~budget));
+            err = None;
+            origin;
+            spent;
+          }
+      | Error e -> { payload = None; err = Some e; origin; spent })
 
 let serve_report t ~budget_ms machine =
   match resolve_machine machine with
-  | Error e -> { payload = None; err = Some e; origin = "request"; spent = 0 }
-  | Ok m -> (
+  | Error e -> refused e
+  | Ok m ->
       let tasks = Exec.Portfolio.tasks_for m in
       let plain = budget_ms = None in
       let unconstrained = plain && t.cfg.cap_deadline_ms = None && t.cfg.cap_work = None in
-      let leader ?cache () =
-        with_slot t @@ fun () ->
-        let rows, spent =
-          timed m_compute @@ fun () ->
-          if unconstrained then
-            (* No external budget anywhere: run the real portfolio pool
-               (rows are jobs-independent, so --jobs only buys time). *)
-            (Exec.Portfolio.run ~jobs:t.cfg.jobs ?cache tasks, 0)
-          else
-            (* A budget tree is ticked by one domain: under a request
-               deadline the tasks run sequentially, sharing the request
-               budget — a per-request ceiling, not a per-task one. *)
-            let budget = Budget.derive ?deadline_ms:budget_ms (caps t) in
-            let rows = List.map (fun task -> Exec.Portfolio.run_task ?cache ~budget task) tasks in
-            (rows, Budget.spent budget)
-        in
-        List.iter (count_origin t) rows;
-        let err = Exec.Portfolio.first_error rows in
-        let origin =
-          if List.exists (fun (r : Exec.Job.row) -> r.Exec.Job.origin = Exec.Job.Computed) rows
-          then "computed"
-          else "cached"
-        in
-        {
-          payload =
-            Some (timed m_render (fun () -> Render.report_table ~race:false ~num_machines:1 rows));
-          err;
-          origin;
-          spent;
-        }
+      let key () =
+        Digest.to_hex
+          (Digest.string (String.concat "\x00" ("report" :: List.map Exec.Job.key tasks)))
       in
-      if not plain then leader ()
-      else
-        let key =
-          Digest.to_hex
-            (Digest.string (String.concat "\x00" ("report" :: List.map Exec.Job.key tasks)))
-        in
-        match
-          Exec.Inflight.run t.inflight ~key (fun () -> leader ?cache:t.cfg.cache ())
-        with
-        | served, `Leader -> served
-        | served, `Coalesced ->
-            Atomic.incr t.c_coalesced;
-            { served with origin = "coalesced" })
+      coalesced t ?key:(if plain then Some (key ()) else None) @@ fun cache ->
+      let rows, spent =
+        timed m_compute @@ fun () ->
+        if unconstrained then
+          (* No external budget anywhere: run the real portfolio pool
+             (rows are jobs-independent, so --jobs only buys time). *)
+          (Exec.Portfolio.run ~jobs:t.cfg.jobs ?cache tasks, 0)
+        else
+          (* A budget tree is ticked by one domain: under a request
+             deadline the tasks run sequentially, sharing the request
+             budget — a per-request ceiling, not a per-task one. *)
+          let budget = Budget.derive ?deadline_ms:budget_ms (caps t) in
+          let rows = List.map (fun task -> Exec.Portfolio.run_task ?cache ~budget task) tasks in
+          (rows, Budget.spent budget)
+      in
+      List.iter (count_origin t) rows;
+      let err = Exec.Portfolio.first_error rows in
+      let origin =
+        if List.exists (fun (r : Exec.Job.row) -> r.Exec.Job.origin = Exec.Job.Computed) rows
+        then "computed"
+        else "cached"
+      in
+      {
+        payload =
+          Some (timed m_render (fun () -> Render.report_table ~race:false ~num_machines:1 rows));
+        err;
+        origin;
+        spent;
+      }
 
 (* The quarantine registry as JSON rows — runtime visibility into the
    pairs the supervisor has written off (and how much work the skips
@@ -373,98 +362,58 @@ let respond_served t ~id (s : served) =
       Atomic.incr t.c_errors;
       Protocol.error_response ?id ?payload:s.payload e
 
-(* Per-request summary, feeding the metrics registry, the access log
-   and the flight ring from one place at the end of [handle_line]. *)
-type summary = {
-  s_verb : string;
-  s_machine : string;
-  s_algorithm : string;
-  s_tier : string;  (* the serve origin; "none" for bare verbs *)
-  s_ok : bool;
-  s_code : int;
-  s_error : string;
-  s_spent : int;
-}
-
-let bare verb = {
-  s_verb = verb; s_machine = ""; s_algorithm = ""; s_tier = "none"; s_ok = true; s_code = 0;
-  s_error = ""; s_spent = 0;
-}
-
 let machine_ref_name = function
   | Protocol.Builtin name -> name
   | Protocol.Kiss2 { name; _ } -> Option.value name ~default:"<kiss2>"
 
-(* Error identities in summaries stay short: the first line, capped —
-   flight dumps and access logs are records, not crash reports. *)
+(* Error identities in request records stay short: the first line,
+   capped — flight dumps and access logs are records, not crash
+   reports. *)
 let error_brief e =
   let s = Nova_error.to_string e in
   let s = match String.index_opt s '\n' with Some i -> String.sub s 0 i | None -> s in
   if String.length s > 160 then String.sub s 0 160 else s
 
-let summary_of_served verb ~machine ~algorithm (s : served) =
+(* A request's record before the flight ring numbers it and
+   [record_request] stamps its clock. [tier] is the serve origin, "none"
+   for bare verbs. *)
+let request_entry ?(machine = "") ?(algorithm = "") ?(tier = "none") ?(spent = 0) ?err verb =
   {
-    s_verb = verb;
-    s_machine = machine;
-    s_algorithm = algorithm;
-    s_tier = s.origin;
-    s_ok = s.err = None;
-    s_code = (match s.err with None -> 0 | Some e -> Nova_error.exit_code e);
-    s_error = (match s.err with None -> "" | Some e -> error_brief e);
-    s_spent = s.spent;
+    Metrics.Flight.seq = 0;
+    at = 0.;
+    verb;
+    machine;
+    algorithm;
+    tier;
+    wall_ms = 0.;
+    ok = err = None;
+    code = (match err with None -> 0 | Some e -> Nova_error.exit_code e);
+    error = (match err with None -> "" | Some e -> error_brief e);
+    spent;
   }
 
-(* One summary, three sinks: the (tier, verb) latency histogram + verb
-   counter, one JSONL access-log line (append + flush under a mutex —
-   lines from concurrent handler threads must not interleave), and the
-   flight ring. The access log gets the budget spend too; the flight
-   entry stays within its fixed shape. *)
-let record_request t (s : summary) ~wall =
-  Metrics.Registry.inc (m_requests s.s_verb);
-  Metrics.Registry.observe (m_request_seconds (s.s_tier, s.s_verb)) wall;
-  let id = Atomic.fetch_and_add t.seq 1 in
-  let entry =
-    {
-      Metrics.Flight.seq = 0;
-      at = Unix.gettimeofday ();
-      id;
-      verb = s.s_verb;
-      machine = s.s_machine;
-      algorithm = s.s_algorithm;
-      tier = s.s_tier;
-      wall_ms = wall *. 1000.;
-      ok = s.s_ok;
-      code = s.s_code;
-      error = s.s_error;
-    }
+let served_entry verb ~machine ~algorithm (s : served) =
+  request_entry ~machine ~algorithm ~tier:s.origin ~spent:s.spent ?err:s.err verb
+
+(* One record, three sinks: the (tier, verb) latency histogram + verb
+   counter, the flight ring, and one JSONL access-log line in the
+   ring's own rendering. The ring writes that line under its lock as it
+   numbers the entry, so lines from concurrent handler threads never
+   interleave and the log runs in request-id order. *)
+let record_request t (e : Metrics.Flight.entry) ~wall =
+  Metrics.Registry.inc (m_requests e.Metrics.Flight.verb);
+  Metrics.Registry.observe (m_request_seconds (e.Metrics.Flight.tier, e.Metrics.Flight.verb)) wall;
+  let sink =
+    Option.map
+      (fun oc e ->
+        try
+          output_string oc (Json_min.render (Metrics.Flight.entry_json e) ^ "\n");
+          flush oc
+        with Sys_error _ -> ())
+      t.access
   in
-  Metrics.Flight.record t.flight entry;
-  match t.access with
-  | None -> ()
-  | Some oc ->
-      let line =
-        Json_min.render
-          (Json_min.Obj
-             [
-               ("at", Json_min.Num entry.Metrics.Flight.at);
-               ("id", Json_min.Num (float_of_int id));
-               ("verb", Json_min.Str s.s_verb);
-               ("machine", Json_min.Str s.s_machine);
-               ("algorithm", Json_min.Str s.s_algorithm);
-               ("tier", Json_min.Str s.s_tier);
-               ("wall_ms", Json_min.Num (wall *. 1000.));
-               ("ok", Json_min.Bool s.s_ok);
-               ("code", Json_min.Num (float_of_int s.s_code));
-               ("error", Json_min.Str s.s_error);
-               ("spent", Json_min.Num (float_of_int s.s_spent));
-             ])
-        ^ "\n"
-      in
-      Mutex.protect t.access_lock (fun () ->
-          try
-            output_string oc line;
-            flush oc
-          with Sys_error _ -> ())
+  Metrics.Flight.record ?sink t.flight
+    { e with Metrics.Flight.at = Unix.gettimeofday (); wall_ms = wall *. 1000. }
 
 (* One request line in, one response line out. Anything non-fatal the
    dispatch raises — the serve chaos site included — becomes a typed
@@ -482,18 +431,16 @@ let handle_line t line =
     | Protocol.Encode _ -> "encode"
     | Protocol.Report _ -> "report"
   in
-  let response, summary =
+  let response, entry =
     match timed m_parse (fun () -> Protocol.parse_request line) with
     | Error (id, e) ->
         Atomic.incr t.c_errors;
-        ( Protocol.error_response ?id e,
-          { (bare "invalid") with
-            s_ok = false; s_code = Nova_error.exit_code e; s_error = error_brief e } )
+        (Protocol.error_response ?id e, request_entry ~err:e "invalid")
     | Ok { Protocol.id; request } -> (
         let verb = verb_of request in
         let serve ok () =
           Atomic.incr t.c_served;
-          (ok, bare verb)
+          (ok, request_entry verb)
         in
         try
           Exec.Chaos.maybe_raise Exec.Chaos.Serve;
@@ -514,13 +461,12 @@ let handle_line t line =
               let machine = machine_ref_name req.Protocol.machine in
               let algorithm = Harness.Driver.name req.Protocol.algorithm in
               let served = serve_encode t req in
-              ( respond_served t ~id served,
-                summary_of_served verb ~machine ~algorithm served )
+              (respond_served t ~id served, served_entry verb ~machine ~algorithm served)
           | Protocol.Report { machine; budget_ms } ->
               let served = serve_report t ~budget_ms machine in
               ( respond_served t ~id served,
-                summary_of_served verb ~machine:(machine_ref_name machine)
-                  ~algorithm:"portfolio" served )
+                served_entry verb ~machine:(machine_ref_name machine) ~algorithm:"portfolio"
+                  served )
         with
         | (Out_of_memory | Stack_overflow | Sys.Break) as e -> raise e
         | e ->
@@ -529,15 +475,15 @@ let handle_line t line =
               Nova_error.Job_crashed
                 { job = "serve:" ^ verb; attempts = 1; detail = Printexc.to_string e }
             in
-            ( Protocol.error_response ?id err,
-              { (bare verb) with
-                s_ok = false; s_code = Nova_error.exit_code err; s_error = error_brief err } ))
+            (Protocol.error_response ?id err, request_entry ~err verb))
   in
   let wall = Unix.gettimeofday () -. t0 in
-  record_request t summary ~wall;
+  record_request t entry ~wall;
   if Trace.enabled () then
     Trace.instant "serve.request"
-      ~attrs:[ ("verb", Trace.String summary.s_verb); ("wall_ms", Trace.Float (wall *. 1000.)) ];
+      ~attrs:
+        [ ("verb", Trace.String entry.Metrics.Flight.verb);
+          ("wall_ms", Trace.Float (wall *. 1000.)) ];
   response
 
 (* --- connection plumbing ------------------------------------------------ *)
@@ -741,10 +687,8 @@ let run cfg =
           conns = Hashtbl.create 16;
           conns_mutex = Mutex.create ();
           started = Unix.gettimeofday ();
-          seq = Atomic.make 0;
           flight = Metrics.Flight.create (max 1 cfg.flight_capacity);
           access;
-          access_lock = Mutex.create ();
         }
       in
       current := Some t;

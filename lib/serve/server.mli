@@ -24,6 +24,15 @@
       same flags, and immune to serving another request's degradation
       level.
 
+    [encode] and [report] share this one leader rule; only the key and
+    the computation differ.
+
+    {b Request record}: each answered line ends as one
+    {!Metrics.Flight.entry} (verb, machine, algorithm, tier, wall,
+    outcome, exit code, budget spent). It feeds the registry, the
+    flight ring, and the access log, whose line is the entry's own
+    {!Metrics.Flight.entry_json}. The ring's [seq] is the request id.
+
     {b Shutdown}: the [shutdown] verb, SIGINT or SIGTERM stop the accept
     loop; in-flight requests drain (bounded), handler reads are
     unblocked, the socket file is unlinked, and the cache directory is
@@ -47,8 +56,9 @@ type config = {
   cache : Exec.Cache.t option;
   quiet : bool;  (** suppress the stderr banner and shutdown summary *)
   access_log : string option;
-      (** append one JSONL line per request (id, verb, machine,
-          algorithm, tier, wall, outcome/exit code, budget spent) *)
+      (** append one JSONL line per request, in request-id order: the
+          flight entry (seq/id, verb, machine, algorithm, tier, wall,
+          outcome/exit code, budget spent) *)
   flight_record : string option;
       (** dump the flight-recorder ring to this path on crash, on
           shutdown, and on each [flightrec] request *)

@@ -74,6 +74,7 @@ echo "  14-input corrupt-output: exit 6, trace-equivalence names a state and an 
 
 echo "== instrument smoke: --instrument dumps the registry, stderr empty without =="
 CHECK_PROM=_build/default/scripts/check_prom.exe
+RECORD_KEYS=_build/default/scripts/record_keys.exe
 $NOVA encode --instrument dk16 > /dev/null 2> "$TMP/instrument.prom"
 $CHECK_PROM "$TMP/instrument.prom" > /dev/null \
   || { echo "--instrument stderr failed check_prom"; exit 1; }
@@ -361,7 +362,20 @@ grep -q '"reason":"shutdown"' "$FLIGHT" \
   || { echo "flight-record artifact missing shutdown dump"; exit 1; }
 grep -q '"code":7' "$FLIGHT" \
   || { echo "crash evidence missing from the shutdown dump"; exit 1; }
+# One request record, two sinks: every access-log line and every entry
+# of the shutdown dump carry the same keys, the request id (seq) and
+# the budget spend included.
+keysets=$($RECORD_KEYS "$ACCESS_LOG" "$FLIGHT" | sort -u)
+[ "$(printf '%s\n' "$keysets" | wc -l)" -eq 1 ] \
+  || { echo "access log and flight dump records differ in keys:"; echo "$keysets"; exit 1; }
+for k in seq spent; do
+  case ",$keysets," in
+    *",$k,"*) ;;
+    *) echo "request records lack \"$k\": $keysets"; exit 1 ;;
+  esac
+done
 echo "  access log 1:1 ($logged lines), shutdown flight dump has the crash: ok"
+echo "  access-log lines and flight entries share one key set, seq and spent included: ok"
 echo "  ping, cold/warm/pair determinism, typed error, clean shutdown: ok"
 
 echo "== serve bench smoke: bad machine refused typed, private files removed =="

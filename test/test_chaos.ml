@@ -109,10 +109,13 @@ let test_backoff_deterministic_and_bounded () =
     let b1 = Exec.Supervise.backoff_ms p ~key:"lion/igreedy" ~attempt in
     let b2 = Exec.Supervise.backoff_ms p ~key:"lion/igreedy" ~attempt in
     check "backoff is deterministic" true (b1 = b2);
-    let base = p.Exec.Supervise.base_backoff_ms *. (p.Exec.Supervise.multiplier ** float (attempt - 1)) in
+    let base =
+      p.Exec.Supervise.base_backoff_ms
+      *. (Exec.Supervise.backoff_multiplier ** float (attempt - 1))
+    in
+    let jitter = Exec.Supervise.backoff_jitter in
     check "within jitter envelope" true
-      (b1 >= base *. (1. -. p.Exec.Supervise.jitter) -. 1e-9
-      && b1 <= base *. (1. +. p.Exec.Supervise.jitter) +. 1e-9)
+      (b1 >= base *. (1. -. jitter) -. 1e-9 && b1 <= base *. (1. +. jitter) +. 1e-9)
   done;
   let b_other = Exec.Supervise.backoff_ms p ~key:"dk15/igreedy" ~attempt:1 in
   let b_lion = Exec.Supervise.backoff_ms p ~key:"lion/igreedy" ~attempt:1 in

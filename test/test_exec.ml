@@ -465,6 +465,45 @@ let test_race_warm_cache_same_winner () =
       | _ -> Alcotest.fail "winner row not a success")
   | _ -> Alcotest.fail "race found no winner"
 
+(* ------------------------------------------------------------------ *)
+(* The store rule: a result computed under a tripped outer budget never
+   enters the cache *)
+
+let stores c = (Exec.Cache.stats c).Exec.Cache.stores
+
+let test_store_rule_tripped_budget () =
+  with_temp_dir @@ fun dir ->
+  let c = Exec.Cache.open_dir dir in
+  let task = Exec.Job.task (Benchmarks.Suite.find "dk16") Harness.Driver.Ihybrid in
+  let past_deadline = Budget.create ~deadline_ms:(-1.) () in
+  let row = Exec.Portfolio.run_task ~cache:c ~budget:past_deadline task in
+  check "row returned as computed" true (row.Exec.Job.origin = Exec.Job.Computed);
+  check_int "nothing stored" 0 (stores c);
+  check "no entry file" false (Sys.file_exists (Exec.Cache.entry_path c task));
+  (* The same task under an outer budget that never trips stores. *)
+  ignore (Exec.Portfolio.run_task ~cache:c ~budget:(Budget.create ()) task);
+  check_int "stored once untripped" 1 (stores c);
+  check "entry file written" true (Sys.file_exists (Exec.Cache.entry_path c task))
+
+(* An uncapped iexact on dk16 cannot finish before ihybrid, the
+   preferred rung: at jobs=2 it is cancelled mid-run (or, on one core,
+   never started) and must leave no entry, while the winner's is
+   written. *)
+let test_store_rule_race_loser () =
+  with_temp_dir @@ fun dir ->
+  let c = Exec.Cache.open_dir dir in
+  let m = Benchmarks.Suite.find "dk16" in
+  let winner = Exec.Job.task m Harness.Driver.Ihybrid in
+  let loser = Exec.Job.task m Harness.Driver.Iexact in
+  let rows, w = Exec.Portfolio.race ~jobs:2 ~cache:c [ winner; loser ] in
+  check "the preferred rung wins" true (w = Some 0);
+  check "the loser is raced out" true
+    ((List.nth rows 1).Exec.Job.origin = Exec.Job.Cancelled_by_race);
+  check "no entry for the loser" false (Sys.file_exists (Exec.Cache.entry_path c loser));
+  check "the winner's entry is written" true
+    (Sys.file_exists (Exec.Cache.entry_path c winner));
+  check_int "one store" 1 (stores c)
+
 let suite =
   [
     Alcotest.test_case "pool: jobs=4 map equals jobs=1" `Quick test_pool_map_deterministic;
@@ -500,4 +539,8 @@ let suite =
       test_race_winner_deterministic;
     Alcotest.test_case "race: warm cache picks the same winner" `Quick
       test_race_warm_cache_same_winner;
+    Alcotest.test_case "store rule: a tripped outer budget stores nothing" `Quick
+      test_store_rule_tripped_budget;
+    Alcotest.test_case "store rule: a cancelled racer stores nothing" `Quick
+      test_store_rule_race_loser;
   ]

@@ -246,9 +246,8 @@ let test_expose_lint_rejects_broken () =
 
 let flight_entry i =
   {
-    Metrics.Flight.seq = 0; at = 1000. +. float_of_int i; id = i; verb = "ping";
-    machine = ""; algorithm = ""; tier = "none"; wall_ms = 0.1; ok = true; code = 0;
-    error = "";
+    Metrics.Flight.seq = 0; at = 1000. +. float_of_int i; verb = "ping"; machine = "";
+    algorithm = ""; tier = "none"; wall_ms = 0.1; ok = true; code = 0; error = ""; spent = i;
   }
 
 let test_flight_ring_wraps () =
@@ -261,7 +260,7 @@ let test_flight_ring_wraps () =
   let es = Metrics.Flight.entries t in
   check_int "ring keeps the last capacity entries" 4 (List.length es);
   check "oldest first, newest last" true
-    (List.map (fun e -> e.Metrics.Flight.id) es = [ 6; 7; 8; 9 ]);
+    (List.map (fun e -> e.Metrics.Flight.spent) es = [ 6; 7; 8; 9 ]);
   check "ring assigns monotone seq" true
     (List.map (fun e -> e.Metrics.Flight.seq) es = [ 6; 7; 8; 9 ]);
   (* Under capacity: everything, in order. *)
@@ -269,7 +268,7 @@ let test_flight_ring_wraps () =
   Metrics.Flight.record small (flight_entry 0);
   Metrics.Flight.record small (flight_entry 1);
   check "partial ring in order" true
-    (List.map (fun e -> e.Metrics.Flight.id) (Metrics.Flight.entries small) = [ 0; 1 ])
+    (List.map (fun e -> e.Metrics.Flight.spent) (Metrics.Flight.entries small) = [ 0; 1 ])
 
 let test_flight_dump_artifact () =
   let t = Metrics.Flight.create 3 in

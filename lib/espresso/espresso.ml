@@ -171,65 +171,122 @@ let expand ?budget cover ~off = expand_with ?budget (tables off) cover
 (* The questions below are asked of covers disjoint from the off-set,
    and answered on the care set alone. For such a cube [c] and any cover
    [r], [c ⊆ r ∪ dc] iff [c ∩ care ⊆ r], and [c ∖ (r ∪ dc)] is
-   [(c ∩ care) ∖ r]: the don't-care set is never written down. *)
-let covered dom ~(care : Cover.t) r c =
+   [(c ∩ care) ∖ r]: the don't-care set is never written down.
+   [covered] asks [c ∩ care ⊆ rest] of a list of cubes [rest] (in
+   IRREDUNDANT, a neighbour list). A point set [x] one cube of [rest]
+   contains, or that none meets, is answered here; only the others take
+   a tautology. *)
+let covered dom ~(care : Cover.t) rest c =
   List.for_all
-    (fun d -> match Cube.inter dom c d with None -> true | Some x -> Cover.covers_cube r x)
+    (fun d ->
+      match Cube.inter dom c d with
+      | None -> true
+      | Some x ->
+          List.exists (fun r -> Cube.contains r x) rest
+          || List.exists (fun r -> Cube.intersects dom r x) rest
+             && Cover.covers_cube { Cover.dom; cubes = rest } x)
     care.Cover.cubes
+
+(* IRREDUNDANT and REDUCE visit the cubes one by one, stably sorted on
+   one minterm count per cube, and ask each question of the rest of the
+   cover: the cubes visited before it that are still in the cover,
+   newest first, then the cubes still to come. Every question is about
+   a subcube [x] of the visited cube [c], and the kernel keeps only the
+   cubes of the rest that meet [x] (its cofactor), so the cubes that
+   miss [c] can be left out up front: the cofactor then holds the same
+   cubes in the same order. Which cubes meet which is computed once.
+   The cover only loses cubes and REDUCE only shrinks them, so a cube
+   missing [c] at the start misses it to the end. *)
+type visit = {
+  cubes : Cube.t array; (* visiting order; REDUCE writes its reductions back *)
+  meets : int array array; (* the other cubes each one meets, increasing *)
+  live : bool array; (* false once a cube has left the cover *)
+}
+
+let visit dom ~largest_first (cover : Cover.t) =
+  let keyed = Array.of_list (List.map (fun c -> (Cube.num_minterms dom c, c)) cover.Cover.cubes) in
+  Array.stable_sort
+    (fun (a, _) (b, _) -> if largest_first then Int.compare b a else Int.compare a b)
+    keyed;
+  let cubes = Array.map snd keyed in
+  let n = Array.length cubes in
+  let meets = Array.make n [] in
+  for i = n - 1 downto 0 do
+    for j = n - 1 downto i + 1 do
+      if Cube.intersects dom cubes.(i) cubes.(j) then begin
+        meets.(i) <- j :: meets.(i);
+        meets.(j) <- i :: meets.(j)
+      end
+    done
+  done;
+  { cubes; meets = Array.map Array.of_list meets; live = Array.make n true }
+
+(* The rest of the cover as cube [i] sees it, cut down to its
+   neighbours: the live ones before it, newest first, then those after. *)
+let rest v i =
+  let nb = v.meets.(i) in
+  let acc = ref [] in
+  for k = Array.length nb - 1 downto 0 do
+    if nb.(k) > i then acc := v.cubes.(nb.(k)) :: !acc
+  done;
+  Array.iter (fun j -> if j < i && v.live.(j) then acc := v.cubes.(j) :: !acc) nb;
+  !acc
+
+(* The cover left after the visit, in visiting order. *)
+let remaining dom v =
+  let acc = ref [] in
+  for i = Array.length v.cubes - 1 downto 0 do
+    if v.live.(i) then acc := v.cubes.(i) :: !acc
+  done;
+  Cover.make dom !acc
 
 let irredundant ?budget (cover : Cover.t) ~(care : Cover.t) =
   phase s_irredundant cover @@ fun () ->
   let dom = cover.Cover.dom in
   (* Try to remove big cubes last: small, specific cubes are more likely
      redundant leftovers of expansion. *)
-  let ordered =
-    List.sort (fun a b -> compare (Cube.num_minterms dom a) (Cube.num_minterms dom b)) cover.Cover.cubes
+  let v = visit dom ~largest_first:false cover in
+  let n = Array.length v.cubes in
+  (* Out of budget: keep the rest — possibly redundant, still a cover. *)
+  let rec loop i =
+    if i < n && not (drained budget) then begin
+      charge budget;
+      if covered dom ~care (rest v i) v.cubes.(i) then v.live.(i) <- false;
+      loop (i + 1)
+    end
   in
-  let rec loop kept = function
-    | [] -> List.rev kept
-    | c :: pending ->
-        (* Out of budget: keep the rest — possibly redundant, still a
-           cover. *)
-        if drained budget then List.rev_append kept (c :: pending)
-        else begin
-          charge budget;
-          if covered dom ~care (Cover.make dom (kept @ pending)) c then loop kept pending
-          else loop (c :: kept) pending
-        end
-  in
-  Cover.make dom (loop [] ordered)
+  loop 0;
+  remaining dom v
 
 let reduce ?budget (cover : Cover.t) ~(care : Cover.t) =
   phase s_reduce cover @@ fun () ->
   let dom = cover.Cover.dom in
   (* Largest cubes first, per ESPRESSO: reducing big cubes frees room for
      subsequent reductions. *)
-  let ordered =
-    List.sort (fun a b -> compare (Cube.num_minterms dom b) (Cube.num_minterms dom a)) cover.Cover.cubes
+  let v = visit dom ~largest_first:true cover in
+  let n = Array.length v.cubes in
+  (* Out of budget: the remaining cubes stay unreduced (each reduction
+     is independently sound, so a partial pass is too). *)
+  let rec loop i =
+    if i < n && not (drained budget) then begin
+      charge budget;
+      let c = v.cubes.(i) and rest = { Cover.dom; cubes = rest v i } in
+      let unique =
+        List.concat_map
+          (fun d ->
+            match Cube.inter dom c d with
+            | None -> []
+            | Some x -> (Cover.complement_within rest ~space:x).Cover.cubes)
+          care.Cover.cubes
+      in
+      (match Cover.supercube (Cover.make dom unique) with
+      | None -> v.live.(i) <- false (* fully covered elsewhere: drop *)
+      | Some sc -> v.cubes.(i) <- sc);
+      loop (i + 1)
+    end
   in
-  let rec loop done_ = function
-    | [] -> List.rev done_
-    | c :: pending ->
-        (* Out of budget: the remaining cubes stay unreduced (each
-           reduction is independently sound, so a partial pass is too). *)
-        if drained budget then List.rev_append done_ (c :: pending)
-        else begin
-          charge budget;
-          let rest = Cover.make dom (done_ @ pending) in
-          let unique =
-            List.concat_map
-              (fun d ->
-                match Cube.inter dom c d with
-                | None -> []
-                | Some x -> (Cover.complement_within rest ~space:x).Cover.cubes)
-              care.Cover.cubes
-          in
-          match Cover.supercube (Cover.make dom unique) with
-          | None -> loop done_ pending (* fully covered elsewhere: drop *)
-          | Some sc -> loop (sc :: done_) pending
-        end
-  in
-  Cover.make dom (loop [] ordered)
+  loop 0;
+  remaining dom v
 
 let essential_primes ?budget (cover : Cover.t) ~(care : Cover.t) =
   phase s_essential cover @@ fun () ->
@@ -241,7 +298,7 @@ let essential_primes ?budget (cover : Cover.t) ~(care : Cover.t) =
     &&
     let rest = Cover.make dom (List.filter (fun d -> not (Cube.equal d c)) cover.Cover.cubes) in
     charge budget;
-    not (covered dom ~care rest c)
+    not (covered dom ~care rest.Cover.cubes c)
   in
   Cover.make dom (List.filter essential cover.Cover.cubes)
 

@@ -44,11 +44,6 @@ let var_cardinal d c v =
   if w >= 0 then Bitvec.popcount_word (Bitvec.word c w land (Domain.var_mask1 d).(v))
   else var_cardinal_slow d c v
 
-let is_empty d c =
-  let n = Domain.num_vars d in
-  let rec loop v = v < n && (var_empty d c v || loop (v + 1)) in
-  loop 0
-
 let is_full _d c = Bitvec.is_full c
 
 let var_bits d c v =
@@ -86,22 +81,40 @@ let var_intersects_slow d a b v =
   in
   loop 0
 
-let intersects d a b =
-  let vw = Domain.var_word1 d and vm = Domain.var_mask1 d in
-  let n = Array.length vw in
-  let rec loop v =
-    v = n
-    || (let w = vw.(v) in
-        (if w >= 0 then Bitvec.word a w land Bitvec.word b w land vm.(v) <> 0
-         else var_intersects_slow d a b v)
-        && loop (v + 1))
-  in
-  loop 0
-
 let var_intersects d a b v =
   let w = (Domain.var_word1 d).(v) in
   if w >= 0 then Bitvec.word a w land Bitvec.word b w land (Domain.var_mask1 d).(v) <> 0
   else var_intersects_slow d a b v
+
+(* Word by word for the 2-part fields: a field whose low bit is [p] is
+   non-empty in [x] iff bit [p] of [x lor (x lsr 1)] is set, so one mask
+   test per word decides every 2-part field in it. The other fields
+   ([Domain.other_vars]) take the per-variable path. *)
+let pairs_nonempty low x w =
+  let m = low.(w) in
+  (x lor (x lsr 1)) land m = m
+
+let is_empty d c =
+  let low = Domain.pair_low d in
+  let nw = Array.length low in
+  let rec words w = w < nw && ((not (pairs_nonempty low (Bitvec.word c w) w)) || words (w + 1)) in
+  words 0
+  ||
+  let others = Domain.other_vars d in
+  let rec loop j = j < Array.length others && (var_empty d c others.(j) || loop (j + 1)) in
+  loop 0
+
+let intersects d a b =
+  let low = Domain.pair_low d in
+  let nw = Array.length low in
+  let rec words w =
+    w = nw || (pairs_nonempty low (Bitvec.word a w land Bitvec.word b w) w && words (w + 1))
+  in
+  words 0
+  &&
+  let others = Domain.other_vars d in
+  let rec loop j = j = Array.length others || (var_intersects d a b others.(j) && loop (j + 1)) in
+  loop 0
 
 let inter d a b = if intersects d a b then Some (Bitvec.inter a b) else None
 
@@ -111,10 +124,9 @@ let supercube a b = Bitvec.union a b
 let cofactor d c ~wrt =
   if intersects d c wrt then Some (Bitvec.union c (Bitvec.complement wrt)) else None
 
-(* Word by word for the 2-part fields: with [x = a ∩ b], a field whose
-   low bit is [p] is disjoint iff bits [p] and [p+1] of [x] are both
-   clear, i.e. bit [p] of [x lor (x lsr 1)] is; one popcount per word
-   counts them all. The other fields take the per-variable path. *)
+(* With [x = a ∩ b], a 2-part field is disjoint iff its low bit of
+   [x lor (x lsr 1)] is clear (see [pairs_nonempty]); one popcount per
+   word counts them all. The other fields take the per-variable path. *)
 let distance d a b =
   let low = Domain.pair_low d in
   let count = ref 0 in

@@ -104,16 +104,18 @@ echo "== espresso-identity smoke: dk16 ihybrid runs the same ESPRESSO =="
 # EXPAND's raises and their order are the minimizer's specification: an
 # off-set or care set written down differently must make exactly the
 # same decisions, and the 1-hot reference must come out the same. The
-# essential primes are read off IRREDUNDANT's verdicts, not asked again:
-# 127 tautology calls (254 with the re-test).
+# essential primes are read off IRREDUNDANT's verdicts, not asked again.
+# IRREDUNDANT asks only the cubes that meet the visited cube, and answers
+# a care point set itself when one of them contains it or none meets
+# it: 28 tautology calls (127 when every question took one).
 for pin in 'espresso.expand_passes"} 167' 'espresso.expand_raised_bits"} 373' \
-  'espresso.minimize_calls"} 3' 'logic.tautology_calls"} 127'; do
+  'espresso.minimize_calls"} 3' 'logic.tautology_calls"} 28'; do
   grep -qxF "nova_events_total{event=\"$pin" "$TMP/dk16-ihybrid.prom" \
     || { echo "dk16 ihybrid espresso counter moved: expected $pin"; grep -E 'espresso|tautology_calls' "$TMP/dk16-ihybrid.prom"; exit 1; }
 done
 grep -qxF "(1-hot reference: 26 product terms, area 2288)" "$TMP/dk16-ihybrid.txt" \
   || { echo "dk16 1-hot reference moved"; cat "$TMP/dk16-ihybrid.txt"; exit 1; }
-echo "  espresso counters 167/373/3, 127 tautology calls and 1-hot reference 26 terms, area 2288: ok"
+echo "  espresso counters 167/373/3, 28 tautology calls and 1-hot reference 26 terms, area 2288: ok"
 
 echo "== fault-injection smoke: injected faults must exit 6 =="
 for fault in duplicate-code drop-cube bogus-ic-claim; do

@@ -16,7 +16,19 @@ open Logic
 
 module Reference = struct
   let off_set ~on ~dc = Cover.complement (Cover.union on dc)
-  let valid dom c off = not (List.exists (fun o -> Cube.intersects dom c o) off)
+
+  (* Its own intersection test, variable by variable and bit by bit, so
+     the oracle does not share the word-parallel kernel under test. *)
+  let intersects dom a b =
+    let meets v =
+      let lo = Domain.offset dom v and sz = Domain.size dom v in
+      let rec part p = p < sz && ((Bitvec.get a (lo + p) && Bitvec.get b (lo + p)) || part (p + 1)) in
+      part 0
+    in
+    let rec all v = v = Domain.num_vars dom || (meets v && all (v + 1)) in
+    all 0
+
+  let valid dom c off = not (List.exists (fun o -> intersects dom c o) off)
 
   let expand_cube dom c ~off ~companions =
     let width = Domain.width dom in
@@ -300,6 +312,64 @@ module Minimize_reference = struct
       in
       Cover.single_cube_containment (Cover.union ess best)
     end
+end
+
+(* IRREDUNDANT and REDUCE as they were before the neighbour lists: the
+   minterm count recomputed inside the sort comparator, the whole rest
+   of the cover rebuilt per cube, and one tautology (or complement) per
+   care cube the visited cube meets. Same budget calls. *)
+module Visit_reference = struct
+  let drained = Expand_reference.drained
+  let charge = Expand_reference.charge
+
+  let covered dom ~(care : Cover.t) r c =
+    List.for_all
+      (fun d -> match Cube.inter dom c d with None -> true | Some x -> Cover.covers_cube r x)
+      care.Cover.cubes
+
+  let irredundant ?budget (cover : Cover.t) ~(care : Cover.t) =
+    let dom = cover.Cover.dom in
+    let ordered =
+      List.sort (fun a b -> compare (Cube.num_minterms dom a) (Cube.num_minterms dom b)) cover.Cover.cubes
+    in
+    let rec loop kept = function
+      | [] -> List.rev kept
+      | c :: pending ->
+          if drained budget then List.rev_append kept (c :: pending)
+          else begin
+            charge budget;
+            if covered dom ~care (Cover.make dom (kept @ pending)) c then loop kept pending
+            else loop (c :: kept) pending
+          end
+    in
+    Cover.make dom (loop [] ordered)
+
+  let reduce ?budget (cover : Cover.t) ~(care : Cover.t) =
+    let dom = cover.Cover.dom in
+    let ordered =
+      List.sort (fun a b -> compare (Cube.num_minterms dom b) (Cube.num_minterms dom a)) cover.Cover.cubes
+    in
+    let rec loop done_ = function
+      | [] -> List.rev done_
+      | c :: pending ->
+          if drained budget then List.rev_append done_ (c :: pending)
+          else begin
+            charge budget;
+            let rest = Cover.make dom (done_ @ pending) in
+            let unique =
+              List.concat_map
+                (fun d ->
+                  match Cube.inter dom c d with
+                  | None -> []
+                  | Some x -> (Cover.complement_within rest ~space:x).Cover.cubes)
+                care.Cover.cubes
+            in
+            match Cover.supercube (Cover.make dom unique) with
+            | None -> loop done_ pending
+            | Some sc -> loop (sc :: done_) pending
+          end
+    in
+    Cover.make dom (loop [] ordered)
 end
 
 let same_cubes ctx (want : Cover.t) (got : Cover.t) =
@@ -656,6 +726,75 @@ let prop_irredundant_all_essential =
       let f = Espresso.irredundant (Espresso.expand (Cover.single_cube_containment on) ~off) ~care in
       List.equal Cube.equal f.Cover.cubes (Espresso.essential_primes f ~care).Cover.cubes)
 
+(* --- IRREDUNDANT and REDUCE on neighbour lists ----------------------------- *)
+
+(* One phase against its reference: the same cubes in the same order and
+   the same [Budget.spent], unbounded or under [cap]. *)
+let same_visit ctx ?cap ~care phase reference cover =
+  let budget () = Option.map (fun max_work -> Budget.create ~max_work ()) cap in
+  let b_ref = budget () and b_new = budget () in
+  same_cubes ctx (reference ?budget:b_ref cover ~care) (phase ?budget:b_new cover ~care);
+  let spent = Option.fold ~none:(-1) ~some:Budget.spent in
+  Alcotest.(check int) (ctx ^ ": Budget.spent") (spent b_ref) (spent b_new)
+
+(* Both phases on the covers a minimization hands them: IRREDUNDANT on
+   the first expansion, REDUCE on its result, IRREDUNDANT again on the
+   next expansion. *)
+let check_visits ctx ?cap ~off ~care on =
+  let f = Espresso.expand (Cover.single_cube_containment on) ~off in
+  same_visit (ctx ^ ": irredundant") ?cap ~care Espresso.irredundant Visit_reference.irredundant f;
+  let f = Espresso.irredundant f ~care in
+  same_visit (ctx ^ ": reduce") ?cap ~care Espresso.reduce Visit_reference.reduce f;
+  let g = Espresso.expand (Espresso.reduce f ~care) ~off in
+  same_visit (ctx ^ ": irredundant after reduce") ?cap ~care Espresso.irredundant
+    Visit_reference.irredundant g
+
+let test_visits_fsm () =
+  List.iter
+    (fun (m : Fsm.t) ->
+      List.iter
+        (fun (name, e) ->
+          let t = Encoded.build m e in
+          check_visits (m.Fsm.name ^ " under " ^ name) ~off:t.Encoded.off ~care:t.Encoded.care t.Encoded.on)
+        (encodings ~randoms:1 m);
+      let sym = Symbolic.of_fsm m in
+      check_visits (m.Fsm.name ^ " symbolic") ~off:sym.Symbolic.off ~care:sym.Symbolic.care sym.Symbolic.on)
+    (suite_machines () @ generated_machines ())
+
+(* The wide corpus, under its caps: the minimization's covers, and the
+   raw on cubes against the off cubes as the care set, where many
+   questions meet no neighbour or one that contains them. *)
+let prop_visits_wide =
+  QCheck.Test.make ~name:"irredundant and reduce: same cubes and ticks as the whole-rest reference"
+    ~count:300 gen_expand_problem (fun (sizes, on, off, cap) ->
+      let dom = Domain.create (Array.of_list sizes) in
+      let on = Cover.make dom on and off = Cover.make dom off in
+      check_visits "wide" ?cap ~off ~care:on on;
+      same_visit "wide raw irredundant" ?cap ~care:off Espresso.irredundant Visit_reference.irredundant on;
+      same_visit "wide raw reduce" ?cap ~care:off Espresso.reduce Visit_reference.reduce on;
+      true)
+
+(* Every cap from none to one past the last tick of each phase. *)
+let test_visit_ticks () =
+  List.iter
+    (fun (m : Fsm.t) ->
+      List.iter
+        (fun (name, e) ->
+          let t = Encoded.build m e in
+          let care = t.Encoded.care in
+          let f = Espresso.expand (Cover.single_cube_containment t.Encoded.on) ~off:t.Encoded.off in
+          let g = Espresso.irredundant f ~care in
+          let at phase reference cover =
+            for cap = 0 to Cover.size cover + 1 do
+              let ctx = Printf.sprintf "%s under %s, cap %d" m.Fsm.name name cap in
+              same_visit ctx ~cap ~care phase reference cover
+            done
+          in
+          at Espresso.irredundant Visit_reference.irredundant f;
+          at Espresso.reduce Visit_reference.reduce g)
+        (tick_encodings m))
+    (tick_machines ())
+
 let suite =
   [
     Alcotest.test_case "Encoded.minimize = reference on the suite (1-hot + 3 random)" `Quick
@@ -677,4 +816,9 @@ let suite =
     Alcotest.test_case "essential_primes keeps every cube of an irredundant cover" `Quick
       test_irredundant_all_essential;
     QCheck_alcotest.to_alcotest prop_irredundant_all_essential;
+    Alcotest.test_case "irredundant and reduce = whole-rest reference on suite and generated" `Quick
+      test_visits_fsm;
+    QCheck_alcotest.to_alcotest prop_visits_wide;
+    Alcotest.test_case "irredundant and reduce: same cubes and ticks at every cap (lion, dk16, bbara)"
+      `Quick test_visit_ticks;
   ]

@@ -183,6 +183,100 @@ let prop_complement_within =
           let cw = Cover.complement_within f ~space in
           Cover.equivalent cw (Cover.complement f))
 
+(* The word-parallel [Cube.intersects] and [Cube.is_empty] against a
+   per-variable definition read bit by bit. Domains mix 1-part, 2-part
+   and multi-part fields; with probability 1/2 a prefix puts a 2-part
+   field across the first word boundary, and tails of up to 30
+   fields of up to 70 parts take widths past one and two words. Each
+   field is full, empty or a random part set, so both answers occur. *)
+let vars dom = List.init (Domain.num_vars dom) Fun.id
+
+let ref_is_empty dom c = List.exists (fun v -> Cube.var_bits dom c v = []) (vars dom)
+
+let ref_intersects dom a b =
+  List.for_all
+    (fun v -> List.exists (fun p -> List.mem p (Cube.var_bits dom b v)) (Cube.var_bits dom a v))
+    (vars dom)
+
+let gen_kernel_sizes st =
+  let r k = Random.State.int st k in
+  let field () = match r 4 with 0 -> 1 | 1 -> 3 + r 68 | _ -> 2 in
+  let prefix =
+    if Random.State.bool st then
+      (* An even number of 3-part fields and 2-part ones up to bit 61:
+         the next 2-part field holds bits 62 and 63. *)
+      let threes = 2 * r 3 in
+      List.init threes (fun _ -> 3) @ List.init ((62 - (3 * threes)) / 2) (fun _ -> 2) @ [ 2 ]
+    else []
+  in
+  prefix @ List.init (1 + r 30) (fun _ -> field ())
+
+let gen_kernel_cube st dom =
+  let c = Bitvec.create (Domain.width dom) in
+  for v = 0 to Domain.num_vars dom - 1 do
+    let sz = Domain.size dom v and lo = Domain.offset dom v in
+    match Random.State.int st 8 with
+    | 0 -> ()
+    | 1 | 2 | 3 | 4 -> Bitvec.set_range c lo sz
+    | _ -> for p = 0 to sz - 1 do if Random.State.bool st then Bitvec.set c (lo + p) done
+  done;
+  c
+
+let gen_kernel_problem =
+  QCheck.make
+    ~print:(fun (sizes, cubes) ->
+      Printf.sprintf "dom=[%s] %d cubes" (String.concat ";" (List.map string_of_int sizes)) (List.length cubes))
+    (fun st ->
+      let sizes = gen_kernel_sizes st in
+      let dom = Domain.create (Array.of_list sizes) in
+      (sizes, List.init (2 + Random.State.int st 6) (fun _ -> gen_kernel_cube st dom)))
+
+let prop_kernel_word_parallel =
+  QCheck.Test.make ~name:"Cube.intersects and Cube.is_empty = per-variable definition" ~count:500
+    gen_kernel_problem (fun (sizes, cubes) ->
+      let dom = Domain.create (Array.of_list sizes) in
+      List.for_all (fun c -> Cube.is_empty dom c = ref_is_empty dom c) cubes
+      && List.for_all
+           (fun a ->
+             List.for_all
+               (fun b ->
+                 let want = ref_intersects dom a b in
+                 Cube.intersects dom a b = want
+                 && Cube.is_empty dom (Bitvec.inter a b) = not want
+                 && Option.is_some (Cube.inter dom a b) = want)
+               cubes)
+           cubes)
+
+(* The generator reaches every case the kernel splits on, and both
+   answers of each test. *)
+let test_kernel_corpus () =
+  let rand = Random.State.make [| 20261019 |] in
+  let seen = Hashtbl.create 8 in
+  let note k = Hashtbl.replace seen k () in
+  for _ = 1 to 300 do
+    let sizes, cubes = QCheck.Gen.generate1 ~rand (QCheck.gen gen_kernel_problem) in
+    let dom = Domain.create (Array.of_list sizes) in
+    if Domain.width dom > 2 * Bitvec.bits_per_word then note "wider than two words";
+    if List.mem 1 sizes then note "1-part field";
+    if List.exists (fun s -> s > Bitvec.bits_per_word) sizes then note "field wider than a word";
+    if Array.exists (fun v -> Domain.size dom v = 2) (Domain.other_vars dom) then note "straddling 2-part field";
+    List.iter (fun c -> note (if ref_is_empty dom c then "empty cube" else "non-empty cube")) cubes;
+    List.iter
+      (fun a ->
+        List.iter
+          (fun b ->
+            if not (ref_is_empty dom a || ref_is_empty dom b) then
+              note (if ref_intersects dom a b then "meeting pair" else "disjoint pair"))
+          cubes)
+      cubes
+  done;
+  List.iter
+    (fun k -> check k true (Hashtbl.mem seen k))
+    [
+      "wider than two words"; "1-part field"; "field wider than a word"; "straddling 2-part field";
+      "empty cube"; "non-empty cube"; "meeting pair"; "disjoint pair";
+    ]
+
 let suite =
   [
     Alcotest.test_case "cube basics" `Quick test_cube_basics;
@@ -200,4 +294,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_covers_reflexive;
     QCheck_alcotest.to_alcotest prop_tautology_definition;
     QCheck_alcotest.to_alcotest prop_complement_within;
+    QCheck_alcotest.to_alcotest prop_kernel_word_parallel;
+    Alcotest.test_case "kernel corpus: every field layout, both answers" `Quick test_kernel_corpus;
   ]

@@ -63,7 +63,7 @@ let tests =
            let m = lion () in
            let e =
              Baselines.mustang_encode m ~flavor:Baselines.Fanout ~include_outputs:true
-               ~nbits:(Ihybrid.min_code_length (Fsm.num_states ~m))
+               ~nbits:(Encoding.min_code_length (Fsm.num_states ~m))
            in
            let r = Encoded.implement m e in
            let net =
@@ -77,7 +77,7 @@ let tests =
            let n = Fsm.num_states ~m in
            List.init 4 (fun i ->
                let rng = Random.State.make [| 77; i; n |] in
-               let e = Encoding.random rng ~num_states:n ~nbits:(Ihybrid.min_code_length n) in
+               let e = Encoding.random rng ~num_states:n ~nbits:(Encoding.min_code_length n) in
                (Encoded.implement m e).Encoded.area)));
     Test.make ~name:"fig9:iexact(paper-example)"
       (Staged.stage (fun () -> Iexact.iexact_code ~num_states:7 (paper_ics ())));

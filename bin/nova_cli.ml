@@ -163,15 +163,11 @@ let max_work_arg =
 
 let fallback_arg =
   let doc =
-    "Degrade to cheaper rungs of the algorithm's family when a stage fails or runs out of \
-     budget (iexact > semiexact > project > igreedy; iohybrid > ihybrid > igreedy). \
-     $(b,--no-fallback) turns the first failure into an error exit instead."
+    "Turn the first failure into an error exit instead of degrading to cheaper rungs of the \
+     algorithm's family when a stage fails or runs out of budget (iexact > semiexact > \
+     project > igreedy; iohybrid > ihybrid > igreedy)."
   in
-  Arg.(value & opt ~vopt:true bool true & info [ "fallback" ] ~doc)
-
-let no_fallback_arg =
-  let doc = "Disable the fallback ladder (same as $(b,--fallback=false))." in
-  Arg.(value & flag & info [ "no-fallback" ] ~doc)
+  Term.(const not $ Arg.(value & flag & info [ "no-fallback" ] ~doc))
 
 let certify_arg =
   let doc =
@@ -264,7 +260,7 @@ let certify_and_report m outcome r inject =
 
 let s_cli_encode = Metrics.section "cli.encode"
 
-let encode algo bits pla instrument budget_ms max_work fallback no_fallback certify inject
+let encode algo bits pla instrument budget_ms max_work fallback certify inject
     quiet trace path =
   if quiet then Harness.Driver.quiet := true;
   with_machine path @@ fun m ->
@@ -278,7 +274,7 @@ let encode algo bits pla instrument budget_ms max_work fallback no_fallback cert
                (match bits with Some b -> string_of_int b | None -> "-")
                (match budget_ms with Some ms -> Printf.sprintf "%g" ms | None -> "-")
                (match max_work with Some w -> string_of_int w | None -> "-")
-               (fallback && not no_fallback) certify) );
+               fallback certify) );
         ("jobs", Trace.Int 1);
       ]
   @@ fun () ->
@@ -293,7 +289,6 @@ let encode algo bits pla instrument budget_ms max_work fallback no_fallback cert
       ]
   @@ fun () ->
   let budget = budget_of budget_ms max_work in
-  let fallback = fallback && not no_fallback in
   match Harness.Driver.report ?bits ~budget ~fallback m algo with
   | Error err -> fail_with err
   | Ok (outcome, r) ->
@@ -326,7 +321,7 @@ let encode_cmd =
     (Cmd.info "encode" ~doc:"Encode a machine's states and report the implementation.")
     Term.(
       const encode $ algo_arg $ bits_arg $ pla_arg $ instrument_arg $ budget_ms_arg
-      $ max_work_arg $ fallback_arg $ no_fallback_arg $ certify_arg $ inject_arg $ quiet_arg
+      $ max_work_arg $ fallback_arg $ certify_arg $ inject_arg $ quiet_arg
       $ trace_arg $ machine_arg)
 
 (* --- report: the parallel portfolio executor ----------------------------- *)
@@ -912,8 +907,7 @@ let client_cmd =
     Term.(const (fun algo -> Harness.Driver.name (algo 0)) $ Arg.value (algo_opt (algo_info doc)))
   in
   let encode_cmd =
-    let run socket algo bits max_work fallback no_fallback budget_ms path =
-      let fallback = fallback && not no_fallback in
+    let run socket algo bits max_work fallback budget_ms path =
       client_roundtrip socket
         (Serve.Protocol.encode_line ~algorithm:algo ?bits ?max_work ~fallback ?budget_ms
            (machine_ref_of path))
@@ -925,7 +919,7 @@ let client_cmd =
             the one-shot $(b,nova encode) stdout; the exit code matches too.")
       Term.(
         const run $ socket_arg $ algo_name_arg $ bits_arg $ max_work_arg $ fallback_arg
-        $ no_fallback_arg $ budget_ms_arg $ machine_arg)
+        $ budget_ms_arg $ machine_arg)
   in
   let report_cmd =
     let run socket budget_ms path =

@@ -83,7 +83,7 @@ let () =
   Printf.printf "\ndecoder implementations:\n";
   report "iexact" encoding;
   report "ihybrid(min)" (Ihybrid.ihybrid_code ~num_states:n ics).Ihybrid.encoding;
-  report "sequential" (Encoding.make ~nbits:(Ihybrid.min_code_length n) (Array.init n (fun i -> i)));
+  report "sequential" (Encoding.make ~nbits:(Encoding.min_code_length n) (Array.init n (fun i -> i)));
   report "1-hot" (Encoding.one_hot n);
   let rng = Random.State.make [| 2 |] in
-  report "random" (Encoding.random rng ~num_states:n ~nbits:(Ihybrid.min_code_length n))
+  report "random" (Encoding.random rng ~num_states:n ~nbits:(Encoding.min_code_length n))

@@ -2,7 +2,7 @@ let kiss_encode ~num_states ?max_work ics =
   (* Room for projection up to one dimension per constraint guarantees
      full satisfaction (Proposition 4.2.1). *)
   let nbits_cap =
-    min 60 (Ihybrid.min_code_length num_states + max 1 (List.length ics))
+    min 60 (Encoding.min_code_length num_states + max 1 (List.length ics))
   in
   (* A fresh root of its own: the shared [Budget.unlimited] would be
      ticked by every pool domain at once. *)
@@ -41,7 +41,7 @@ let mustang_attractions (m : Fsm.t) ~flavor ~include_outputs =
   in
   let rows = Array.of_list m.Fsm.transitions in
   let nrows = Array.length rows in
-  let nb = Ihybrid.min_code_length ns in
+  let nb = Encoding.min_code_length ns in
   for i = 0 to nrows - 1 do
     for j = i + 1 to nrows - 1 do
       let a = rows.(i) and b = rows.(j) in

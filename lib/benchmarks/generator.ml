@@ -1,10 +1,5 @@
 let state_name s = Printf.sprintf "st%d" s
 
-(* ceil (log2 n), at least 0 *)
-let ceil_log2 n =
-  let rec bits k acc = if acc >= n then k else bits (k + 1) (acc * 2) in
-  bits 0 1
-
 (* The generator models what real control FSMs look like: states share
    *behaviors*. A behavior tests a small subset of the inputs and reacts
    to each tested pattern by moving to a next state (mostly a "hub"
@@ -18,7 +13,7 @@ let generate ~name ~num_inputs ~num_outputs ~num_states ~num_rows ~seed =
   let rng = Random.State.make [| seed; num_inputs; num_outputs; num_states; num_rows |] in
   let ns = num_states in
   let avg_rows = max 1 (num_rows / ns) in
-  let t_base = min (min 4 num_inputs) (ceil_log2 avg_rows) in
+  let t_base = min (min 4 num_inputs) (Encoding.ceil_log2 avg_rows) in
   let pick_distinct k bound =
     let rec draw acc =
       if List.length acc = k then acc

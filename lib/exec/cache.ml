@@ -149,10 +149,7 @@ let verify_checksum text =
   in
   let checksum_line = String.sub text (nl1 + 1) (nl2 - nl1 - 1) in
   let prefix = "checksum " in
-  if
-    String.length checksum_line < String.length prefix
-    || String.sub checksum_line 0 (String.length prefix) <> prefix
-  then raise Malformed;
+  if not (String.starts_with ~prefix checksum_line) then raise Malformed;
   let claimed = String.sub checksum_line (String.length prefix)
       (String.length checksum_line - String.length prefix)
   in
@@ -173,7 +170,7 @@ let parse_entry (task : Job.task) text =
   let field name =
     let l = next () in
     let p = name ^ " " in
-    if String.length l >= String.length p && String.sub l 0 (String.length p) = p then
+    if String.starts_with ~prefix:p l then
       String.sub l (String.length p) (String.length l - String.length p)
     else if l = name then ""
     else raise Malformed
@@ -368,6 +365,11 @@ let store (c : t) (task : Job.task) (s : Job.success) =
 
 type fsck_report = { scanned : int; valid : int; removed : int; tmp_removed : int }
 
+let contains_substring sub s =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
 (* The shutdown half of fsck, scoped to what *this process* may have
    leaked: its own writer temp files (named [...tmp.<pid>.<domain>]) and
    lock files whose entry is gone. A daemon interrupted mid-store calls
@@ -383,20 +385,9 @@ let sweep_own_tmp (c : t) =
   Array.iter
     (fun name ->
       let path = Filename.concat c.dir name in
-      let is_own_tmp =
-        let n = String.length own_tmp_marker in
-        let rec at i =
-          i + n <= String.length name && (String.sub name i n = own_tmp_marker || at (i + 1))
-        in
-        at 0
-      in
+      let is_own_tmp = contains_substring own_tmp_marker name in
       let is_orphan_lock =
-        (let suffix = entry_suffix ^ ".lock" in
-         String.length name >= String.length suffix
-         && String.sub name
-              (String.length name - String.length suffix)
-              (String.length suffix)
-            = suffix)
+        String.ends_with ~suffix:(entry_suffix ^ ".lock") name
         && not (Sys.file_exists (Filename.concat c.dir (Filename.chop_suffix name ".lock")))
       in
       if is_own_tmp || is_orphan_lock then
@@ -412,17 +403,8 @@ let entry_structurally_valid text =
   | payload ->
       (* The payload must terminate properly: render always ends with
          "end\n". *)
-      String.length payload >= 4 && String.sub payload (String.length payload - 4) 4 = "end\n"
+      String.ends_with ~suffix:"end\n" payload
   | exception _ -> false
-
-let has_suffix suffix s =
-  String.length s >= String.length suffix
-  && String.sub s (String.length s - String.length suffix) (String.length suffix) = suffix
-
-let contains_substring sub s =
-  let n = String.length sub in
-  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
-  at 0
 
 let fsck (c : t) =
   let files = try Sys.readdir c.dir with Sys_error _ -> [||] in
@@ -432,7 +414,7 @@ let fsck (c : t) =
   Array.iter
     (fun name ->
       let path = Filename.concat c.dir name in
-      if has_suffix entry_suffix name then begin
+      if String.ends_with ~suffix:entry_suffix name then begin
         incr scanned;
         let ok =
           match
@@ -452,7 +434,7 @@ let fsck (c : t) =
         (* writer temp files: <key>.nova-cache.tmp.<pid>.<domain> *)
         if remove path then incr tmp_removed
       end
-      else if has_suffix (entry_suffix ^ ".lock") name then begin
+      else if String.ends_with ~suffix:(entry_suffix ^ ".lock") name then begin
         (* Orphaned lock: its entry is gone and nobody holds it. *)
         let entry = Filename.concat c.dir (Filename.chop_suffix name ".lock") in
         if not (Sys.file_exists entry) then ignore (remove path)

@@ -13,6 +13,12 @@ let make ~nbits codes =
   done;
   { nbits; codes = Array.copy codes }
 
+let ceil_log2 n =
+  let rec bits k acc = if acc >= n then k else bits (k + 1) (acc * 2) in
+  bits 0 1
+
+let min_code_length n = max 1 (ceil_log2 n)
+
 let num_states e = Array.length e.codes
 let code e s = e.codes.(s)
 

@@ -7,6 +7,13 @@ type t = private { nbits : int; codes : int array }
     codes are pairwise distinct. Raises [Invalid_argument] otherwise. *)
 val make : nbits:int -> int array -> t
 
+(** [ceil_log2 n] is the least [k] with [2^k >= n] (0 for [n <= 1]). *)
+val ceil_log2 : int -> int
+
+(** [min_code_length n] is [ceil_log2 n], at least 1: the fewest bits
+    that give [n] states distinct codes. *)
+val min_code_length : int -> int
+
 (** [num_states e] is the number of encoded states. *)
 val num_states : t -> int
 

@@ -57,10 +57,7 @@ let state_index m name =
   let rec loop i = if i = n then None else if m.states.(i) = name then Some i else loop (i + 1) in
   loop 0
 
-let min_code_length m =
-  let n = Array.length m.states in
-  let rec bits k acc = if acc >= n then k else bits (k + 1) (acc * 2) in
-  bits 1 2
+let min_code_length m = Encoding.min_code_length (Array.length m.states)
 
 type stats = {
   stat_name : string;

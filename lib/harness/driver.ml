@@ -148,12 +148,9 @@ let iexact_max_work = 400_000
 
 let why budget = Option.value (Budget.reason budget) ~default:Budget.Work
 
-let groups_of ics =
-  List.map (fun (ic : Constraints.input_constraint) -> ic.Constraints.states) ics
-
 (* What each rung may claim to the certificate layer: only the
    constraints it actually reports satisfied, never "everything". *)
-let ic_claims ics = { Check.claimed_ics = groups_of ics; claimed_ocs = [] }
+let ic_claims ics = { Check.claimed_ics = Project.states ics; claimed_ocs = [] }
 
 (* The [project] rung: last resort of the iexact ladder. Start from the
    identity encoding at the minimum length and project into extra
@@ -162,25 +159,12 @@ let ic_claims ics = { Check.claimed_ics = groups_of ics; claimed_ocs = [] }
    terminates; the 60-bit cap guards against degenerate constraint
    sets. *)
 let project_rung ~budget ~num_states ics =
-  let min_len = Ihybrid.min_code_length num_states in
-  let nbits = ref min_len in
-  let codes = ref (Array.init num_states (fun i -> i)) in
-  let encoding () = Encoding.make ~nbits:!nbits !codes in
-  let sic0, ric0 =
-    List.partition
-      (fun (ic : Constraints.input_constraint) ->
-        Constraints.satisfied (encoding ()) ic.Constraints.states)
-      ics
-  in
-  let sic = ref sic0 and ric = ref ric0 in
-  while !ric <> [] && !nbits < 60 && not (Budget.exhausted budget) do
-    let codes', newly, still = Project.project ~codes:!codes ~nbits:!nbits ~sic:!sic ~ric:!ric in
-    codes := codes';
-    sic := newly @ !sic;
-    ric := still;
-    incr nbits
-  done;
-  if !ric = [] then Ok (encoding (), ic_claims !sic)
+  let nbits = Encoding.min_code_length num_states in
+  let codes = Array.init num_states (fun i -> i) in
+  let sic, ric = Project.split (Encoding.make ~nbits codes) ics in
+  let p = Project.extend ~budget ~upto:60 { Project.codes; nbits; sic; ric } in
+  if p.Project.ric = [] then
+    Ok (Encoding.make ~nbits:p.Project.nbits p.Project.codes, ic_claims p.Project.sic)
   else if Budget.exhausted budget then
     Error (Nova_error.Budget_exhausted { stage = Nova_error.Project; reason = why budget })
   else
@@ -190,7 +174,7 @@ let project_rung ~budget ~num_states ics =
            stage = Nova_error.Project;
            msg =
              Printf.sprintf "%d constraints still unsatisfied at the 60-bit cap"
-               (List.length !ric);
+               (List.length p.Project.ric);
          })
 
 let run_rung ~budget ~bits ~num_states ~ics ~problem (m : Fsm.t) algo rung =
@@ -199,13 +183,13 @@ let run_rung ~budget ~bits ~num_states ~ics ~problem (m : Fsm.t) algo rung =
   try
     match rung with
     | Rung_iexact -> (
-        match Iexact.iexact_code ~num_states ~budget (groups_of (Lazy.force ics)) with
+        match Iexact.iexact_code ~num_states ~budget (Project.states (Lazy.force ics)) with
         | Iexact.Sat { k; codes; _ } ->
             Ok (Encoding.make ~nbits:k codes, ic_claims (Lazy.force ics))
         | Iexact.Exhausted -> exhausted (why budget))
     | Rung_semiexact -> (
         let k = max (Fsm.min_code_length m) (Option.value bits ~default:0) in
-        match Iexact.semiexact_code ~num_states ~k ~budget (groups_of (Lazy.force ics)) with
+        match Iexact.semiexact_code ~num_states ~k ~budget (Project.states (Lazy.force ics)) with
         | Some codes -> Ok (Encoding.make ~nbits:k codes, ic_claims (Lazy.force ics))
         | None ->
             if Budget.exhausted budget then exhausted (why budget)
@@ -233,7 +217,7 @@ let run_rung ~budget ~bits ~num_states ~ics ~problem (m : Fsm.t) algo rung =
           Ok
             ( r.Iohybrid.encoding,
               {
-                Check.claimed_ics = groups_of r.Iohybrid.sat_inputs;
+                Check.claimed_ics = Project.states r.Iohybrid.sat_inputs;
                 claimed_ocs =
                   List.concat_map
                     (fun (cl : Constraints.oc_cluster) ->

@@ -63,7 +63,7 @@ let make name =
     iexact = lazy (Iexact.iexact_code ~num_states:n ~max_work:Driver.iexact_max_work (groups ()));
     randoms =
       lazy
-        (let nbits = Ihybrid.min_code_length n in
+        (let nbits = Encoding.min_code_length n in
          List.init num_random_runs (fun i ->
              let rng = Random.State.make [| 77; i; n |] in
              Encoding.random rng ~num_states:n ~nbits));
@@ -394,7 +394,7 @@ let table7_names ~quick =
 
 (* NOVA's best minimum-code-length two-level result (Table VII protocol). *)
 let nova_best_minlen mc =
-  let min_len = Ihybrid.min_code_length (Fsm.num_states ~m:mc.fsm) in
+  let min_len = Encoding.min_code_length (Fsm.num_states ~m:mc.fsm) in
   let candidates =
     List.filter
       (fun (e : Encoding.t) -> e.Encoding.nbits = min_len)

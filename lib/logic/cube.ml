@@ -143,11 +143,15 @@ let distance d a b =
   done;
   !count
 
+(* Saturates at [max_int], as [Cover.space_size] does: a wrapped count
+   would misorder the smallest-first and largest-first cube orders of
+   IRREDUNDANT and REDUCE. *)
 let num_minterms d c =
   let n = Domain.num_vars d in
   let total = ref 1 in
   for v = 0 to n - 1 do
-    total := !total * var_cardinal d c v
+    let k = var_cardinal d c v in
+    total := if k <> 0 && !total > max_int / k then max_int else !total * k
   done;
   !total
 

@@ -78,7 +78,8 @@ val cofactor : Domain.t -> t -> wrt:t -> t option
     [b] are disjoint. *)
 val distance : Domain.t -> t -> t -> int
 
-(** [num_minterms d c] is the number of minterms of [c]. *)
+(** [num_minterms d c] is the number of minterms of [c], saturated at
+    [max_int]. *)
 val num_minterms : Domain.t -> t -> int
 
 (** [num_literal_bits d c] counts the asserted bits in non-full fields —

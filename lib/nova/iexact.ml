@@ -19,6 +19,32 @@ let advance levels lo hi =
   in
   bump (n - 1)
 
+let semiexact_code ~num_states ~k ?(max_work = 30_000) ?(budget = Budget.unlimited)
+    ?(output_constraints = []) ics =
+  if Budget.exhausted budget then None
+  else begin
+    let poset = Input_poset.build ~num_states ics in
+    match
+      Embed.solve poset
+        {
+          Embed.k;
+          policy = Embed.Fixed_min;
+          budget = Budget.sub ~max_work budget;
+          output_constraints;
+        }
+    with
+    | Embed.Sat { codes; _ } -> Some codes
+    | Embed.Unsat | Embed.Exhausted -> None
+  end
+
+let accrete ~num_states ~k ~max_work ~budget ics =
+  List.fold_left
+    (fun (codes, sic, ric) (ic : Constraints.input_constraint) ->
+      match semiexact_code ~num_states ~k ~max_work ~budget (Project.states (ic :: sic)) with
+      | Some cs -> (Some cs, ic :: sic, ric)
+      | None -> (codes, sic, ic :: ric))
+    (None, [], []) ics
+
 let iexact_code ~num_states ?(max_work = 2_000_000) ?(budget = Budget.unlimited) ics =
   let poset = Input_poset.build ~num_states ics in
   let mincube = Input_poset.mincube_dim poset in
@@ -97,68 +123,25 @@ let iexact_code ~num_states ?(max_work = 2_000_000) ?(budget = Budget.unlimited)
       incr kk
     done
   end;
-  (* Last resort: greedy accretion at the minimum length followed by the
-     constructive projection of Proposition 4.2.1 satisfies everything at
-     some (non-minimal) length — the flavor of entry the paper prints as
-     donfile's "11". *)
+  (* Last resort: accretion at the minimum length, largest groups first
+     from the identity encoding, then the projection of Proposition
+     4.2.1 satisfies everything at some (non-minimal) length — the
+     flavor of entry the paper prints as donfile's "11". *)
   if !answer = None then begin
-    let min_len =
-      let rec bits b acc = if acc >= num_states then b else bits (b + 1) (acc * 2) in
-      max 1 (bits 0 1)
+    let min_len = Encoding.min_code_length num_states in
+    let ics = List.map (fun g -> { Constraints.states = g; weight = 1 }) ics in
+    let by_card_desc (a : Constraints.input_constraint) (b : Constraints.input_constraint) =
+      compare (Bitvec.cardinal b.Constraints.states) (Bitvec.cardinal a.Constraints.states)
     in
-    let constraint_of g = { Constraints.states = g; weight = 1 } in
-    (* Accretion: keep every constraint the bounded search can satisfy
-       together at the minimum length. *)
-    let codes = ref (Array.init num_states (fun s -> s)) in
-    let kept = ref [] in
-    List.iter
-      (fun g ->
-        if not (Budget.exhausted budget) then begin
-          let trial = Input_poset.build ~num_states (g :: !kept) in
-          match
-            Embed.solve trial
-              {
-                Embed.k = min_len;
-                policy = Embed.Fixed_min;
-                budget = Budget.sub ~max_work:30_000 budget;
-                output_constraints = [];
-              }
-          with
-          | Embed.Sat { codes = cs; _ } ->
-              codes := cs;
-              kept := g :: !kept
-          | Embed.Unsat | Embed.Exhausted -> ()
-        end)
-      (List.sort (fun a b -> compare (Bitvec.cardinal b) (Bitvec.cardinal a)) ics);
-    let nbits = ref min_len in
-    let e0 = Encoding.make ~nbits:min_len !codes in
-    let sic, ric = List.partition (Constraints.satisfied e0) ics in
-    let sic = ref (List.map constraint_of sic) and ric = ref (List.map constraint_of ric) in
-    while !ric <> [] && !nbits < 60 && not (Budget.exhausted budget) do
-      let codes', newly, still = Project.project ~codes:!codes ~nbits:!nbits ~sic:!sic ~ric:!ric in
-      codes := codes';
-      sic := newly @ !sic;
-      ric := still;
-      incr nbits
-    done;
-    if !ric = [] then answer := Some { k = !nbits; codes = !codes; proven = false }
+    let codes, _, _ =
+      accrete ~num_states ~k:min_len ~max_work:30_000 ~budget (List.sort by_card_desc ics)
+    in
+    let codes = Option.value codes ~default:(Array.init num_states (fun s -> s)) in
+    (* Split by what the codes satisfy, not by what accretion accepted:
+       the last accepted codes may satisfy rejected groups too. *)
+    let sic, ric = Project.split (Encoding.make ~nbits:min_len codes) ics in
+    let p = Project.extend ~budget ~upto:60 { Project.codes; nbits = min_len; sic; ric } in
+    if p.Project.ric = [] then
+      answer := Some { k = p.Project.nbits; codes = p.Project.codes; proven = false }
   end;
   match !answer with Some r -> Sat r | None -> Exhausted
-
-let semiexact_code ~num_states ~k ?(max_work = 30_000) ?(budget = Budget.unlimited)
-    ?(output_constraints = []) ics =
-  if Budget.exhausted budget then None
-  else begin
-    let poset = Input_poset.build ~num_states ics in
-    match
-      Embed.solve poset
-        {
-          Embed.k;
-          policy = Embed.Fixed_min;
-          budget = Budget.sub ~max_work budget;
-          output_constraints;
-        }
-    with
-    | Embed.Sat { codes; _ } -> Some codes
-    | Embed.Unsat | Embed.Exhausted -> None
-  end

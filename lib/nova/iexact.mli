@@ -45,3 +45,17 @@ val semiexact_code :
   ?output_constraints:Constraints.output_constraint list ->
   Bitvec.t list ->
   int array option
+
+(** [accrete ~num_states ~k ~max_work ~budget ics] is the accretion step
+    of Section IV: for each constraint of [ics] in turn, [semiexact_code]
+    at length [k] on it and the constraints accepted so far (newest
+    first); the constraint is accepted when that succeeds. Returns the
+    codes of the last success ([None] when none succeeded), the accepted
+    and the rejected constraints, each newest first. *)
+val accrete :
+  num_states:int ->
+  k:int ->
+  max_work:int ->
+  budget:Budget.t ->
+  Constraints.input_constraint list ->
+  int array option * Constraints.input_constraint list * Constraints.input_constraint list

@@ -5,11 +5,7 @@ type result = {
 }
 
 let igreedy_code ~num_states ?nbits ?(budget = Budget.unlimited) ics =
-  let k =
-    match nbits with
-    | Some b -> max b (Ihybrid.min_code_length num_states)
-    | None -> Ihybrid.min_code_length num_states
-  in
+  let k = max (Option.value nbits ~default:0) (Encoding.min_code_length num_states) in
   let weight_of states =
     List.fold_left
       (fun acc (ic : Constraints.input_constraint) ->
@@ -73,11 +69,6 @@ let igreedy_code ~num_states ?nbits ?(budget = Budget.unlimited) ics =
       | [] -> None
       | c :: rest -> Some (List.fold_left (fun f v -> Face.supercube f (Face.vertex k v)) (Face.vertex k c) rest)
     in
-    let min_level =
-      let card = Bitvec.cardinal group in
-      let rec bits l acc = if acc >= card then l else bits (l + 1) (acc * 2) in
-      bits 0 1
-    in
     let candidates l =
       match base with
       | Some b -> if l >= Face.level k b then Face.superfaces_at_level k b l else Seq.empty
@@ -90,7 +81,7 @@ let igreedy_code ~num_states ?nbits ?(budget = Budget.unlimited) ics =
         | Some f -> Some f
         | None -> levels (l + 1)
     in
-    match levels min_level with
+    match levels (Encoding.ceil_log2 (Bitvec.cardinal group)) with
     | None -> ()
     | Some f ->
         let free = ref (free_vertices f) in

@@ -5,21 +5,12 @@ type result = {
   random_start : bool;
 }
 
-let min_code_length n =
-  let rec bits k acc = if acc >= n then k else bits (k + 1) (acc * 2) in
-  max 1 (bits 0 1)
-
-let by_weight_desc (a : Constraints.input_constraint) (b : Constraints.input_constraint) =
-  let c = compare b.Constraints.weight a.Constraints.weight in
-  if c <> 0 then c else Bitvec.compare a.Constraints.states b.Constraints.states
-
 let ihybrid_code ~num_states ?nbits ?(max_work = 30_000) ?(seed = 0) ?order_seed
     ?(budget = Budget.unlimited) ics =
-  let min_len = min_code_length num_states in
-  let nbits = match nbits with Some b -> max b min_len | None -> min_len in
+  let min_len = Encoding.min_code_length num_states in
   let ordered =
     match order_seed with
-    | None -> List.sort by_weight_desc ics
+    | None -> List.sort Project.by_weight_desc ics
     | Some os ->
         (* Shuffle, then stable-sort by weight: equal weights end up in a
            seed-dependent order. *)
@@ -29,44 +20,14 @@ let ihybrid_code ~num_states ?nbits ?(max_work = 30_000) ?(seed = 0) ?order_seed
         |> List.stable_sort (fun (a : Constraints.input_constraint) b ->
                compare b.Constraints.weight a.Constraints.weight)
   in
-  let codes = ref None in
-  let sic = ref [] and ric = ref [] in
-  (* Accretion at the minimum code length. *)
-  List.iter
-    (fun (ic : Constraints.input_constraint) ->
-      if Budget.exhausted budget then ric := ic :: !ric
-      else
-        let groups = List.map (fun (c : Constraints.input_constraint) -> c.Constraints.states) (ic :: !sic) in
-        match Iexact.semiexact_code ~num_states ~k:min_len ~max_work ~budget groups with
-        | Some cs ->
-            codes := Some cs;
-            sic := ic :: !sic
-        | None -> ric := ic :: !ric)
-    ordered;
-  (* Pathological fallback: a random starting encoding. *)
-  let random_start = !codes = None in
-  let codes =
-    match !codes with
-    | Some cs -> ref cs
-    | None ->
-        let rng = Random.State.make [| seed; num_states |] in
-        ref (Encoding.random rng ~num_states ~nbits:min_len).Encoding.codes
+  let codes, sic, ric = Iexact.accrete ~num_states ~k:min_len ~max_work ~budget ordered in
+  let random_start, codes = Project.start ~seed ~num_states ~nbits:min_len codes in
+  let p =
+    Project.extend ~budget ~upto:(Option.value nbits ~default:min_len)
+      { Project.codes; nbits = min_len; sic; ric }
   in
-  (* Projection into the extra dimensions, if any. *)
-  let cube_dim = ref min_len in
-  while !ric <> [] && !cube_dim < nbits && not (Budget.exhausted budget) do
-    let codes', newly, still = Project.project ~codes:!codes ~nbits:!cube_dim ~sic:!sic ~ric:!ric in
-    codes := codes';
-    sic := newly @ !sic;
-    ric := still;
-    incr cube_dim
-  done;
-  let encoding = Encoding.make ~nbits:!cube_dim !codes in
+  let encoding = Encoding.make ~nbits:p.Project.nbits p.Project.codes in
   (* Report satisfaction against the final encoding, which is what the
      downstream minimization sees. *)
-  let satisfied, unsatisfied =
-    List.partition
-      (fun (ic : Constraints.input_constraint) -> Constraints.satisfied encoding ic.Constraints.states)
-      ics
-  in
+  let satisfied, unsatisfied = Project.split encoding ics in
   { encoding; satisfied; unsatisfied; random_start }

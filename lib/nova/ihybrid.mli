@@ -4,9 +4,10 @@
     Greedily accretes constraints in decreasing weight order, accepting a
     constraint when the bounded backtracking search [semiexact_code]
     still satisfies the whole accepted set at the minimum code length;
-    then, if encoding space remains (up to [nbits]), repeatedly calls
-    [project_code], each call satisfying at least one more constraint per
-    added dimension. *)
+    then, if encoding space remains (up to [nbits]), projects one
+    dimension at a time, each satisfying at least one more constraint.
+    Both steps are the shared ones: {!Iexact.accrete} and
+    {!Project.extend}. *)
 
 type result = {
   encoding : Encoding.t;
@@ -36,6 +37,3 @@ val ihybrid_code :
   ?budget:Budget.t ->
   Constraints.input_constraint list ->
   result
-
-(** [min_code_length n] is [ceil (log2 n)], at least 1. *)
-val min_code_length : int -> int

@@ -88,9 +88,7 @@ let find t states =
   in
   loop 0
 
-let min_level e =
-  let rec bits k acc = if acc >= e.card then k else bits (k + 1) (acc * 2) in
-  bits 0 1
+let min_level e = Encoding.ceil_log2 e.card
 
 let singleton_ids t =
   let ids = Array.make t.num_states (-1) in
@@ -117,10 +115,6 @@ let binomial n k =
     done;
     !acc
   end
-
-let ceil_log2 n =
-  let rec bits k acc = if acc >= n then k else bits (k + 1) (acc * 2) in
-  bits 0 1
 
 (* Condition 1: enough faces of each cardinality class. *)
 let count_cond1 t k0 =
@@ -194,8 +188,7 @@ let count_cond3 t k0 =
   end
 
 let mincube_dim t =
-  let k0 = ceil_log2 t.num_states in
-  let k0 = max k0 1 in
+  let k0 = Encoding.min_code_length t.num_states in
   count_cond3 t (count_cond2 t (count_cond1 t k0))
 
 let pp ppf t =

@@ -1,10 +1,6 @@
-let ceil_log2 n =
-  let rec bits k acc = if acc >= n then k else bits (k + 1) (acc * 2) in
-  max 1 (bits 0 1)
-
 let out_encoder ~num_states ?max_bits ?(budget = Budget.unlimited) ocs =
-  let bit_budget = Option.value max_bits ~default:(max num_states (ceil_log2 num_states)) in
-  let bit_budget = max bit_budget (ceil_log2 num_states) in
+  let min_len = Encoding.min_code_length num_states in
+  let bit_budget = max (Option.value max_bits ~default:(max num_states min_len)) min_len in
   (* The free-code scans range over up to [2^bit_budget] candidates:
      poll the budget periodically so a deadline interrupts them. *)
   let check_budget c =

@@ -87,7 +87,7 @@ $NOVA encode dk16 > /dev/null 2> "$TMP/plain-stderr.txt"
   || { echo "plain encode wrote to stderr"; cat "$TMP/plain-stderr.txt"; exit 1; }
 echo "  --instrument exposition lints, kernel series present, plain stderr empty: ok"
 
-echo "== search-identity smoke: dk16 ihybrid runs the same embedding search =="
+echo "== search-identity smoke: dk16 ihybrid and iohybrid run the same embedding search =="
 # The face-embedding search's candidate order, verdicts and ticks are
 # its specification: a faster search must count exactly the same work.
 $NOVA encode -a ihybrid dk16 --instrument > "$TMP/dk16-ihybrid.txt" 2> "$TMP/dk16-ihybrid.prom"
@@ -99,6 +99,17 @@ done
 grep -qF "35 product terms, PLA area 770" "$TMP/dk16-ihybrid.txt" \
   || { echo "dk16 ihybrid result moved"; cat "$TMP/dk16-ihybrid.txt"; exit 1; }
 echo "  embed counters 190490/190484/5753 and 35 terms, area 770: ok"
+# iohybrid is the other caller of the one accretion and projection: its
+# input stage and its cluster stage must search exactly as before too.
+$NOVA encode -a iohybrid dk16 --instrument > "$TMP/dk16-iohybrid.txt" 2> "$TMP/dk16-iohybrid.prom"
+for pin in 'embed.work_ticks"} 97955' 'embed.verify_calls"} 97952' \
+  'embed.cascade_calls"} 4215'; do
+  grep -qxF "nova_events_total{event=\"$pin" "$TMP/dk16-iohybrid.prom" \
+    || { echo "dk16 iohybrid search counter moved: expected $pin"; grep embed "$TMP/dk16-iohybrid.prom"; exit 1; }
+done
+grep -qF "35 product terms, PLA area 770" "$TMP/dk16-iohybrid.txt" \
+  || { echo "dk16 iohybrid result moved"; cat "$TMP/dk16-iohybrid.txt"; exit 1; }
+echo "  iohybrid embed counters 97955/97952/4215 and 35 terms, area 770: ok"
 
 echo "== espresso-identity smoke: dk16 ihybrid runs the same ESPRESSO =="
 # EXPAND's raises and their order are the minimizer's specification: an

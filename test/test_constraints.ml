@@ -111,7 +111,7 @@ let prop_projection_preserves =
     QCheck.(triple (int_bound 1000) (int_range 4 8) (int_bound 1000))
     (fun (seed, n, gseed) ->
       let rng = Random.State.make [| seed |] in
-      let nbits = Ihybrid.min_code_length n in
+      let nbits = Encoding.min_code_length n in
       let e = Encoding.random rng ~num_states:n ~nbits in
       let grng = Random.State.make [| gseed |] in
       let group = Bitvec.create n in

@@ -277,6 +277,32 @@ let test_kernel_corpus () =
       "empty cube"; "non-empty cube"; "meeting pair"; "disjoint pair";
     ]
 
+(* Past 2^62 minterms the count saturates: on 70 binary fields it stays
+   positive and never drops below the count of a cube it contains. *)
+let test_num_minterms_saturates () =
+  let dom = Domain.create (Array.make 70 2) in
+  let full = Cube.full dom in
+  (* [free k] fixes field 0 and fields k .. 69: 2^(k-1) minterms. *)
+  let free k =
+    List.fold_left
+      (fun c v -> Cube.set_var dom c v [ 1 ])
+      (Cube.set_var dom full 0 [ 0 ])
+      (List.init (70 - k) (fun i -> k + i))
+  in
+  let chain = full :: List.map free [ 70; 65; 64; 63; 62; 40; 1 ] in
+  let keys = List.map (Cube.num_minterms dom) chain in
+  List.iter (fun k -> Alcotest.(check bool) "positive" true (k > 0)) keys;
+  Alcotest.(check int) "full space saturates" max_int (List.hd keys);
+  Alcotest.(check int) "2^62 saturates" max_int (List.nth keys 4);
+  Alcotest.(check int) "2^61 exact" (1 lsl 61) (List.nth keys 5);
+  Alcotest.(check int) "one minterm" 1 (List.nth keys 7);
+  List.iter2
+    (fun outer inner ->
+      Alcotest.(check bool) "contains" true (Cube.contains outer inner);
+      Alcotest.(check bool) "key monotone" true (Cube.num_minterms dom outer >= Cube.num_minterms dom inner))
+    (List.filteri (fun i _ -> i < 7) chain) (List.tl chain);
+  Alcotest.(check int) "empty cube" 0 (Cube.num_minterms dom (Cube.empty_cube dom))
+
 let suite =
   [
     Alcotest.test_case "cube basics" `Quick test_cube_basics;
@@ -296,4 +322,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_complement_within;
     QCheck_alcotest.to_alcotest prop_kernel_word_parallel;
     Alcotest.test_case "kernel corpus: every field layout, both answers" `Quick test_kernel_corpus;
+    Alcotest.test_case "num_minterms saturates past 2^62" `Quick test_num_minterms_saturates;
   ]

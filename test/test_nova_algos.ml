@@ -31,7 +31,7 @@ let prop_project =
     QCheck.(pair (int_bound 10_000) (int_range 4 9))
     (fun (seed, n) ->
       let rng = Random.State.make [| seed |] in
-      let nbits = Ihybrid.min_code_length n in
+      let nbits = Encoding.min_code_length n in
       let e = Encoding.random rng ~num_states:n ~nbits in
       let random_group i =
         let g = Bitvec.create n in
@@ -95,13 +95,13 @@ let test_ihybrid_empty_constraints () =
   Alcotest.(check int) "nothing to satisfy" 0 (List.length r.Ihybrid.unsatisfied)
 
 let test_min_code_length () =
-  Alcotest.(check int) "1 state" 1 (Ihybrid.min_code_length 1);
-  Alcotest.(check int) "2 states" 1 (Ihybrid.min_code_length 2);
-  Alcotest.(check int) "3 states" 2 (Ihybrid.min_code_length 3);
-  Alcotest.(check int) "4 states" 2 (Ihybrid.min_code_length 4);
-  Alcotest.(check int) "5 states" 3 (Ihybrid.min_code_length 5);
-  Alcotest.(check int) "8 states" 3 (Ihybrid.min_code_length 8);
-  Alcotest.(check int) "9 states" 4 (Ihybrid.min_code_length 9)
+  Alcotest.(check int) "1 state" 1 (Encoding.min_code_length 1);
+  Alcotest.(check int) "2 states" 1 (Encoding.min_code_length 2);
+  Alcotest.(check int) "3 states" 2 (Encoding.min_code_length 3);
+  Alcotest.(check int) "4 states" 2 (Encoding.min_code_length 4);
+  Alcotest.(check int) "5 states" 3 (Encoding.min_code_length 5);
+  Alcotest.(check int) "8 states" 3 (Encoding.min_code_length 8);
+  Alcotest.(check int) "9 states" 4 (Encoding.min_code_length 9)
 
 (* Property: ihybrid's satisfied list is exactly the constraints its
    encoding satisfies. *)
@@ -150,7 +150,7 @@ let prop_igreedy_consistent =
         List.map (fun g -> { Constraints.states = g; weight = 1 }) (random_groups seed n 6)
       in
       let r = Igreedy.igreedy_code ~num_states:n ics in
-      r.Igreedy.encoding.Encoding.nbits = Ihybrid.min_code_length n
+      r.Igreedy.encoding.Encoding.nbits = Encoding.min_code_length n
       && List.for_all
            (fun (c : Constraints.input_constraint) ->
              Constraints.satisfied r.Igreedy.encoding c.Constraints.states)
@@ -326,7 +326,7 @@ let prop_semiexact_sound =
     QCheck.(triple (int_bound 10_000) (int_range 4 9) (int_range 0 2))
     (fun (seed, n, extra) ->
       let groups = random_groups seed n 5 in
-      let k = Ihybrid.min_code_length n + extra in
+      let k = Encoding.min_code_length n + extra in
       match Iexact.semiexact_code ~num_states:n ~k groups with
       | None -> true
       | Some codes ->
@@ -348,7 +348,7 @@ let prop_io_semiexact_sound =
             ocs := { Constraints.covering = u; covered = v } :: !ocs
         done
       done;
-      let k = Ihybrid.min_code_length n + 1 in
+      let k = Encoding.min_code_length n + 1 in
       match Iexact.semiexact_code ~num_states:n ~k ~output_constraints:!ocs groups with
       | None -> true
       | Some codes ->

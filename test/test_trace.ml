@@ -164,7 +164,7 @@ let test_instrument_block_keys () =
   let m = Benchmarks.Suite.find "lion" in
   let n = Fsm.num_states ~m in
   let e =
-    Encoding.random (Random.State.make [| 0 |]) ~num_states:n ~nbits:(Ihybrid.min_code_length n)
+    Encoding.random (Random.State.make [| 0 |]) ~num_states:n ~nbits:(Encoding.min_code_length n)
   in
   ignore (Encoded.implement m e);
   let block = Harness.Telemetry.instrument_block () in

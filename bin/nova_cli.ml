@@ -293,13 +293,6 @@ let encode algo bits pla instrument budget_ms max_work fallback certify inject
   | Error err -> fail_with err
   | Ok (outcome, r) ->
       let encoding = outcome.Harness.Driver.encoding in
-      if not quiet then
-        List.iter
-          (fun (rung, err) ->
-            Printf.eprintf "nova: %s rung degraded: %s\n"
-              (Harness.Driver.rung_name rung)
-              (Nova_error.to_string err))
-          outcome.Harness.Driver.degradations;
       (* Rendered through the shared module the daemon serves from, so
          a served payload is byte-identical to this stdout by
          construction (the CI determinism pin diffs the two). *)

@@ -223,24 +223,6 @@ let range_cardinal t lo len =
       !acc + popcount_word (t.words.(w1) land ones (b1 + 1))
     end
 
-(* Is (a ∧ b) empty on [lo, lo+len)? Word-parallel, no allocation: the
-   fused form of [is_empty (inter a b)] restricted to a range, which the
-   cube layer calls in its innermost loops. *)
-let inter_range_empty a b lo len =
-  check_same a b;
-  range_check a lo len;
-  len = 0
-  ||
-  let w0 = lo / bits_per_word and w1 = (lo + len - 1) / bits_per_word in
-  let b0 = lo mod bits_per_word and b1 = (lo + len - 1) mod bits_per_word in
-  if w0 = w1 then a.words.(w0) land b.words.(w0) land (ones (b1 - b0 + 1) lsl b0) = 0
-  else
-    a.words.(w0) land b.words.(w0) land (-1 lsl b0) = 0
-    && a.words.(w1) land b.words.(w1) land ones (b1 + 1) = 0
-    &&
-    let rec mid w = w >= w1 || (a.words.(w) land b.words.(w) = 0 && mid (w + 1)) in
-    mid (w0 + 1)
-
 (* Raw word access for the mask-based field operations of the cube
    layer, which precomputes per-variable (word, mask) pairs to avoid
    index arithmetic in its innermost loops. *)

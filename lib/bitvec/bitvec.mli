@@ -105,12 +105,6 @@ val range_empty : t -> int -> int -> bool
 (** [range_cardinal t lo len] counts set bits among [lo..lo+len-1]. *)
 val range_cardinal : t -> int -> int -> int
 
-(** [inter_range_empty a b lo len] is true iff [a AND b] has no set bit in
-    [lo..lo+len-1]. Word-parallel and allocation-free: the fused form of
-    [is_empty (inter a b)] restricted to a range, for the innermost cube
-    loops. *)
-val inter_range_empty : t -> t -> int -> int -> bool
-
 (** [popcount_word w] counts the set bits of a raw word; exposed for the
     test suite to cross-check the SWAR implementation. *)
 val popcount_word : int -> int

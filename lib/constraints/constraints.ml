@@ -32,20 +32,27 @@ let satisfied_weight e ics =
 let num_satisfied e ics =
   List.fold_left (fun acc ic -> if satisfied e ic.states then acc + 1 else acc) 0 ics
 
-let of_cover (sym : Symbolic.t) (cover : Cover.t) =
-  let ns = Symbolic.num_states sym in
+let group sym c =
+  let g = Symbolic.present_states sym c in
+  let card = Bitvec.cardinal g in
+  if card >= 2 && card < Symbolic.num_states sym then Some g else None
+
+let tally sym (cover : Cover.t) =
   let tbl = Hashtbl.create 17 in
   List.iter
     (fun c ->
-      let group = Symbolic.present_states sym c in
-      let card = Bitvec.cardinal group in
-      if card >= 2 && card < ns then
-        let key = Bitvec.to_string group in
-        match Hashtbl.find_opt tbl key with
-        | Some ic -> Hashtbl.replace tbl key { ic with weight = ic.weight + 1 }
-        | None -> Hashtbl.add tbl key { states = group; weight = 1 })
+      match group sym c with
+      | None -> ()
+      | Some g -> (
+          let key = Bitvec.to_string g in
+          match Hashtbl.find_opt tbl key with
+          | Some ic -> Hashtbl.replace tbl key { ic with weight = ic.weight + 1 }
+          | None -> Hashtbl.add tbl key { states = g; weight = 1 }))
     cover.Cover.cubes;
   Hashtbl.fold (fun _ ic acc -> ic :: acc) tbl []
+
+let of_cover sym cover =
+  tally sym cover
   |> List.sort (fun a b ->
          let c = compare b.weight a.weight in
          if c <> 0 then c else Bitvec.compare a.states b.states)
@@ -66,8 +73,3 @@ type oc_cluster = {
 }
 
 let cluster_satisfied e cl = List.for_all (oc_satisfied e) cl.edges
-
-let pp_input_constraint ppf ic =
-  Format.fprintf ppf "%a (w=%d)" Bitvec.pp ic.states ic.weight
-
-let pp_output_constraint ppf oc = Format.fprintf ppf "%d > %d" oc.covering oc.covered

@@ -39,8 +39,16 @@ val num_satisfied : Encoding.t -> input_constraint list -> int
 val of_symbolic : ?budget:Budget.t -> Symbolic.t -> input_constraint list
 
 (** [of_cover sym cover] extracts the weighted input constraints of an
-    already-minimized symbolic [cover]. *)
+    already-minimized symbolic [cover], by decreasing weight. *)
 val of_cover : Symbolic.t -> Cover.t -> input_constraint list
+
+(** [tally sym cover] is {!of_cover} before its sort: one constraint per
+    distinct group, in the fold order of the table that counts them. *)
+val tally : Symbolic.t -> Cover.t -> input_constraint list
+
+(** [group sym c] is the present-state group cube [c] asserts, when it
+    constrains an encoding: at least two states and not all of them. *)
+val group : Symbolic.t -> Cube.t -> Bitvec.t option
 
 type output_constraint = { covering : int; covered : int }
 
@@ -62,6 +70,3 @@ type oc_cluster = {
 (** [cluster_satisfied encoding cl] holds iff every edge of the cluster
     is satisfied. *)
 val cluster_satisfied : Encoding.t -> oc_cluster -> bool
-
-val pp_input_constraint : Format.formatter -> input_constraint -> unit
-val pp_output_constraint : Format.formatter -> output_constraint -> unit

@@ -322,8 +322,7 @@ let write_once path text =
         Sys.rename tmp path)
   with
   | () -> true
-  | exception e
-    when not (match e with Out_of_memory | Stack_overflow | Sys.Break -> true | _ -> false) ->
+  | exception e when not (Nova_error.is_fatal e) ->
       Metrics.Registry.inc m_io_faults;
       (try Sys.remove tmp with Sys_error _ -> ());
       false

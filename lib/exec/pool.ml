@@ -5,10 +5,6 @@ let c_retired = Metrics.event "exec.pool.domains_retired"
 let c_tasks = Metrics.event "exec.pool.tasks"
 let c_isolated = Metrics.event "exec.pool.crashes_isolated"
 
-(* Fatal exceptions cross the pool barrier: isolating an OOM or a user
-   interrupt into a per-slot value would hide a dying process. *)
-let is_fatal = function Out_of_memory | Stack_overflow | Sys.Break -> true | _ -> false
-
 (* --- the process-wide helpers ---------------------------------------------- *)
 
 (* How long a helper with nothing to do polls for a new batch before its
@@ -183,7 +179,7 @@ let mapi_isolated ~jobs tasks ~f =
       f i x
     with
     | v -> Ok v
-    | exception e when not (is_fatal e) ->
+    | exception e when not (Nova_error.is_fatal e) ->
         Metrics.Registry.inc c_isolated;
         let bt = Printexc.get_backtrace () in
         if Trace.enabled () then

@@ -76,12 +76,6 @@ let backoff_ms policy ~key ~attempt =
 
 let sleep_ms ms = if ms > 0.0 then Unix.sleepf (ms /. 1000.0)
 
-(* Fatal exceptions must cross the supervisor untouched: retrying an
-   OOM burns the machine, swallowing a ^C loses the user's intent. *)
-let is_fatal = function
-  | Out_of_memory | Stack_overflow | Sys.Break -> true
-  | _ -> false
-
 let describe_exn e bt =
   let head =
     match String.index_opt bt '\n' with Some i -> String.sub bt 0 i | None -> bt
@@ -209,7 +203,7 @@ let run policy ~machine ~algorithm f =
       let rec attempt_from n =
         match f () with
         | result -> result
-        | exception e when not (is_fatal e) ->
+        | exception e when not (Nova_error.is_fatal e) ->
             let detail = describe_exn e (Printexc.get_backtrace ()) in
             Metrics.Registry.inc (m_crashes "job");
             if n < policy.max_attempts then begin
@@ -240,7 +234,7 @@ let run policy ~machine ~algorithm f =
 let protect ~what f =
   match f () with
   | v -> Ok v
-  | exception e when not (is_fatal e) ->
+  | exception e when not (Nova_error.is_fatal e) ->
       let detail = describe_exn e (Printexc.get_backtrace ()) in
       Metrics.Registry.inc (m_crashes (crash_site_of_what what));
       Error (Printf.sprintf "%s: %s" what detail)

@@ -44,6 +44,8 @@ let cubes dom rows field =
              Some c)
        rows)
 
+let zeros dom rows keep = cubes dom rows (fun r -> List.filter keep r.zeros)
+
 type sets = { on : Cover.t; off : Cover.t; care : Cover.t }
 
 (* The region no row matches is don't-care, and a row's base times all

@@ -22,6 +22,11 @@ val base : Domain.t -> string -> Cube.t
     [plane]. *)
 val row : Cube.t -> string -> row
 
+(** [zeros dom rows keep] has one cube per row with a 0 entry on some
+    output part [p] with [keep p]: the row's base with exactly those
+    parts asserted, in row order. *)
+val zeros : Domain.t -> row list -> (int -> bool) -> Cover.t
+
 (** The sets ESPRESSO needs, none built from a complement of the whole
     space: [on] has one cube per row asserting some part, [off] is
     exactly [¬(on ∪ dc)] — each row's 0 cube minus the on and free cubes

@@ -3,6 +3,7 @@ open Logic
 type t = {
   machine : Fsm.t;
   dom : Domain.t;
+  rows : Personality.row list;
   on : Cover.t;
   off : Cover.t;
   care : Cover.t;
@@ -11,8 +12,6 @@ type t = {
 }
 
 let num_states t = Array.length t.machine.Fsm.states
-let next_state_part _t s = s
-let output_part t j = num_states t + j
 
 (* Every row: inputs and the present state as the base, the 1-hot next
    state and the outputs as the output plane. *)
@@ -34,10 +33,11 @@ let rows (m : Fsm.t) dom =
 let of_fsm (m : Fsm.t) =
   let ni = m.Fsm.num_inputs and ns = Array.length m.Fsm.states in
   let dom = Domain.create (Array.append (Array.make ni 2) [| ns; ns + m.Fsm.num_outputs |]) in
-  let { Personality.on; off; care } = Personality.sets dom (rows m dom) in
-  { machine = m; dom; on; off; care; state_var = ni; output_var = ni + 1 }
+  let rows = rows m dom in
+  let { Personality.on; off; care } = Personality.sets dom rows in
+  { machine = m; dom; rows; on; off; care; state_var = ni; output_var = ni + 1 }
 
-let dc t = Personality.dc t.dom (rows t.machine t.dom)
+let dc t = Personality.dc t.dom t.rows
 let minimize ?budget t = Espresso.minimize_off ?budget ~off:t.off ~care:t.care t.on
 
 let present_states t c =

@@ -12,6 +12,9 @@ open Logic
 type t = {
   machine : Fsm.t;
   dom : Domain.t;
+  rows : Personality.row list;
+      (** one per transition: inputs and present state as the base, the
+          1-hot next state and the outputs as the output plane *)
   on : Cover.t;  (** one cube per row asserting a next state or output *)
   off : Cover.t;  (** exactly [¬(on ∪ dc t)], built from the rows' 0 entries *)
   care : Cover.t;  (** the on-set points no don't-care covers *)
@@ -32,13 +35,6 @@ val dc : t -> Cover.t
 
 (** [num_states t] is the number of parts of the state variable. *)
 val num_states : t -> int
-
-(** [next_state_part t s] is the output-variable part asserting next
-    state [s]. *)
-val next_state_part : t -> int -> int
-
-(** [output_part t j] is the output-variable part of binary output [j]. *)
-val output_part : t -> int -> int
 
 (** [minimize t] is the ESPRESSO-MV minimized symbolic cover, from
     [t.off] and [t.care]: the same cube list

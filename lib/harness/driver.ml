@@ -134,7 +134,7 @@ let degradation_warning o =
   | [] -> None
   | ds ->
       let why =
-        match List.rev ds with (_, first_error) :: _ -> Nova_error.to_string first_error | [] -> ""
+        match ds with (_, first_error) :: _ -> Nova_error.to_string first_error | [] -> ""
       in
       let attempts = List.length ds + 1 in
       Some
@@ -279,9 +279,10 @@ let context machine =
   { machine; sym = once (); mv = once (); ics = once (); impls = Hashtbl.create 7;
     impls_lock = Mutex.create () }
 
-(* A context serves only the machine value it was made for. *)
-let usable ctx (m : Fsm.t) =
-  match ctx with Some c when c.machine == m -> ctx | Some _ | None -> None
+(* A context serves only the machine value it was made for; any other
+   call gets a private one, which shares only the call's own values. *)
+let context_for ctx (m : Fsm.t) =
+  match ctx with Some c when c.machine == m -> c | Some _ | None -> context m
 
 (* The tick rule: [share budget cell f] is [f budget] and whether it is
    the cell's value. A value that took [t] ticks is reused on [budget]
@@ -353,28 +354,21 @@ let encode_end_attrs = function
       ]
   | Error err -> [ ("error", Trace.String (Nova_error.to_string err)) ]
 
-(* [encode] with [ctx] already checked against [m] by {!usable}. *)
-let encode_in ctx ?bits ?(budget = Budget.unlimited) ?(fallback = true) (m : Fsm.t) algo =
+(* [encode] on the context {!context_for} chose. *)
+let encode_in c ?bits ?(budget = Budget.unlimited) ?(fallback = true) algo =
+  let m = c.machine in
   Metrics.span s_encode ~end_attrs:encode_end_attrs
     ~attrs:[ ("machine", Trace.String m.Fsm.name); ("algorithm", Trace.String (name algo)) ]
   @@ fun () ->
   let num_states = Fsm.num_states ~m in
-  (* Shared upstream artifacts, computed at most once per call whatever
-     rung (or rungs) the ladder visits; with a context, at most once per
-     machine under the tick rule. *)
-  let sym = lazy (match ctx with Some c -> symbolic c | None -> Symbolic.of_fsm m) in
-  let ics =
-    lazy
-      (Metrics.span s_constraints (fun () ->
-           match ctx with
-           | Some c -> constraints budget c
-           | None -> Constraints.of_symbolic ~budget (Lazy.force sym)))
-  in
+  (* Upstream artifacts, forced by the first rung that needs them and
+     drawn from the context under the tick rule. *)
+  let ics = lazy (Metrics.span s_constraints (fun () -> constraints budget c)) in
   let problem =
     lazy
       (Metrics.span s_symbolic_min (fun () ->
-           let cover = Option.map (fun c -> fst (mv_cover budget c)) ctx in
-           (Symbmin.run ~budget ?cover (Lazy.force sym)).Symbmin.problem))
+           let cover = fst (mv_cover budget c) in
+           (Symbmin.run ~budget ~cover (symbolic c)).Symbmin.problem))
   in
   let rung_end_attrs r =
     ("spent", Trace.Int (Budget.spent budget))
@@ -417,20 +411,17 @@ let encode_in ctx ?bits ?(budget = Budget.unlimited) ?(fallback = true) (m : Fsm
   descend [] (ladder ~fallback algo)
 
 let encode ?ctx ?bits ?budget ?fallback m algo =
-  encode_in (usable ctx m) ?bits ?budget ?fallback m algo
+  encode_in (context_for ctx m) ?bits ?budget ?fallback algo
 
 let report ?ctx ?bits ?budget ?fallback m algo =
-  let ctx = usable ctx m in
-  match encode_in ctx ?bits ?budget ?fallback m algo with
+  let c = context_for ctx m in
+  match encode_in c ?bits ?budget ?fallback algo with
   | Error err -> Error err
   | Ok outcome ->
       let impl =
         Metrics.span s_implement
           ~attrs:[ ("machine", Trace.String m.Fsm.name); ("algorithm", Trace.String (name algo)) ]
           ~end_attrs:(fun impl -> [ ("num_cubes", Trace.Int impl.Encoded.num_cubes) ])
-          (fun () ->
-            match ctx with
-            | Some c -> implement ?budget c outcome.encoding
-            | None -> Encoded.implement ?budget m outcome.encoding)
+          (fun () -> implement ?budget c outcome.encoding)
       in
       Ok (outcome, impl)

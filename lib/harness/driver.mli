@@ -97,9 +97,13 @@ val degradation_warning : outcome -> string option
     itself gives up on the big machines). *)
 val iexact_max_work : int
 
-(** A per-machine context: what the tasks of one machine can share, so
+(** A per-machine context: what the calls on one machine can share, so
     that a portfolio minimizes the machine's symbolic cover once instead
-    of once per task. It holds mutex-guarded once-cells, safe to force
+    of once per task. Every {!encode} and {!report} runs on one: the
+    [?ctx] it was given when that was made for its machine value, else a
+    private context of its own, which reuses only the call's own values
+    (the MV cover its input constraints and its symbolic minimization
+    both start from, say). It holds mutex-guarded once-cells, safe to force
     from several domains (a second asker waits for the first one's
     value): [Symbolic.of_fsm m], the minimized MV cover with the ticks
     [T] it took, the input constraints [Constraints.of_cover] extracts
@@ -112,19 +116,23 @@ val iexact_max_work : int
     its cap and on every ancestor's ({!Budget.headroom}); it then charges
     those [T] ticks to its budget ({!Budget.charge}). An empty cell is
     filled by the first such call, which computes on an uncapped child of
-    its own budget, so its ticks and its trip point are those of the
-    context-free call; the value is kept only if it left headroom, so a
+    its own budget, so its ticks and its trip point are those of a
+    private computation; the value is kept only if it left headroom, so a
     run cut short by its cap is never shared. Any other call computes
-    privately, as without a context. Either way each call computes at
+    privately. Either way each call computes at
     most once, bounded by its own caps, and the outcome, the
-    implementation and [Budget.spent] are those of a context-free call.
-    A budget another domain may {!Budget.cancel} must not be used with a
-    context: a cancel landing while a call reuses a value is not
-    observed. *)
+    implementation and [Budget.spent] are those of a call that computed
+    every value itself. The one exception is a budget another domain may
+    {!Budget.cancel}: a cancel landing while a call reuses a value is not
+    observed there. Its only users are [Exec.Portfolio.race]'s
+    cancellable roots, each with a private context, and a racer whose
+    root was cancelled has its row discarded ([Cancelled_by_race]), so
+    no result of such a call is reported. *)
 type context
 
 (** [context m] is an empty context for the machine value [m]. A call
-    with any other machine value ignores it, even an equal one. *)
+    with any other machine value runs on a private context instead, even
+    for an equal machine. *)
 val context : Fsm.t -> context
 
 (** [input_constraints c] is [Constraints.of_symbolic (Symbolic.of_fsm m)]
@@ -148,7 +156,8 @@ val implement : ?budget:Budget.t -> context -> Encoding.t -> Encoded.result
     [Error (Budget_exhausted { stage = Iexact; _ })] rather than falling
     through to [semiexact]. No exception escapes: failures are
     [Nova_error.t] values. [ctx] shares the symbolic cover and the input
-    constraints with the machine's other calls (see {!context}). *)
+    constraints with the machine's other calls; without it the call
+    runs on a private context (see {!context}). *)
 val encode :
   ?ctx:context ->
   ?bits:int ->
@@ -159,9 +168,9 @@ val encode :
   (outcome, Nova_error.t) result
 
 (** [report ?ctx ?bits ?budget ?fallback machine algo] is [encode] plus
-    the minimized implementation (the final ESPRESSO run also draws on
-    [budget] — an exhausted budget yields a valid but less-minimized
-    cover; with [ctx], it is {!implement}). *)
+    the minimized implementation: {!implement} on the call's context
+    (the final ESPRESSO run also draws on [budget] — an exhausted budget
+    yields a valid but less-minimized cover). *)
 val report :
   ?ctx:context ->
   ?bits:int ->

@@ -59,10 +59,6 @@ let set_var d c v parts =
   List.iter (fun p -> Bitvec.set c' (off + p)) parts;
   c'
 
-let restrict_var d c v parts =
-  let keep = List.filter (fun p -> Bitvec.get c (Domain.offset d v + p)) parts in
-  set_var d c v keep
-
 let literal d v parts = set_var d (full d) v parts
 
 let of_minterm d values =

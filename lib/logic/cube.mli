@@ -39,10 +39,6 @@ val var_cardinal : Domain.t -> t -> int -> int
     contains exactly [parts]. *)
 val set_var : Domain.t -> t -> int -> int list -> t
 
-(** [restrict_var d c v parts] returns a copy of [c] whose field of [v]
-    is intersected with [parts]. *)
-val restrict_var : Domain.t -> t -> int -> int list -> t
-
 (** [literal d v parts] is the cube full everywhere except variable [v],
     whose field is exactly [parts]. *)
 val literal : Domain.t -> int -> int list -> t

@@ -15,9 +15,6 @@ type params = {
   output_constraints : Constraints.output_constraint list;
 }
 
-let default_params ~k =
-  { k; policy = Fixed_min; budget = Budget.unlimited; output_constraints = [] }
-
 type outcome = Sat of { codes : int array; faces : Face.t array } | Unsat | Exhausted
 
 exception Work_exhausted

@@ -33,10 +33,6 @@ type params = {
       (** covering relations rejected during search (io_semiexact) *)
 }
 
-(** [default_params ~k] is [k], minimum levels, an unconstrained budget,
-    and no output constraints. *)
-val default_params : k:int -> params
-
 type outcome =
   | Sat of { codes : int array; faces : Face.t array }
       (** [codes.(s)] is state [s]'s vertex; [faces.(id)] the face of

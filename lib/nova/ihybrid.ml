@@ -5,7 +5,7 @@ type result = {
   random_start : bool;
 }
 
-let ihybrid_code ~num_states ?nbits ?(max_work = 30_000) ?(seed = 0) ?order_seed
+let ihybrid_code ~num_states ?nbits ?(max_work = 30_000) ?order_seed
     ?(budget = Budget.unlimited) ics =
   let min_len = Encoding.min_code_length num_states in
   let ordered =
@@ -21,7 +21,7 @@ let ihybrid_code ~num_states ?nbits ?(max_work = 30_000) ?(seed = 0) ?order_seed
                compare b.Constraints.weight a.Constraints.weight)
   in
   let codes, sic, ric = Iexact.accrete ~num_states ~k:min_len ~max_work ~budget ordered in
-  let random_start, codes = Project.start ~seed ~num_states ~nbits:min_len codes in
+  let random_start, codes = Project.start ~num_states ~nbits:min_len codes in
   let p =
     Project.extend ~budget ~upto:(Option.value nbits ~default:min_len)
       { Project.codes; nbits = min_len; sic; ric }

@@ -19,11 +19,12 @@ type result = {
           budget this marks the result as degraded *)
 }
 
-(** [ihybrid_code ~num_states ~nbits ~max_work ~seed ~order_seed ~budget
-    ics] runs the algorithm. [nbits] defaults to the minimum code length
+(** [ihybrid_code ~num_states ~nbits ~max_work ~order_seed ~budget ics]
+    runs the algorithm. [nbits] defaults to the minimum code length
     [ceil (log2 num_states)]; [max_work] bounds each [semiexact_code]
-    call; [seed] feeds the fallback random encoding of the pathological
-    case where every [semiexact_code] call fails. [order_seed], when
+    call. In the pathological case where every [semiexact_code] call
+    fails, the projection starts from {!Project.start}'s seeded random
+    encoding. [order_seed], when
     given, shuffles equal-weight constraints before the greedy accretion
     — the knob behind multi-start "best of NOVA" runs. [budget] is the
     caller's cross-cutting budget: once it runs out, remaining accretion
@@ -32,7 +33,6 @@ val ihybrid_code :
   num_states:int ->
   ?nbits:int ->
   ?max_work:int ->
-  ?seed:int ->
   ?order_seed:int ->
   ?budget:Budget.t ->
   Constraints.input_constraint list ->

@@ -90,17 +90,6 @@ let find t states =
 
 let min_level e = Encoding.ceil_log2 e.card
 
-let singleton_ids t =
-  let ids = Array.make t.num_states (-1) in
-  Array.iter
-    (fun e ->
-      if e.card = 1 then
-        match Bitvec.first_set e.states with
-        | Some s -> ids.(s) <- e.id
-        | None -> assert false)
-    t.elements;
-  ids
-
 let share_children a b = List.exists (fun c -> List.mem c b.children) a.children
 
 (* --- Lower bounds on the embedding dimension (Section 3.3.2) ---------- *)

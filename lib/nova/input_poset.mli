@@ -42,10 +42,6 @@ val find : t -> Bitvec.t -> int option
     can hold the element. *)
 val min_level : element -> int
 
-(** [singleton_ids t] maps each state [s] to the id of its singleton
-    element. *)
-val singleton_ids : t -> int array
-
 (** [share_children a b] holds iff the two elements have a common child. *)
 val share_children : element -> element -> bool
 

@@ -25,7 +25,10 @@ let finish ~codes ~nbits ~ics ~clusters ~random_start =
   let sat_clusters = List.filter (Constraints.cluster_satisfied encoding) clusters in
   { encoding; sat_inputs; unsat_inputs; sat_clusters; random_start }
 
-let run ~variant ?nbits ?(max_work = 30_000) ?(seed = 0) ?(budget = Budget.unlimited) p =
+(* The work cap of each bounded search, ihybrid's default. *)
+let max_work = 30_000
+
+let run ~variant ?nbits ?(budget = Budget.unlimited) p =
   let n = p.num_states in
   let min_len = Encoding.min_code_length n in
   let nbits = match nbits with Some b -> max b min_len | None -> min_len in
@@ -85,7 +88,7 @@ let run ~variant ?nbits ?(max_work = 30_000) ?(seed = 0) ?(budget = Budget.unlim
         | None -> if variant then ric := companions @ without companions !ric)
       (List.sort by_cluster_weight_desc p.clusters);
     (* The start and the projection of ihybrid. *)
-    let random_start, codes = Project.start ~seed ~num_states:n ~nbits:min_len !codes in
+    let random_start, codes = Project.start ~num_states:n ~nbits:min_len !codes in
     let e =
       Project.extend ~budget ~upto:nbits { Project.codes; nbits = min_len; sic = !sic; ric = !ric }
     in
@@ -93,8 +96,5 @@ let run ~variant ?nbits ?(max_work = 30_000) ?(seed = 0) ?(budget = Budget.unlim
       ~random_start
   end
 
-let iohybrid_code ?nbits ?max_work ?seed ?budget p =
-  run ~variant:false ?nbits ?max_work ?seed ?budget p
-
-let iovariant_code ?nbits ?max_work ?seed ?budget p =
-  run ~variant:true ?nbits ?max_work ?seed ?budget p
+let iohybrid_code ?nbits ?budget p = run ~variant:false ?nbits ?budget p
+let iovariant_code ?nbits ?budget p = run ~variant:true ?nbits ?budget p

@@ -29,12 +29,10 @@ type result = {
           started from the fallback random encoding *)
 }
 
-(** [budget] is the caller's cross-cutting budget: every bounded search
-    charges it, and once it runs out the remaining accretion steps and
+(** Every bounded search is capped at 30,000 ticks, as in
+    {!Ihybrid.ihybrid_code}. [budget] is the caller's cross-cutting
+    budget: every bounded search charges it, and once it runs out the remaining accretion steps and
     projections are skipped. May propagate [Budget.Out_of_budget] from
     {!Out_encoder} on the output-constraints-only path. *)
-val iohybrid_code :
-  ?nbits:int -> ?max_work:int -> ?seed:int -> ?budget:Budget.t -> problem -> result
-
-val iovariant_code :
-  ?nbits:int -> ?max_work:int -> ?seed:int -> ?budget:Budget.t -> problem -> result
+val iohybrid_code : ?nbits:int -> ?budget:Budget.t -> problem -> result
+val iovariant_code : ?nbits:int -> ?budget:Budget.t -> problem -> result

@@ -9,10 +9,10 @@ let split encoding ics =
     (fun (ic : Constraints.input_constraint) -> Constraints.satisfied encoding ic.Constraints.states)
     ics
 
-let start ~seed ~num_states ~nbits = function
+let start ~num_states ~nbits = function
   | Some codes -> (false, codes)
   | None ->
-      let rng = Random.State.make [| seed; num_states |] in
+      let rng = Random.State.make [| 0; num_states |] in
       (true, (Encoding.random rng ~num_states ~nbits).Encoding.codes)
 
 let raise_codes codes nbits group =

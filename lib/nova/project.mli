@@ -24,11 +24,11 @@ val split :
   Constraints.input_constraint list ->
   Constraints.input_constraint list * Constraints.input_constraint list
 
-(** [start ~seed ~num_states ~nbits codes] is the projection's starting
+(** [start ~num_states ~nbits codes] is the projection's starting
     point: [(false, cs)] for [Some cs], and for [None] (every accretion
     step failed) [(true, cs)] with [cs] the random [nbits]-bit encoding
-    seeded by [(seed, num_states)]. *)
-val start : seed:int -> num_states:int -> nbits:int -> int array option -> bool * int array
+    seeded by [(0, num_states)]. *)
+val start : num_states:int -> nbits:int -> int array option -> bool * int array
 
 (** [project ~codes ~nbits ~sic ~ric] adds one dimension (bit [nbits])
     and returns [(codes', newly_satisfied, still_unsatisfied)]. [ric]

@@ -1,5 +1,7 @@
 type reason = Work | Deadline | Cancelled
 
+let reason_name = function Work -> "work" | Deadline -> "deadline" | Cancelled -> "cancelled"
+
 (* [tripped] is Atomic so that another domain (a racing winner) can trip
    this budget mid-[tick] without torn reads: every [tick] reads it on
    its way out, so a cross-domain [cancel] is observed within one tick.
@@ -36,8 +38,6 @@ let sub ?max_work parent = make ~parent ?max_work ()
 
 type caps = { cap_deadline_ms : float option; cap_work : int option }
 
-let no_caps = { cap_deadline_ms = None; cap_work = None }
-
 (* Admission-control budget derivation: a serving layer imposes its own
    per-request ceilings on top of whatever the request asked for. The
    effective limit on each axis is the minimum of the two — a request
@@ -57,8 +57,6 @@ let derive ?deadline_ms ?max_work caps =
   with
   | None, None -> create ()
   | deadline_ms, max_work -> create ?deadline_ms ?max_work ()
-
-let reason_name = function Work -> "work" | Deadline -> "deadline" | Cancelled -> "cancelled"
 
 let m_trips =
   Metrics.interned (fun r ->

@@ -32,6 +32,9 @@ type reason =
   | Deadline  (** the wall-clock deadline passed *)
   | Cancelled  (** the cancellation callback returned [true] *)
 
+(** [reason_name r] is ["work"], ["deadline"] or ["cancelled"]. *)
+val reason_name : reason -> string
+
 type t
 
 (** [unlimited] never exhausts: no caps, no deadline, no cancellation.
@@ -50,16 +53,12 @@ val sub : ?max_work:int -> t -> t
     request may consume, regardless of what it asked for. *)
 type caps = { cap_deadline_ms : float option; cap_work : int option }
 
-(** No ceilings: {!derive} then builds the budget the request asked
-    for. *)
-val no_caps : caps
-
 (** [derive ?deadline_ms ?max_work caps] is the per-request budget a
     serving layer admits the request under: on each axis the minimum of
     the request's ask and the cap (an axis neither side bounds stays
     unlimited). Always a {e fresh} root — never the shared {!unlimited}
     value — because derived budgets are ticked concurrently by request
-    handlers; with {!no_caps} and no request limits it is behaviorally
+    handlers; with no ceilings and no request limits it is behaviorally
     the one-shot CLI's default. *)
 val derive : ?deadline_ms:float -> ?max_work:int -> caps -> t
 
@@ -99,6 +98,6 @@ val headroom : t -> int option
 val charge : t -> int -> unit
 
 (** Raised by pipeline stages that cannot return a degraded result when
-    their budget runs out mid-flight (e.g. {!Out_encoder}); the driver
+    their budget runs out mid-flight (e.g. [Out_encoder]); the driver
     converts it into [Nova_error.Budget_exhausted]. *)
 exception Out_of_budget of reason

@@ -1,17 +1,4 @@
-type stage =
-  | Parse
-  | Constraints
-  | Symbolic_min
-  | Iexact
-  | Semiexact
-  | Project
-  | Ihybrid
-  | Igreedy
-  | Iohybrid
-  | Iovariant
-  | Out_encoder
-  | Baseline
-  | Minimize
+type stage = Iexact | Semiexact | Project | Ihybrid | Igreedy | Iohybrid | Iovariant | Baseline
 
 type t =
   | Budget_exhausted of { stage : stage; reason : Budget.reason }
@@ -22,9 +9,6 @@ type t =
   | Job_crashed of { job : string; attempts : int; detail : string }
 
 let stage_name = function
-  | Parse -> "parse"
-  | Constraints -> "constraints"
-  | Symbolic_min -> "symbolic-min"
   | Iexact -> "iexact"
   | Semiexact -> "semiexact"
   | Project -> "project"
@@ -32,18 +16,11 @@ let stage_name = function
   | Igreedy -> "igreedy"
   | Iohybrid -> "iohybrid"
   | Iovariant -> "iovariant"
-  | Out_encoder -> "out-encoder"
   | Baseline -> "baseline"
-  | Minimize -> "minimize"
-
-let reason_name = function
-  | Budget.Work -> "work"
-  | Budget.Deadline -> "deadline"
-  | Budget.Cancelled -> "cancelled"
 
 let to_string = function
   | Budget_exhausted { stage; reason } ->
-      Printf.sprintf "%s: budget exhausted (%s)" (stage_name stage) (reason_name reason)
+      Printf.sprintf "%s: budget exhausted (%s)" (stage_name stage) (Budget.reason_name reason)
   | Parse_error { file; line; col; msg } -> Printf.sprintf "%s:%d:%d: %s" file line col msg
   | Infeasible { stage; msg } -> Printf.sprintf "%s: infeasible: %s" (stage_name stage) msg
   | Invalid_request msg -> Printf.sprintf "invalid request: %s" msg
@@ -75,3 +52,8 @@ let is_transient = function
   | Budget_exhausted _ | Parse_error _ | Infeasible _ | Invalid_request _
   | Certification_failed _ ->
       false
+
+(* Fatal exceptions cross every barrier that turns the others into
+   values (a pool slot, a retry, a cache write, a daemon response):
+   absorbing an OOM or a user interrupt would hide a dying process. *)
+let is_fatal = function Out_of_memory | Stack_overflow | Sys.Break -> true | _ -> false

@@ -5,11 +5,9 @@
     degrade gracefully (fall down the ladder) and the CLI can map each
     failure mode to a distinct exit code. *)
 
-(** The pipeline stage an error originated in. *)
+(** The pipeline stage an error originated in: the rung of the
+    driver's fallback ladder that failed. *)
 type stage =
-  | Parse
-  | Constraints  (** multiple-valued minimization for input constraints *)
-  | Symbolic_min  (** symbolic minimization (Section 6.1) *)
   | Iexact
   | Semiexact
   | Project
@@ -17,9 +15,7 @@ type stage =
   | Igreedy
   | Iohybrid
   | Iovariant
-  | Out_encoder
   | Baseline  (** kiss / mustang / one-hot / random baseline encoders *)
-  | Minimize  (** final ESPRESSO minimization of the encoded cover *)
 
 type t =
   | Budget_exhausted of { stage : stage; reason : Budget.reason }
@@ -43,7 +39,6 @@ type t =
           backtrace head *)
 
 val stage_name : stage -> string
-val reason_name : Budget.reason -> string
 
 (** [to_string e] is a one-line human-readable rendering. *)
 val to_string : t -> string
@@ -59,3 +54,8 @@ val exit_code : t -> int
     [Invalid_request], [Budget_exhausted] — are permanent: retrying
     replays the same computation to the same end. *)
 val is_transient : t -> bool
+
+(** [is_fatal e] holds for the exceptions no layer may turn into a
+    value — [Out_of_memory], [Stack_overflow] and [Sys.Break]: the pool,
+    the supervisor, the cache writer and the daemon re-raise them. *)
+val is_fatal : exn -> bool

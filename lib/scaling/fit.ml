@@ -9,8 +9,6 @@ let model_name = function
   | Cubic -> "cubic"
   | Exponential -> "exponential"
 
-let model_of_name s = List.find_opt (fun m -> model_name m = s) all_models
-
 let model_order = function
   | Linear -> 1
   | N_log_n -> 2

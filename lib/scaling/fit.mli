@@ -18,8 +18,6 @@ type model = Linear | N_log_n | Quadratic | Cubic | Exponential
 val model_name : model -> string
 (** "linear", "nlogn", "quadratic", "cubic", "exponential". *)
 
-val model_of_name : string -> model option
-
 val model_order : model -> int
 (** Rank of the class, 1 (linear) → 5 (exponential): the integer the
     bench differ gates on — any increase is a complexity regression. *)

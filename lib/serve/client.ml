@@ -1,9 +1,9 @@
-type t = { fd : Unix.file_descr; buf : Buffer.t; chunk : Bytes.t }
+type t = { fd : Unix.file_descr; reader : Line_io.reader }
 
 let connect path =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   match Unix.connect fd (Unix.ADDR_UNIX path) with
-  | () -> Ok { fd; buf = Buffer.create 4096; chunk = Bytes.create 65536 }
+  | () -> Ok { fd; reader = Line_io.reader fd }
   | exception Unix.Unix_error (e, _, _) ->
       (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
       Error (Printf.sprintf "cannot connect to %s: %s" path (Unix.error_message e))
@@ -11,37 +11,17 @@ let connect path =
 let close t = try Unix.close t.fd with Unix.Unix_error (_, _, _) -> ()
 
 let send t s =
-  let b = Bytes.unsafe_of_string s in
-  let rec go off len =
-    if len = 0 then Ok ()
-    else
-      match Unix.write t.fd b off len with
-      | n -> go (off + n) (len - n)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off len
-      | exception Unix.Unix_error (e, _, _) ->
-          Error (Printf.sprintf "write: %s" (Unix.error_message e))
-  in
-  go 0 (Bytes.length b)
+  match Line_io.write_all t.fd s with
+  | _ -> Ok ()
+  | exception Unix.Unix_error (e, _, _) -> Error (Printf.sprintf "write: %s" (Unix.error_message e))
 
 let read_line t =
-  let rec go () =
-    let s = Buffer.contents t.buf in
-    match String.index_opt s '\n' with
-    | Some i ->
-        Buffer.clear t.buf;
-        Buffer.add_substring t.buf s (i + 1) (String.length s - i - 1);
-        Ok (String.sub s 0 i)
-    | None -> (
-        match Unix.read t.fd t.chunk 0 (Bytes.length t.chunk) with
-        | 0 -> Error "server closed the connection"
-        | n ->
-            Buffer.add_subbytes t.buf t.chunk 0 n;
-            go ()
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-        | exception Unix.Unix_error (e, _, _) ->
-            Error (Printf.sprintf "read: %s" (Unix.error_message e)))
-  in
-  go ()
+  match Line_io.read_line t.reader with
+  | Ok line -> Ok line
+  | Error Line_io.Eof -> Error "server closed the connection"
+  | Error Line_io.Too_long ->
+      Error (Printf.sprintf "response line exceeds %d bytes" Protocol.max_line_bytes)
+  | Error (Line_io.Failed e) -> Error (Printf.sprintf "read: %s" (Unix.error_message e))
 
 let request_raw t line =
   let line =

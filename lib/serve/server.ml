@@ -467,15 +467,13 @@ let handle_line t line =
               ( respond_served t ~id served,
                 served_entry verb ~machine:(machine_ref_name machine) ~algorithm:"portfolio"
                   served )
-        with
-        | (Out_of_memory | Stack_overflow | Sys.Break) as e -> raise e
-        | e ->
-            Atomic.incr t.c_errors;
-            let err =
-              Nova_error.Job_crashed
-                { job = "serve:" ^ verb; attempts = 1; detail = Printexc.to_string e }
-            in
-            (Protocol.error_response ?id err, request_entry ~err verb))
+        with e when not (Nova_error.is_fatal e) ->
+          Atomic.incr t.c_errors;
+          let err =
+            Nova_error.Job_crashed
+              { job = "serve:" ^ verb; attempts = 1; detail = Printexc.to_string e }
+          in
+          (Protocol.error_response ?id err, request_entry ~err verb))
   in
   let wall = Unix.gettimeofday () -. t0 in
   record_request t entry ~wall;
@@ -488,49 +486,6 @@ let handle_line t line =
 
 (* --- connection plumbing ------------------------------------------------ *)
 
-let send_all fd s =
-  let b = Bytes.unsafe_of_string s in
-  let rec go off len =
-    if len > 0 then begin
-      let n = Unix.write fd b off len in
-      go (off + n) (len - n)
-    end
-  in
-  go 0 (Bytes.length b)
-
-(* Buffered line reader. [None] is end-of-stream: EOF, a connection
-   error, or an oversized line ([overflow] distinguishes the last — the
-   stream cannot be resynchronized past a line with no newline in
-   sight, so the caller answers once and closes). *)
-let read_line fd buf chunk overflow =
-  let rec go () =
-    let s = Buffer.contents buf in
-    match String.index_opt s '\n' with
-    (* An oversized line is oversized whether or not its newline ever
-       arrived — the cap is on the line, not on the wait. *)
-    | Some i when i > Protocol.max_line_bytes ->
-        overflow := true;
-        None
-    | Some i ->
-        Buffer.clear buf;
-        Buffer.add_substring buf s (i + 1) (String.length s - i - 1);
-        Some (String.sub s 0 i)
-    | None -> (
-        if Buffer.length buf > Protocol.max_line_bytes then begin
-          overflow := true;
-          None
-        end
-        else
-          match Unix.read fd chunk 0 (Bytes.length chunk) with
-          | 0 -> None
-          | n ->
-              Buffer.add_subbytes buf chunk 0 n;
-              go ()
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-          | exception Unix.Unix_error (_, _, _) -> None)
-  in
-  go ()
-
 let bump_peak t =
   let a = Atomic.get t.active in
   let rec go () =
@@ -539,24 +494,23 @@ let bump_peak t =
   in
   go ()
 
+(* A reply to a client that disconnected is dropped. *)
+let send fd s = try ignore (Line_io.write_all fd s) with Unix.Unix_error (_, _, _) -> ()
+
 let handle_conn t fd =
-  let buf = Buffer.create 4096 in
-  let chunk = Bytes.create 65536 in
-  let overflow = ref false in
+  let reader = Line_io.reader fd in
   let rec loop () =
     if not (Atomic.get t.stop) then
-      match read_line fd buf chunk overflow with
-      | None ->
-          if !overflow then begin
-            Atomic.incr t.c_errors;
-            try
-              send_all fd
-                (Protocol.error_response
-                   (Nova_error.Invalid_request
-                      (Printf.sprintf "request line exceeds %d bytes" Protocol.max_line_bytes)))
-            with Unix.Unix_error (_, _, _) | Sys_error _ -> ()
-          end
-      | Some line ->
+      match Line_io.read_line reader with
+      | Error (Line_io.Eof | Line_io.Failed _) -> ()
+      | Error Line_io.Too_long ->
+          (* The stream cannot be resynchronized: answer once and close. *)
+          Atomic.incr t.c_errors;
+          send fd
+            (Protocol.error_response
+               (Nova_error.Invalid_request
+                  (Printf.sprintf "request line exceeds %d bytes" Protocol.max_line_bytes)))
+      | Ok line ->
           (* [active] covers handling *and* the response write, so the
              shutdown drain never closes a socket under a reply. *)
           Atomic.incr t.active;
@@ -564,11 +518,9 @@ let handle_conn t fd =
           Fun.protect
             ~finally:(fun () -> Atomic.decr t.active)
             (fun () ->
-              let response = handle_line t line in
               (* A client that disconnected mid-request gets nothing;
                  its work still settled (and cached/coalesced). *)
-              try send_all fd response
-              with Unix.Unix_error (_, _, _) | Sys_error _ -> ());
+              send fd (handle_line t line));
           loop ()
   in
   Fun.protect

@@ -58,37 +58,8 @@ let run ?(order = Largest_first) ?budget ?cover (sym : Symbolic.t) =
         List.filter (fun c -> Bitvec.get c (out_off + i)) c_cover
         |> List.filter_map (fun c -> restrict_output sym c (fun p -> is_binary_part p || p = i)))
   in
-  (* Global off-set of the binary outputs: rows asserting a 0. *)
-  let output_off =
-    List.filter_map
-      (fun (tr : Fsm.transition) ->
-        let zeros = ref [] in
-        String.iteri (fun j ch -> if ch = '0' then zeros := j :: !zeros) tr.Fsm.output;
-        if !zeros = [] then None
-        else begin
-          (* Rebuild the row's input/state cube with the 0-columns. *)
-          let c = Bitvec.full (Domain.width dom) in
-          String.iteri
-            (fun v ch ->
-              match ch with
-              | '0' -> Bitvec.clear c (Domain.offset dom v + 1)
-              | '1' -> Bitvec.clear c (Domain.offset dom v + 0)
-              | '-' -> ()
-              | _ -> assert false)
-            tr.Fsm.input;
-          (match tr.Fsm.src with
-          | None -> ()
-          | Some s ->
-              let soff = Domain.offset dom sym.Symbolic.state_var in
-              Bitvec.clear_range c soff ns;
-              Bitvec.set c (soff + s));
-          let osz = Domain.size dom sym.Symbolic.output_var in
-          Bitvec.clear_range c out_off osz;
-          List.iter (fun j -> Bitvec.set c (out_off + ns + j)) !zeros;
-          Some c
-        end)
-      sym.Symbolic.machine.Fsm.transitions
-  in
+  (* Global off-set of the binary outputs: each row's 0 outputs. *)
+  let output_off = (Personality.zeros dom sym.Symbolic.rows is_binary_part).Cover.cubes in
   (* Reachability in the accepted covering graph: adj.(u) = states u covers. *)
   let adj = Array.make ns [] in
   let reachable u v =
@@ -160,14 +131,9 @@ let run ?(order = Largest_first) ?budget ?cover (sym : Symbolic.t) =
     selection;
   let final_cover = Cover.single_cube_containment (Cover.make dom !p_cover) in
   (* Companion input constraints, clustered by next state. *)
-  let group_of c =
-    let g = Symbolic.present_states sym c in
-    let card = Bitvec.cardinal g in
-    if card >= 2 && card < ns then Some g else None
-  in
   let companion_of i =
     List.filter_map
-      (fun c -> if Bitvec.get c (out_off + i) then group_of c else None)
+      (fun c -> if Bitvec.get c (out_off + i) then Constraints.group sym c else None)
       final_cover.Cover.cubes
   in
   let cluster_weights = Array.make ns 0 in
@@ -191,27 +157,13 @@ let run ?(order = Largest_first) ?budget ?cover (sym : Symbolic.t) =
             })
       (List.init ns (fun i -> i))
   in
-  (* All weighted input constraints of the final cover. *)
-  let ic_tbl = Hashtbl.create 17 in
-  List.iter
-    (fun c ->
-      match group_of c with
-      | None -> ()
-      | Some g ->
-          let key = Bitvec.to_string g in
-          let prev =
-            match Hashtbl.find_opt ic_tbl key with
-            | Some (ic : Constraints.input_constraint) -> ic.Constraints.weight
-            | None -> 0
-          in
-          Hashtbl.replace ic_tbl key { Constraints.states = g; weight = prev + 1 })
-    final_cover.Cover.cubes;
-  let ics = Hashtbl.fold (fun _ ic acc -> ic :: acc) ic_tbl [] in
   {
     symbolic = sym;
     final_cover;
     graph = !graph;
-    problem = { Iohybrid.num_states = ns; ics; clusters };
+    (* All weighted input constraints of the final cover, in tally
+       order: iohybrid breaks weight ties by it. *)
+    problem = { Iohybrid.num_states = ns; ics = Constraints.tally sym final_cover; clusters };
   }
 
 let upper_bound t = Cover.size t.final_cover

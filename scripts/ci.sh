@@ -168,6 +168,16 @@ for j in 1 2; do
 done
 echo "  dk16 report: 18 minimizer calls under -j 1 and -j 2, rows unchanged: ok"
 
+echo "== suite report pin: every portfolio row of the non-heavy suite =="
+# The 32 non-heavy machines x 7 algorithms, byte for byte: a change to
+# the encoders, the driver or the executor that is meant to keep their
+# results must keep this stdout. To regenerate after an intended change:
+#   _build/default/bin/nova_cli.exe report -j 2 --no-cache > bench/report_suite.expected
+$NOVA report -j 2 --no-cache > "$TMP/report-suite.txt" 2>/dev/null
+diff bench/report_suite.expected "$TMP/report-suite.txt" \
+  || { echo "suite report rows moved"; exit 1; }
+echo "  32 machines x 7 algorithms: rows unchanged: ok"
+
 echo "== cache smoke: warm run must hit and match the cold run =="
 $NOVA report --cache "$TMP/cache" lion dk15 > "$TMP/report-cold.txt" 2>/dev/null
 $NOVA report --cache "$TMP/cache" lion dk15 > "$TMP/report-warm.txt" 2> "$TMP/warm-stderr.txt"

@@ -563,7 +563,11 @@ let test_degradation_warning_counts_attempts () =
           check "warning keeps the pinned phrase" true
             (has_infix ~affix:"degraded to" w);
           check "warning counts rung attempts" true
-            (has_infix ~affix:"rung attempt" w))
+            (has_infix ~affix:"after 4 rung attempts" w);
+          (* The ladder tried iexact first: its error is the cause the
+             line names, not the last rung's. *)
+          check "warning names the primary rung's error" true
+            (has_infix ~affix:"(iexact: budget exhausted (work))" w))
 
 let test_cache_read_fault_on_warm_cache_recovers () =
   with_temp_dir @@ fun dir ->

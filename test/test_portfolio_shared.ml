@@ -1,7 +1,7 @@
 (* The per-machine driver context: a portfolio minimizes each machine's
    symbolic cover once and shares equal-encoding ESPRESSO runs, and
    every row, every budget's [spent] and every degradation stays what
-   the context-free path gives. *)
+   a call on a private context of its own gives. *)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -46,7 +46,7 @@ let label (t : Exec.Job.task) =
   t.Exec.Job.machine.Fsm.name ^ "/" ^ Harness.Driver.name t.Exec.Job.algorithm
 
 (* Every task of the non-heavy suite and the generated machines, under
-   the default portfolio: a context-free run per task is the reference.
+   the default portfolio: a run per task without [?ctx] is the reference.
    Beside it, the same task with its machine's context must give the
    same row and leave the same [Budget.spent]; [Portfolio.run] must give
    the same rows under one domain and two. *)
@@ -127,7 +127,7 @@ let test_cells_forced_once () =
   check_int "every row hit" (List.length tasks) (Exec.Cache.stats cache).Exec.Cache.hits;
   check_int "a fully cached portfolio forces no cell" 0 warm
 
-(* [task] run context-free and with [ctx], each on a fresh budget capped
+(* [task] run without and with [ctx], each on a fresh budget capped
    at [max_work]: the same row and the same spent work. *)
 let agrees ctx (t : Exec.Job.task) =
   let b0 = task_budget t and b1 = task_budget t in
@@ -144,7 +144,7 @@ let metered f =
 
 (* The rule's boundary, T ticks for a shared value: a cap leaving T-1
    or T ticks computes privately (and degrades where that path
-   degrades), T+1 reuses; all agree with the context-free run. A cap
+   degrades), T+1 reuses; all agree with the run without [ctx]. A cap
    well inside T gives a different row than T+1 does, so a rule that
    reused too eagerly would show. *)
 let test_tick_boundary_mv_cover () =

@@ -204,14 +204,333 @@ let step_pins =
     ("bbsse/driver-iexact/w20000", "iexact>semiexact>project>igreedy:14cbd7ba9a9ad575ea47a3671527139a");
   ]
 
-let test_step_pins () =
+(* Symbolic minimization (Section 6.1) on every non-heavy suite
+   machine: the MD5 of its final cover, its accepted covering graph,
+   the encoder problem's input constraints in order, and its clusters. *)
+let symbmin_digest m =
+  let sm = Symbmin.run (Symbolic.of_fsm m) in
+  let ints l = String.concat "," (List.map string_of_int l) in
+  let bits l = String.concat "," (List.map Bitvec.to_string l) in
+  let ic (ic : Constraints.input_constraint) =
+    Printf.sprintf "%s/%d" (Bitvec.to_string ic.Constraints.states) ic.Constraints.weight
+  in
+  let cluster (cl : Constraints.oc_cluster) =
+    Printf.sprintf "%d:%s:%d:%s" cl.Constraints.next_state
+      (ints
+         (List.concat_map
+            (fun (oc : Constraints.output_constraint) ->
+              [ oc.Constraints.covering; oc.Constraints.covered ])
+            cl.Constraints.edges))
+      cl.Constraints.oc_weight (bits cl.Constraints.companion)
+  in
+  let p = sm.Symbmin.problem in
+  String.concat "|"
+    [
+      bits sm.Symbmin.final_cover.Logic.Cover.cubes;
+      ints (List.concat_map (fun (u, v, w) -> [ u; v; w ]) sm.Symbmin.graph);
+      String.concat ";" (List.map ic p.Iohybrid.ics);
+      String.concat ";" (List.map cluster p.Iohybrid.clusters);
+    ]
+  |> Digest.string |> Digest.to_hex
+
+let symbmin_cases =
+  List.filter_map
+    (fun (e : Benchmarks.Suite.entry) ->
+      if e.Benchmarks.Suite.heavy then None
+      else
+        let nm = e.Benchmarks.Suite.name in
+        Some (nm ^ "/symbmin", fun () -> symbmin_digest (Benchmarks.Suite.find nm)))
+    Benchmarks.Suite.all
+
+(* Generated by the parsing symbolic minimization. *)
+let symbmin_pins =
+  [
+    ("lion/symbmin", "190cb68de209fdbec9f374e47c95e753");
+    ("dk15/symbmin", "c8951d09b292db445a7af7eb1a93a515");
+    ("tav/symbmin", "71c0d7b9228a7d076010011fa5db0bfa");
+    ("bbtas/symbmin", "6fdb0136a13e9296221d19a6483857b6");
+    ("beecount/symbmin", "fbe8454b25aaeca9e8756c9cbff536d8");
+    ("dk14/symbmin", "e0655737592a2645da2e0bedfd19d03f");
+    ("dk27/symbmin", "4ed2b42cfc658e8a644eabf1a13dc293");
+    ("dk17/symbmin", "b9a6a6361c6ab30c13829fdc1d7731a2");
+    ("dol/symbmin", "9f40467975a3788ba95ab4f768970d94");
+    ("ex6/symbmin", "1d7a903ca1e0904e4613b8903e8ed0e5");
+    ("scud/symbmin", "ee220ebf610dfbfbad1952bfe2962a8d");
+    ("shiftreg/symbmin", "a003aba303ecbc56a92a685d7d0b7b0f");
+    ("ex5/symbmin", "8448cc0aaa0d87724e64a74fa25057c2");
+    ("lion9/symbmin", "e2720dd12abbc0e8f0ebd51f0f34e0e5");
+    ("bbara/symbmin", "2d88f2b35fabcd6a2cbe95e0f1381162");
+    ("ex3/symbmin", "f9107133fc0aa72726d539a4c3eeec5e");
+    ("iofsm/symbmin", "5b354c3cdde0fcae20f72dcd2cf8a2b5");
+    ("physrec/symbmin", "91ea3158483c19ac51299867129fe590");
+    ("train11/symbmin", "311c8c02754fccb3d6fef89a36e33338");
+    ("modulo12/symbmin", "8f07be37c4bef4d6121d41c323b073ff");
+    ("dk512/symbmin", "a7663820a74feb644323e5d834beb43b");
+    ("mark1/symbmin", "9b6b01782fec145db03d0bfec98c6fee");
+    ("bbsse/symbmin", "d9f2e531c429c2a010de9a94b16b7506");
+    ("cse/symbmin", "39e162e4f672529a43db493ccff5d653");
+    ("ex2/symbmin", "05db455a2558ffa6342d0de3c74ef254");
+    ("keyb/symbmin", "a85ed2d86acfe88da74293adb1bd2835");
+    ("ex1/symbmin", "969ec5593ec4979f261fb8295d90d95a");
+    ("s1/symbmin", "645c0ecebcf96b026801c2222e2080c5");
+    ("donfile/symbmin", "e5df43bf0edb11dcca9c3f36f94c4bf2");
+    ("dk16/symbmin", "1e92585835840438ea73035f7d8b33cf");
+    ("styr/symbmin", "1c54f7508ee3847816a7a13d9a36f6ff");
+    ("sand/symbmin", "6393b8370273dd97d4a32413e025db36");
+  ]
+
+(* [Driver.report] without [?ctx], for every spelling on four
+   machines under four budgets: the MD5 of the code length, the codes,
+   the producing rung, the degradations, the claims in order, the
+   cover, [Budget.spent], and the ESPRESSO calls and embedding ticks
+   the call counted. *)
+let report_digest m algo max_work =
+  let budget =
+    match max_work with Some max_work -> Budget.create ~max_work () | None -> Budget.create ()
+  in
+  let event name = Metrics.Registry.counter_value (Metrics.event name) in
+  let calls0 = event "espresso.minimize_calls" and ticks0 = event "embed.work_ticks" in
+  let outcome =
+    match Harness.Driver.report ~budget m algo with
+    | Error e -> Nova_error.to_string e
+    | Ok (o, impl) ->
+        let open Harness.Driver in
+        let ints l = String.concat "," (List.map string_of_int l) in
+        Printf.sprintf "%d|%s|%s|%s|%s|%s|%s" o.encoding.Encoding.nbits
+          (ints (Array.to_list o.encoding.Encoding.codes))
+          (rung_name o.produced_by)
+          (String.concat ";"
+             (List.map (fun (r, e) -> rung_name r ^ ":" ^ Nova_error.to_string e) o.degradations))
+          (String.concat ";" (List.map Bitvec.to_string o.claims.Check.claimed_ics))
+          (ints (List.concat_map (fun (u, v) -> [ u; v ]) o.claims.Check.claimed_ocs))
+          (String.concat "," (List.map Bitvec.to_string impl.Encoded.cover.Logic.Cover.cubes))
+  in
+  Printf.sprintf "%s|%d|%d|%d" outcome (Budget.spent budget)
+    (event "espresso.minimize_calls" - calls0)
+    (event "embed.work_ticks" - ticks0)
+  |> Digest.string |> Digest.to_hex
+
+let report_cases =
+  let algorithms = Harness.Driver.named_algorithms @ [ Harness.Driver.Random 0 ] in
+  List.concat_map
+    (fun nm ->
+      List.concat_map
+        (fun algo ->
+          List.map
+            (fun max_work ->
+              ( Printf.sprintf "%s/report-%s/%s" nm (Harness.Driver.name algo)
+                  (match max_work with Some w -> Printf.sprintf "w%d" w | None -> "unlimited"),
+                fun () -> report_digest (Benchmarks.Suite.find nm) algo max_work ))
+            [ None; Some 500; Some 5_000; Some 40_000 ])
+        algorithms)
+    [ "lion"; "bbara"; "dk16"; "sand" ]
+
+(* Generated by the driver's context-free path, before every call ran
+   on a context. *)
+let report_pins =
+  [
+    ("lion/report-ihybrid/unlimited", "589c71b435e016f2f3e5b76d1ed24647");
+    ("lion/report-ihybrid/w500", "589c71b435e016f2f3e5b76d1ed24647");
+    ("lion/report-ihybrid/w5000", "589c71b435e016f2f3e5b76d1ed24647");
+    ("lion/report-ihybrid/w40000", "589c71b435e016f2f3e5b76d1ed24647");
+    ("lion/report-igreedy/unlimited", "975079cb5c044da6a801ac84cb721786");
+    ("lion/report-igreedy/w500", "975079cb5c044da6a801ac84cb721786");
+    ("lion/report-igreedy/w5000", "975079cb5c044da6a801ac84cb721786");
+    ("lion/report-igreedy/w40000", "975079cb5c044da6a801ac84cb721786");
+    ("lion/report-iohybrid/unlimited", "d777f63f7391853f36a4aa69bdb7aef4");
+    ("lion/report-iohybrid/w500", "d777f63f7391853f36a4aa69bdb7aef4");
+    ("lion/report-iohybrid/w5000", "d777f63f7391853f36a4aa69bdb7aef4");
+    ("lion/report-iohybrid/w40000", "d777f63f7391853f36a4aa69bdb7aef4");
+    ("lion/report-iovariant/unlimited", "3e85a3929b64a31aec413f2f10e27ba1");
+    ("lion/report-iovariant/w500", "3e85a3929b64a31aec413f2f10e27ba1");
+    ("lion/report-iovariant/w5000", "3e85a3929b64a31aec413f2f10e27ba1");
+    ("lion/report-iovariant/w40000", "3e85a3929b64a31aec413f2f10e27ba1");
+    ("lion/report-iexact/unlimited", "18aac6a12f9f74b981c312a4289a90bd");
+    ("lion/report-iexact/w500", "18aac6a12f9f74b981c312a4289a90bd");
+    ("lion/report-iexact/w5000", "18aac6a12f9f74b981c312a4289a90bd");
+    ("lion/report-iexact/w40000", "18aac6a12f9f74b981c312a4289a90bd");
+    ("lion/report-kiss/unlimited", "913716acfde2009c5dfc0dc4c7302121");
+    ("lion/report-kiss/w500", "913716acfde2009c5dfc0dc4c7302121");
+    ("lion/report-kiss/w5000", "913716acfde2009c5dfc0dc4c7302121");
+    ("lion/report-kiss/w40000", "913716acfde2009c5dfc0dc4c7302121");
+    ("lion/report-onehot/unlimited", "50b3139b352ab6368ba6028ff5d839f8");
+    ("lion/report-onehot/w500", "50b3139b352ab6368ba6028ff5d839f8");
+    ("lion/report-onehot/w5000", "50b3139b352ab6368ba6028ff5d839f8");
+    ("lion/report-onehot/w40000", "50b3139b352ab6368ba6028ff5d839f8");
+    ("lion/report-mustang-n/unlimited", "6faf0af0ed003828732e0a630f611e64");
+    ("lion/report-mustang-n/w500", "6faf0af0ed003828732e0a630f611e64");
+    ("lion/report-mustang-n/w5000", "6faf0af0ed003828732e0a630f611e64");
+    ("lion/report-mustang-n/w40000", "6faf0af0ed003828732e0a630f611e64");
+    ("lion/report-mustang-nt/unlimited", "6faf0af0ed003828732e0a630f611e64");
+    ("lion/report-mustang-nt/w500", "6faf0af0ed003828732e0a630f611e64");
+    ("lion/report-mustang-nt/w5000", "6faf0af0ed003828732e0a630f611e64");
+    ("lion/report-mustang-nt/w40000", "6faf0af0ed003828732e0a630f611e64");
+    ("lion/report-mustang-p/unlimited", "76fb8ec30816de19dea43b671690c3f6");
+    ("lion/report-mustang-p/w500", "76fb8ec30816de19dea43b671690c3f6");
+    ("lion/report-mustang-p/w5000", "76fb8ec30816de19dea43b671690c3f6");
+    ("lion/report-mustang-p/w40000", "76fb8ec30816de19dea43b671690c3f6");
+    ("lion/report-mustang-pt/unlimited", "76fb8ec30816de19dea43b671690c3f6");
+    ("lion/report-mustang-pt/w500", "76fb8ec30816de19dea43b671690c3f6");
+    ("lion/report-mustang-pt/w5000", "76fb8ec30816de19dea43b671690c3f6");
+    ("lion/report-mustang-pt/w40000", "76fb8ec30816de19dea43b671690c3f6");
+    ("lion/report-random[0]/unlimited", "ea1566f754eafebc94c8a8e3bfd0d6aa");
+    ("lion/report-random[0]/w500", "ea1566f754eafebc94c8a8e3bfd0d6aa");
+    ("lion/report-random[0]/w5000", "ea1566f754eafebc94c8a8e3bfd0d6aa");
+    ("lion/report-random[0]/w40000", "ea1566f754eafebc94c8a8e3bfd0d6aa");
+    ("bbara/report-ihybrid/unlimited", "166472e55d12b510275f318080636e50");
+    ("bbara/report-ihybrid/w500", "214638eef38d39a46f94ef43e4d0f32e");
+    ("bbara/report-ihybrid/w5000", "fa070f927513180a0c28f29cc66a8f08");
+    ("bbara/report-ihybrid/w40000", "166472e55d12b510275f318080636e50");
+    ("bbara/report-igreedy/unlimited", "49ad18c621bc59a1fae068e9130bcbdf");
+    ("bbara/report-igreedy/w500", "49ad18c621bc59a1fae068e9130bcbdf");
+    ("bbara/report-igreedy/w5000", "49ad18c621bc59a1fae068e9130bcbdf");
+    ("bbara/report-igreedy/w40000", "49ad18c621bc59a1fae068e9130bcbdf");
+    ("bbara/report-iohybrid/unlimited", "92516b1df583957f7262dbd4fed576e5");
+    ("bbara/report-iohybrid/w500", "761850f9ccbc9506270889e33b4569b4");
+    ("bbara/report-iohybrid/w5000", "7e63acfb16cf5efeab23a6e87def61a1");
+    ("bbara/report-iohybrid/w40000", "92516b1df583957f7262dbd4fed576e5");
+    ("bbara/report-iovariant/unlimited", "70ed0a2340bfb6b18fab8c6177a1496a");
+    ("bbara/report-iovariant/w500", "1522fafaf22293e804ad63a68bfa1a93");
+    ("bbara/report-iovariant/w5000", "70ed0a2340bfb6b18fab8c6177a1496a");
+    ("bbara/report-iovariant/w40000", "70ed0a2340bfb6b18fab8c6177a1496a");
+    ("bbara/report-iexact/unlimited", "96d45738e43a19bd7bf8ecf42f7f0139");
+    ("bbara/report-iexact/w500", "0dd27e221976202c3d98230babcbcc1c");
+    ("bbara/report-iexact/w5000", "2b0e1f84f9a62370ba80e4361fd71dc7");
+    ("bbara/report-iexact/w40000", "0940686cee6e9eb3be28ba5793381397");
+    ("bbara/report-kiss/unlimited", "a43a9d67fd1b4374de1a58d076dd722e");
+    ("bbara/report-kiss/w500", "a43a9d67fd1b4374de1a58d076dd722e");
+    ("bbara/report-kiss/w5000", "a43a9d67fd1b4374de1a58d076dd722e");
+    ("bbara/report-kiss/w40000", "a43a9d67fd1b4374de1a58d076dd722e");
+    ("bbara/report-onehot/unlimited", "dd3766f0b9c6cb20e81f02d275bc978e");
+    ("bbara/report-onehot/w500", "dd3766f0b9c6cb20e81f02d275bc978e");
+    ("bbara/report-onehot/w5000", "dd3766f0b9c6cb20e81f02d275bc978e");
+    ("bbara/report-onehot/w40000", "dd3766f0b9c6cb20e81f02d275bc978e");
+    ("bbara/report-mustang-n/unlimited", "4efa7adc3d7eb2b45588fde600af43a4");
+    ("bbara/report-mustang-n/w500", "4efa7adc3d7eb2b45588fde600af43a4");
+    ("bbara/report-mustang-n/w5000", "4efa7adc3d7eb2b45588fde600af43a4");
+    ("bbara/report-mustang-n/w40000", "4efa7adc3d7eb2b45588fde600af43a4");
+    ("bbara/report-mustang-nt/unlimited", "5e2e73d8228fb71dcdd0fa4cc0543e85");
+    ("bbara/report-mustang-nt/w500", "5e2e73d8228fb71dcdd0fa4cc0543e85");
+    ("bbara/report-mustang-nt/w5000", "5e2e73d8228fb71dcdd0fa4cc0543e85");
+    ("bbara/report-mustang-nt/w40000", "5e2e73d8228fb71dcdd0fa4cc0543e85");
+    ("bbara/report-mustang-p/unlimited", "19462dd568f271cf224e9184dafe68a4");
+    ("bbara/report-mustang-p/w500", "19462dd568f271cf224e9184dafe68a4");
+    ("bbara/report-mustang-p/w5000", "19462dd568f271cf224e9184dafe68a4");
+    ("bbara/report-mustang-p/w40000", "19462dd568f271cf224e9184dafe68a4");
+    ("bbara/report-mustang-pt/unlimited", "48d97ad4e0c52cebf8c950efc2878ebd");
+    ("bbara/report-mustang-pt/w500", "48d97ad4e0c52cebf8c950efc2878ebd");
+    ("bbara/report-mustang-pt/w5000", "48d97ad4e0c52cebf8c950efc2878ebd");
+    ("bbara/report-mustang-pt/w40000", "48d97ad4e0c52cebf8c950efc2878ebd");
+    ("bbara/report-random[0]/unlimited", "af55e3ea78643a13693ba3dd607f87da");
+    ("bbara/report-random[0]/w500", "af55e3ea78643a13693ba3dd607f87da");
+    ("bbara/report-random[0]/w5000", "af55e3ea78643a13693ba3dd607f87da");
+    ("bbara/report-random[0]/w40000", "af55e3ea78643a13693ba3dd607f87da");
+    ("dk16/report-ihybrid/unlimited", "ba32cd590376fb647ceea06a7deb3d98");
+    ("dk16/report-ihybrid/w500", "527a3ee4a1802aad98abd4a08ff62af1");
+    ("dk16/report-ihybrid/w5000", "5c293f1c73e5984d18a3af6775280853");
+    ("dk16/report-ihybrid/w40000", "1fa8a5387759112f06e3d38e2daa0eee");
+    ("dk16/report-igreedy/unlimited", "103112e862f4cbac4926156847b07a29");
+    ("dk16/report-igreedy/w500", "103112e862f4cbac4926156847b07a29");
+    ("dk16/report-igreedy/w5000", "103112e862f4cbac4926156847b07a29");
+    ("dk16/report-igreedy/w40000", "103112e862f4cbac4926156847b07a29");
+    ("dk16/report-iohybrid/unlimited", "f39ae2b1840a6c7806395256f61f4831");
+    ("dk16/report-iohybrid/w500", "416dbc22ae47c9d3875134595efbe6a4");
+    ("dk16/report-iohybrid/w5000", "61b37cc01f545139937514e1b5e2b8de");
+    ("dk16/report-iohybrid/w40000", "5ece72f9e94b2b60de6c2873c07ab34b");
+    ("dk16/report-iovariant/unlimited", "1e78289d1f79fe4a2e319afba6380daf");
+    ("dk16/report-iovariant/w500", "a86fef7a996ec316ca4286b841fb1ecf");
+    ("dk16/report-iovariant/w5000", "e0f645c20ffc561b730dbed6cf7869ce");
+    ("dk16/report-iovariant/w40000", "1e78289d1f79fe4a2e319afba6380daf");
+    ("dk16/report-iexact/unlimited", "a2783dc2655e6f283c8afe3b8880ccfb");
+    ("dk16/report-iexact/w500", "972ab4a58964bbda2b481efdfa7a39b0");
+    ("dk16/report-iexact/w5000", "c6aecf8640a9d6ae0f8449868bee849c");
+    ("dk16/report-iexact/w40000", "29214cab9fc6a02a0cf1fd46434d4ca4");
+    ("dk16/report-kiss/unlimited", "2aeb438505d44eccb262f0fbc32afd5e");
+    ("dk16/report-kiss/w500", "2aeb438505d44eccb262f0fbc32afd5e");
+    ("dk16/report-kiss/w5000", "2aeb438505d44eccb262f0fbc32afd5e");
+    ("dk16/report-kiss/w40000", "2aeb438505d44eccb262f0fbc32afd5e");
+    ("dk16/report-onehot/unlimited", "21c91478b04d96067aaffcbfba942728");
+    ("dk16/report-onehot/w500", "21c91478b04d96067aaffcbfba942728");
+    ("dk16/report-onehot/w5000", "21c91478b04d96067aaffcbfba942728");
+    ("dk16/report-onehot/w40000", "21c91478b04d96067aaffcbfba942728");
+    ("dk16/report-mustang-n/unlimited", "6095ad568c3f586217a5d6e5cf0a02d3");
+    ("dk16/report-mustang-n/w500", "6095ad568c3f586217a5d6e5cf0a02d3");
+    ("dk16/report-mustang-n/w5000", "6095ad568c3f586217a5d6e5cf0a02d3");
+    ("dk16/report-mustang-n/w40000", "6095ad568c3f586217a5d6e5cf0a02d3");
+    ("dk16/report-mustang-nt/unlimited", "f343ca8c9b6467da77ab3a113e38a73e");
+    ("dk16/report-mustang-nt/w500", "f343ca8c9b6467da77ab3a113e38a73e");
+    ("dk16/report-mustang-nt/w5000", "f343ca8c9b6467da77ab3a113e38a73e");
+    ("dk16/report-mustang-nt/w40000", "f343ca8c9b6467da77ab3a113e38a73e");
+    ("dk16/report-mustang-p/unlimited", "cd86511a2ecdbb98f5f247145df36224");
+    ("dk16/report-mustang-p/w500", "cd86511a2ecdbb98f5f247145df36224");
+    ("dk16/report-mustang-p/w5000", "cd86511a2ecdbb98f5f247145df36224");
+    ("dk16/report-mustang-p/w40000", "cd86511a2ecdbb98f5f247145df36224");
+    ("dk16/report-mustang-pt/unlimited", "4fff4ec48c557e6ce40a325430bc1b4e");
+    ("dk16/report-mustang-pt/w500", "4fff4ec48c557e6ce40a325430bc1b4e");
+    ("dk16/report-mustang-pt/w5000", "4fff4ec48c557e6ce40a325430bc1b4e");
+    ("dk16/report-mustang-pt/w40000", "4fff4ec48c557e6ce40a325430bc1b4e");
+    ("dk16/report-random[0]/unlimited", "9335fbd15e3179a094f59f805f529ef6");
+    ("dk16/report-random[0]/w500", "9335fbd15e3179a094f59f805f529ef6");
+    ("dk16/report-random[0]/w5000", "9335fbd15e3179a094f59f805f529ef6");
+    ("dk16/report-random[0]/w40000", "9335fbd15e3179a094f59f805f529ef6");
+    ("sand/report-ihybrid/unlimited", "63f02ba8cdd014e6e18ee39838abdbf1");
+    ("sand/report-ihybrid/w500", "1f15b968e78ea4e91d20a7ec773c4ab9");
+    ("sand/report-ihybrid/w5000", "19241db511368fd9779b218c0c0d274c");
+    ("sand/report-ihybrid/w40000", "622155f2c1eb671135f9761733a490af");
+    ("sand/report-igreedy/unlimited", "0f3304df6deacccb32e423cbef67682f");
+    ("sand/report-igreedy/w500", "a99b7e21c8850ea5f958ac4df91022f7");
+    ("sand/report-igreedy/w5000", "0f3304df6deacccb32e423cbef67682f");
+    ("sand/report-igreedy/w40000", "0f3304df6deacccb32e423cbef67682f");
+    ("sand/report-iohybrid/unlimited", "7be5bfc582ea5683a7cd382e0e5d77c6");
+    ("sand/report-iohybrid/w500", "690249c9004c41ad2fef7956c0b8730d");
+    ("sand/report-iohybrid/w5000", "ab819e312fc215c3f1b5b57da3920f54");
+    ("sand/report-iohybrid/w40000", "415c84f22dc9d50ed2b59de2bef10690");
+    ("sand/report-iovariant/unlimited", "88ff0757ba2fb9c29ec5b8cb0bb6b5f1");
+    ("sand/report-iovariant/w500", "a895463e879af3c515bbb68ecd2242b5");
+    ("sand/report-iovariant/w5000", "63e06b2f6ed09ca51cf55d97ae3b73fd");
+    ("sand/report-iovariant/w40000", "e867b442af6c4c6e31d872af95a1be68");
+    ("sand/report-iexact/unlimited", "b31e81617ba2fecd4910f1ea5e3d359a");
+    ("sand/report-iexact/w500", "9cee290ae0218b50d2cc50e799a69664");
+    ("sand/report-iexact/w5000", "84c88e11bd9b82d97e64ee26c94b3bb4");
+    ("sand/report-iexact/w40000", "c43c11e7132892d5ae4b924f346b91d1");
+    ("sand/report-kiss/unlimited", "468a19f97642fd30f56feb26aa03fc30");
+    ("sand/report-kiss/w500", "577bff9101380060034027fccdfc7330");
+    ("sand/report-kiss/w5000", "468a19f97642fd30f56feb26aa03fc30");
+    ("sand/report-kiss/w40000", "468a19f97642fd30f56feb26aa03fc30");
+    ("sand/report-onehot/unlimited", "e929c2f99cc909799a149b61070c21a7");
+    ("sand/report-onehot/w500", "e929c2f99cc909799a149b61070c21a7");
+    ("sand/report-onehot/w5000", "e929c2f99cc909799a149b61070c21a7");
+    ("sand/report-onehot/w40000", "e929c2f99cc909799a149b61070c21a7");
+    ("sand/report-mustang-n/unlimited", "498872b98850a52bbd583c72a054be86");
+    ("sand/report-mustang-n/w500", "498872b98850a52bbd583c72a054be86");
+    ("sand/report-mustang-n/w5000", "498872b98850a52bbd583c72a054be86");
+    ("sand/report-mustang-n/w40000", "498872b98850a52bbd583c72a054be86");
+    ("sand/report-mustang-nt/unlimited", "ea27b0ddbf47c0b5418898fc66522941");
+    ("sand/report-mustang-nt/w500", "ea27b0ddbf47c0b5418898fc66522941");
+    ("sand/report-mustang-nt/w5000", "ea27b0ddbf47c0b5418898fc66522941");
+    ("sand/report-mustang-nt/w40000", "ea27b0ddbf47c0b5418898fc66522941");
+    ("sand/report-mustang-p/unlimited", "a5ff2fd6b9d9a448980c5f072a28b626");
+    ("sand/report-mustang-p/w500", "fb48987ac062e6de0d30e74de187eb5c");
+    ("sand/report-mustang-p/w5000", "a5ff2fd6b9d9a448980c5f072a28b626");
+    ("sand/report-mustang-p/w40000", "a5ff2fd6b9d9a448980c5f072a28b626");
+    ("sand/report-mustang-pt/unlimited", "d7c43c7cd0bb7a6fc660ea8777d189d3");
+    ("sand/report-mustang-pt/w500", "409dc8143bfc5ca01aa373eb4ee6d2bd");
+    ("sand/report-mustang-pt/w5000", "d7c43c7cd0bb7a6fc660ea8777d189d3");
+    ("sand/report-mustang-pt/w40000", "d7c43c7cd0bb7a6fc660ea8777d189d3");
+    ("sand/report-random[0]/unlimited", "d0a110d52052d77d298693f8bd055473");
+    ("sand/report-random[0]/w500", "d0a110d52052d77d298693f8bd055473");
+    ("sand/report-random[0]/w5000", "d0a110d52052d77d298693f8bd055473");
+    ("sand/report-random[0]/w40000", "d0a110d52052d77d298693f8bd055473");
+  ]
+
+let check_digests cases pins =
   let wrong =
     List.filter_map
       (fun (label, run) ->
         let got = run () in
-        if List.assoc_opt label step_pins = Some got then None
+        if List.assoc_opt label pins = Some got then None
         else Some (Printf.sprintf "(%S, %S)" label got))
-      step_cases
+      cases
   in
   if wrong <> [] then Alcotest.failf "digests off their pins:\n%s" (String.concat ";\n" wrong)
 
@@ -224,5 +543,9 @@ let suite =
     Alcotest.test_case "search work, rung and codes match the exact pins" `Quick
       test_search_pins;
     Alcotest.test_case "accretion and projection codes match the exact pins" `Quick
-      test_step_pins;
+      (fun () -> check_digests step_cases step_pins);
+    Alcotest.test_case "symbolic minimization matches the exact pins" `Quick
+      (fun () -> check_digests symbmin_cases symbmin_pins);
+    Alcotest.test_case "reports without a shared context match the exact pins" `Quick
+      (fun () -> check_digests report_cases report_pins);
   ]

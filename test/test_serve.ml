@@ -983,6 +983,101 @@ let test_serve_two_process_shared_cache () =
   check "cache structurally clean after the race" true
     (r.Exec.Cache.valid = r.Exec.Cache.scanned && r.Exec.Cache.scanned >= 1)
 
+(* The line transport under signals: a writer blocked on a full
+   socketpair while a slow reader drains it, with SIGALRM firing every
+   millisecond and masked in the reader, so it lands on the writer or
+   on a thread that does not block. Every byte must arrive exactly once
+   and in order whether or not a signal interrupted a write; the log
+   says whether one did. The pattern's period (251) shares no factor
+   with the 64 KiB write chunk, so a repeated or skipped chunk shows.
+   The timer stops after 200 signals: a write that restarts from its
+   first byte on every signal would otherwise never finish. *)
+let test_line_io_write_survives_signals () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let payload = String.init (1 lsl 20) (fun i -> Char.chr (i mod 251)) in
+  let received = Buffer.create (String.length payload) in
+  let reader =
+    Thread.create
+      (fun () ->
+        ignore (Thread.sigmask Unix.SIG_BLOCK [ Sys.sigalrm ]);
+        let chunk = Bytes.create 16384 in
+        let rec go () =
+          match Unix.read b chunk 0 (Bytes.length chunk) with
+          | 0 -> ()
+          | n ->
+              Buffer.add_subbytes received chunk 0 n;
+              Thread.delay 0.001;
+              go ()
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+        in
+        go ())
+      ()
+  in
+  let signals = ref 0 in
+  let timer period = { Unix.it_interval = period; it_value = period } in
+  let old =
+    Sys.signal Sys.sigalrm
+      (Sys.Signal_handle
+         (fun _ ->
+           incr signals;
+           if !signals = 200 then ignore (Unix.setitimer Unix.ITIMER_REAL (timer 0.))))
+  in
+  let interrupted =
+    Fun.protect
+      ~finally:(fun () ->
+        ignore (Unix.setitimer Unix.ITIMER_REAL (timer 0.));
+        (* A signal still pending runs the counting handler, not the
+           default action, before the old handler comes back. *)
+        Unix.sleepf 0.01;
+        Sys.set_signal Sys.sigalrm old)
+      (fun () ->
+        ignore (Unix.setitimer Unix.ITIMER_REAL (timer 0.001));
+        Serve.Line_io.write_all a payload)
+  in
+  Unix.close a;
+  Thread.join reader;
+  Unix.close b;
+  check_int "every byte arrived once" (String.length payload) (Buffer.length received);
+  check "in order" true (String.equal payload (Buffer.contents received));
+  Printf.printf "write_all: %d of %d SIGALRMs interrupted a write (EINTR %s)\n" interrupted
+    !signals
+    (if interrupted > 0 then "landed" else "did not land")
+
+(* The line reader on lines that share a read and on one that spans
+   many: a writer sends several lines in pieces that end mid-line, and
+   the reader must return each line whole, in order, then end of stream. *)
+let test_line_io_reads_lines_across_chunks () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let long = String.init 300_000 (fun i -> Char.chr (97 + (i mod 26))) in
+  let lines = [ "a"; ""; "bb"; long; "c" ] in
+  let text = String.concat "\n" lines ^ "\n" in
+  let writer =
+    Thread.create
+      (fun () ->
+        let rec go off =
+          if off < String.length text then begin
+            let len = min 70_001 (String.length text - off) in
+            ignore (Serve.Line_io.write_all a (String.sub text off len));
+            go (off + len)
+          end
+        in
+        go 0;
+        Unix.close a)
+      ()
+  in
+  let r = Serve.Line_io.reader b in
+  List.iter
+    (fun want ->
+      match Serve.Line_io.read_line r with
+      | Ok got ->
+          check_int "line length" (String.length want) (String.length got);
+          check "line bytes" true (String.equal want got)
+      | Error _ -> Alcotest.fail "line missing")
+    lines;
+  check "then end of stream" true (Serve.Line_io.read_line r = Error Serve.Line_io.Eof);
+  Thread.join writer;
+  Unix.close b
+
 let suite =
   [
     Alcotest.test_case "protocol: verb lines" `Quick test_protocol_verbs;
@@ -1002,6 +1097,10 @@ let suite =
     Alcotest.test_case "serve: truncation and disconnect" `Quick
       test_serve_wire_truncation_reassembly;
     Alcotest.test_case "serve: oversized line" `Quick test_serve_wire_oversized_line;
+    Alcotest.test_case "line transport: a signalled write delivers every byte once" `Quick
+      test_line_io_write_survives_signals;
+    Alcotest.test_case "line transport: lines across chunk boundaries" `Quick
+      test_line_io_reads_lines_across_chunks;
     Alcotest.test_case "serve: chaos site answers typed" `Quick test_serve_chaos_typed_crash;
     Alcotest.test_case "serve: plain requests share one 1-hot reference" `Quick
       test_serve_onehot_memo;

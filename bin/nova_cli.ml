@@ -218,11 +218,6 @@ let run_traced trace ~meta f =
       | exception Sys_error msg -> Printf.eprintf "nova: trace export failed: %s\n" msg);
       code
 
-let budget_of budget_ms max_work =
-  match (budget_ms, max_work) with
-  | None, None -> Budget.unlimited
-  | deadline_ms, max_work -> Budget.create ?max_work ?deadline_ms ()
-
 (* Certify the report (optionally after injecting a fault), print the
    per-check lines, and return the process exit code. *)
 let certify_and_report m outcome r inject =
@@ -288,7 +283,7 @@ let encode algo bits pla instrument budget_ms max_work fallback certify inject
         ("algorithm", Trace.String (Harness.Driver.name algo));
       ]
   @@ fun () ->
-  let budget = budget_of budget_ms max_work in
+  let budget = Budget.create ?max_work ?deadline_ms:budget_ms () in
   match Harness.Driver.report ?bits ~budget ~fallback m algo with
   | Error err -> fail_with err
   | Ok (outcome, r) ->

@@ -4,15 +4,7 @@ let kiss_encode ~num_states ?max_work ics =
   let nbits_cap =
     min 60 (Encoding.min_code_length num_states + max 1 (List.length ics))
   in
-  (* A fresh root of its own: the shared [Budget.unlimited] would be
-     ticked by every pool domain at once. *)
-  let budget = Budget.create () in
-  let r =
-    match max_work with
-    | Some w -> Ihybrid.ihybrid_code ~num_states ~nbits:nbits_cap ~max_work:w ~budget ics
-    | None -> Ihybrid.ihybrid_code ~num_states ~nbits:nbits_cap ~budget ics
-  in
-  r.Ihybrid.encoding
+  (Ihybrid.ihybrid_code ~num_states ~nbits:nbits_cap ?max_work ics).Ihybrid.encoding
 
 type mustang_flavor = Fanout | Fanin
 

@@ -145,85 +145,144 @@ let check_covering (m : Fsm.t) a () =
   | [] -> (true, "")
   | faults -> (false, String.concat "; " faults)
 
-(* --- (d) minimized cover vs the re-encoded on/off sets ----------------- *)
+(* --- the row model -------------------------------------------------------- *)
 
-(* The off-set is exactly the complement of on-set + DC-set, so staying
-   inside on-set + DC-set is meeting no off cube: pairwise, no
-   tautology. *)
-let check_containment (dom, (on : Cover.t), (off : Cover.t)) a () =
-  if not (Domain.equal a.cover.Cover.dom dom) then
+(* Containment and trace equivalence read the transition table through
+   this one model, built from the rows, the raw codes and [Logic] alone,
+   apart from the PLA personality that builds the minimizer's input.
+   The domain is the PLA's: one binary variable per input and per code
+   bit, then the output variable, whose parts are the next-state bits
+   followed by the binary outputs. *)
+type row = {
+  tr : Fsm.transition;
+  cube : Cube.t;
+      (* the input pattern, the state part at the source's code (full for
+         a '*' source), every output part *)
+  ones : int list;  (* the output parts the row asserts *)
+  dashes : int list;  (* ... leaves free: '-' outputs, the next state of [dst = None] *)
+  zeros : int list;  (* ... specifies as 0 *)
+}
+
+type model = { dom : Domain.t; ni : int; nb : int; rows : row list }
+
+(* [c] with its state part at [code]. *)
+let at_code md code c =
+  let c = Bitvec.copy c in
+  for b = 0 to md.nb - 1 do
+    Bitvec.clear c (Domain.offset md.dom (md.ni + b) + 1 - ((code lsr b) land 1))
+  done;
+  c
+
+(* [c] with exactly the output parts [parts]. *)
+let with_parts md parts c =
+  let c = Bitvec.copy c in
+  let ov = md.ni + md.nb in
+  let off = Domain.offset md.dom ov in
+  Bitvec.clear_range c off (Domain.size md.dom ov);
+  List.iter (fun p -> Bitvec.set c (off + p)) parts;
+  c
+
+let model (m : Fsm.t) a =
+  let ni = m.Fsm.num_inputs and nb = a.nbits in
+  let dom = Domain.create (Array.append (Array.make (ni + nb) 2) [| nb + m.Fsm.num_outputs |]) in
+  let md = { dom; ni; nb; rows = [] } in
+  let pattern input =
+    let c = Cube.full dom in
+    String.iteri
+      (fun v ch ->
+        if ch <> '-' then Bitvec.clear c (Domain.offset dom v + if ch = '0' then 1 else 0))
+      input;
+    c
+  in
+  (* The columns as the PLA personality defines them: '1' asserted, '-'
+     free, anything else 0. *)
+  let row (tr : Fsm.transition) =
+    let cube = pattern tr.Fsm.input in
+    let cube = match tr.Fsm.src with Some s -> at_code md a.codes.(s) cube | None -> cube in
+    let next b =
+      match tr.Fsm.dst with
+      | None -> '-'
+      | Some d -> if (a.codes.(d) lsr b) land 1 = 1 then '1' else '0'
+    in
+    let plane = String.init nb next ^ tr.Fsm.output in
+    let parts keep =
+      List.filter (fun p -> keep plane.[p]) (List.init (String.length plane) Fun.id)
+    in
+    { tr; cube; ones = parts (( = ) '1'); dashes = parts (( = ) '-');
+      zeros = parts (fun ch -> ch <> '1' && ch <> '-') }
+  in
+  { md with rows = List.map row m.Fsm.transitions }
+
+(* The cover cubes whose state part holds [code]: the only ones that
+   meet a cube at that code. *)
+let at_state md (cover : Cover.t) code =
+  let space = at_code md code (Cube.full md.dom) in
+  { cover with Cover.cubes = List.filter (Cube.intersects md.dom space) cover.Cover.cubes }
+
+(* --- (d) the cover stays between the rows' 1s and their 0s ------------- *)
+
+(* (A) every row's 1-cube is covered, and (B) every cover cube [k] meets
+   a row's 0-cube [z] only inside the rows' 1- and '-'-cubes. The off-set
+   is the rows' 0-cubes minus their 1- and '-'-cubes (the region no row
+   matches is free), so (B) holds exactly when [k] meets no off-set
+   point. Both ask a row only of the cover cubes at its source's code. *)
+let check_containment md a () =
+  let cover = a.cover and dom = md.dom in
+  if not (Domain.equal cover.Cover.dom dom) then
     (false, "cover domain does not match the encoded machine's domain")
-  else if not (Cover.covers a.cover on) then
-    (false, "a specified on-set point is not covered")
-  else if
-    List.exists (fun c -> List.exists (Cube.intersects dom c) off.Cover.cubes) a.cover.Cover.cubes
-  then (false, "the cover asserts a point outside on-set + DC-set")
-  else (true, "")
+  else
+    let near = Array.map (at_state md cover) a.codes in
+    let near r = match r.tr.Fsm.src with Some s -> near.(s) | None -> cover in
+    let covered r = r.ones = [] || Cover.covers_cube (near r) (with_parts md r.ones r.cube) in
+    if not (List.for_all covered md.rows) then (false, "a specified on-set point is not covered")
+    else
+      (* [Cover.make] drops the empty cube of a row with no such parts. *)
+      let spec =
+        lazy
+          (Cover.make dom
+             (List.concat_map
+                (fun r -> [ with_parts md r.ones r.cube; with_parts md r.dashes r.cube ])
+                md.rows))
+      in
+      let asserts_off r =
+        r.zeros <> []
+        &&
+        let z = with_parts md r.zeros r.cube in
+        List.exists
+          (fun k ->
+            match Cube.inter dom k z with
+            | Some kz -> not (Cover.covers_cube (Lazy.force spec) kz)
+            | None -> false)
+          (near r).Cover.cubes
+      in
+      if List.exists asserts_off md.rows then
+        (false, "the cover asserts a point outside on-set + DC-set")
+      else (true, "")
 
 (* --- (e) trace equivalence --------------------------------------------- *)
 
-(* Exact at any input width, from the transition table, the raw codes
-   and [Logic] alone: nothing here goes through [Encoded], which builds
-   the minimizer's input. In state [s] a row's cube is its input pattern
-   at code(s), and its region is that cube minus the cubes of the
-   earlier rows that also match [s] — [Fsm.next]'s first-match rule. On
-   its region a row's 1 columns (destination code bits, '1' outputs)
-   must be covered and its 0 columns must meet no cover cube.
-   [dst = None], '-' outputs, unused codes and the region no row matches
-   are free: the don't-care policy of [Simulate], whose minterm walker
-   is this check's test oracle. *)
-let check_traces (m : Fsm.t) a () =
-  let ni = m.Fsm.num_inputs and no = m.Fsm.num_outputs and nb = a.nbits in
-  let cover = a.cover in
-  let dom = cover.Cover.dom and ov = ni + nb in
-  if not (Domain.equal dom (Domain.create (Array.append (Array.make ov 2) [| nb + no |]))) then
+(* Exact at any input width, on the row model. In state [s] a row's cube
+   is its cube at code(s), and its region is that cube minus the cubes of
+   the earlier rows that also match [s] — [Fsm.next]'s first-match rule.
+   On its region a row's 1 columns must be covered and its 0 columns
+   must meet no cover cube. [dst = None], '-' outputs, unused codes and
+   the region no row matches are free: the don't-care policy of the
+   minterm walker that is this check's test oracle. *)
+let check_traces (m : Fsm.t) md a () =
+  let cover = a.cover and dom = md.dom in
+  if not (Domain.equal cover.Cover.dom dom) then
     (false, "cover domain does not match the machine's inputs, code bits and outputs")
   else begin
-    let out_off = Domain.offset dom ov in
-    (* The row's input pattern; every state and output part. *)
-    let pattern input =
-      let c = Cube.full dom in
-      String.iteri
-        (fun v ch ->
-          if ch <> '-' then Bitvec.clear c (Domain.offset dom v + if ch = '0' then 1 else 0))
-        input;
-      c
-    in
-    let at_code code c =
-      let c = Bitvec.copy c in
-      for b = 0 to nb - 1 do
-        Bitvec.clear c (Domain.offset dom (ni + b) + 1 - ((code lsr b) land 1))
-      done;
-      c
-    in
-    let with_parts parts c =
-      let c = Bitvec.copy c in
-      Bitvec.clear_range c out_off (nb + no);
-      List.iter (fun p -> Bitvec.set c (out_off + p)) parts;
-      c
-    in
-    (* The output parts a row specifies as 1 and as 0: next-state bits,
-       then the binary outputs. *)
-    let columns (tr : Fsm.transition) =
-      let next b =
-        match tr.Fsm.dst with
-        | None -> '-'
-        | Some d -> if (a.codes.(d) lsr b) land 1 = 1 then '1' else '0'
-      in
-      let plane = String.init nb next ^ tr.Fsm.output in
-      let parts ch = List.filter (fun p -> plane.[p] = ch) (List.init (nb + no) Fun.id) in
-      (parts '1', parts '0')
-    in
+    let ni = md.ni and nb = md.nb in
+    let ov = ni + nb in
     (* The rows that can match each state, in table order. *)
     let rows = Array.make (Array.length m.Fsm.states) [] in
     List.iter
-      (fun (tr : Fsm.transition) ->
-        let ones, zeros = columns tr in
-        let row = (tr, pattern tr.Fsm.input, ones, zeros) in
-        match tr.Fsm.src with
-        | Some s -> rows.(s) <- row :: rows.(s)
-        | None -> Array.iteri (fun s matching -> rows.(s) <- row :: matching) rows)
-      (List.rev m.Fsm.transitions);
+      (fun r ->
+        match r.tr.Fsm.src with
+        | Some s -> rows.(s) <- r :: rows.(s)
+        | None -> Array.iteri (fun s matching -> rows.(s) <- r :: matching) rows)
+      (List.rev md.rows);
     (* What the walker reports at a minterm of cube [w], where row [tr]
        is the first match in state [s] and some column disagrees. *)
     let mismatch s (tr : Fsm.transition) w =
@@ -249,47 +308,44 @@ let check_traces (m : Fsm.t) a () =
       in
       Printf.sprintf "state %s under input %s: %s" m.Fsm.states.(s) input detail
     in
-    (* Row [tr] on region cube [r] in state [s], against the cover cubes
-       [here] that meet code(s). *)
-    let violation s here (tr, _, ones, zeros) r =
+    (* Row [r] on region cube [region] in state [s], against the cover
+       cubes [here] that meet code(s). *)
+    let violation s here r region =
       let uncovered () =
-        if ones = [] then None
+        if r.ones = [] then None
         else
-          let c = with_parts ones r in
+          let c = with_parts md r.ones region in
           if Cover.covers_cube here c then None
           else
             match (Cover.diff (Cover.make dom [ c ]) here).Cover.cubes with
-            | w :: _ -> Some (mismatch s tr w)
+            | w :: _ -> Some (mismatch s r.tr w)
             | [] -> None
       in
       let asserted () =
-        if zeros = [] then None
+        if r.zeros = [] then None
         else
-          let c = with_parts zeros r in
-          List.find_map (fun k -> Option.map (mismatch s tr) (Cube.inter dom k c)) here.Cover.cubes
+          let c = with_parts md r.zeros region in
+          List.find_map
+            (fun k -> Option.map (mismatch s r.tr) (Cube.inter dom k c))
+            here.Cover.cubes
       in
       match uncovered () with Some _ as found -> found | None -> asserted ()
     in
     let check_state s =
       let code = a.codes.(s) in
-      let here =
-        let space = at_code code (Cube.full dom) in
-        Cover.make dom (List.filter (Cube.intersects dom space) cover.Cover.cubes)
-      in
+      let here = at_state md cover code in
       let rec go earlier = function
         | [] -> None
-        | ((_, p, _, _) as row) :: rest -> (
-            let cube = at_code code p in
+        | r :: rest -> (
+            let cube = at_code md code r.cube in
             let region =
-              match List.filter (Cube.intersects dom p) earlier with
+              match List.filter (Cube.intersects dom cube) earlier with
               | [] -> [ cube ]
-              | hits ->
-                  let shadow = Cover.make dom (List.map (at_code code) hits) in
-                  (Cover.diff (Cover.make dom [ cube ]) shadow).Cover.cubes
+              | hits -> (Cover.diff (Cover.make dom [ cube ]) (Cover.make dom hits)).Cover.cubes
             in
-            match List.find_map (violation s here row) region with
+            match List.find_map (violation s here r) region with
             | Some _ as found -> found
-            | None -> go (p :: earlier) rest)
+            | None -> go (cube :: earlier) rest)
       in
       go [] rows.(s)
     in
@@ -310,13 +366,13 @@ let certify (m : Fsm.t) a =
       (* The code array is now known injective and in range, so the
          validating constructor cannot refuse it. *)
       let e = Encoding.make ~nbits:a.nbits a.codes in
-      let on_off = Encoded.on_off m e in
+      let md = model m a in
       structural
       @ [
           run_check Face_constraints (check_faces m e a);
           run_check Output_covering (check_covering m a);
-          run_check Cover_containment (check_containment on_off a);
-          run_check Trace_equivalence (check_traces m a);
+          run_check Cover_containment (check_containment md a);
+          run_check Trace_equivalence (check_traces m md a);
         ]
     end
   in
@@ -378,8 +434,8 @@ module Inject = struct
      genuine fault iff it misses an on-set point or escapes the on+DC
      space of the (unmutated) encoded machine. Decided with Logic
      containment against the full DC cover rebuilt from the transition
-     table ([Encoded.dc]), never against the off-set the certificate
-     uses, so the injector never "asks the checker". *)
+     table ([Encoded.dc]), never with the row model the certificate
+     reads, so the injector never "asks the checker". *)
   let breaks_function (m : Fsm.t) a cover' =
     let e = Encoding.make ~nbits:a.nbits a.codes in
     let enc = Encoded.build m e in

@@ -5,10 +5,10 @@
     face-embedding and output-covering constraints the encoders claim.
     Since the fallback ladder can silently substitute a degraded
     encoding, every pipeline outcome can be re-verified here by code that
-    shares {e nothing} with the code that produced it: this library links
-    against [Logic]/[Bitvec]/[Fsm]/[Constraints] only — never against
-    [Espresso], [Embed] or the [Iexact]-family encoders (see the dune
-    file).
+    shares {e nothing} with the code that produced it: {!certify} reads
+    the transition table, the raw codes and [Logic] only. It builds no
+    [Encoded] and no [Personality] rows, the minimizer's input; only the
+    fault injector's ground truth does (see the dune file).
 
     A certificate re-establishes, from the raw artifacts:
 
@@ -21,20 +21,27 @@
       foreign code (recomputed with {!Constraints.satisfied});
     - {b output covering}: every claimed covering relation [u > v] holds
       bitwise on the final codes, strictly;
+    Both functional checks read one row model of the table. Each row is
+    its input cube, with the state part at its source's code (full for a
+    ['*'] source), and its 1, ['-'] and 0 output parts: next-state bits,
+    then the binary outputs.
+
     - {b cover containment}: the minimized cover contains the on-set and
-      stays inside on-set ∪ DC-set of the re-encoded transition table
-      (decided with [Logic] containment/tautology primitives);
+      stays inside on-set ∪ DC-set. Two questions, each a
+      {!Cover.covers_cube}: every row's 1-cube is covered, and every
+      cover cube meets a row's 0-cube only inside the rows' 1- and
+      ['-']-cubes. The region no row matches, unused codes included, is
+      free;
     - {b trace equivalence}: the PLA is trace-equivalent to the symbolic
       machine, decided exactly for any input width without walking
-      minterms. In state [s] each row's region is its input cube at
-      code(s) minus the earlier rows that also match [s] ({!Fsm.next}'s
+      minterms. In state [s] each row's region is its cube at code(s)
+      minus the earlier rows that also match [s] ({!Fsm.next}'s
       first-match rule). On that region the columns the row specifies
       as 1 must be covered ({!Cover.covers_cube}) and those it
-      specifies as 0 must meet no cover cube. Don't-cares follow
-      {!Simulate}'s policy, and {!Simulate.check_cover}, which walks
-      every minterm, is kept as this check's test oracle. A failure
-      names a witness minterm: ["state S under input I: next code X,
-      expected Y (state D)"] or ["... outputs disagree with O"].
+      specifies as 0 must meet no cover cube. [dst = None], ['-']
+      outputs and the region no row matches are free. A failure names
+      a witness minterm: ["state S under input I: next code X, expected
+      Y (state D)"] or ["... outputs disagree with O"].
 
     The checks that need a well-formed encoding (everything past code
     length) are skipped when injectivity or code length fail — the
@@ -66,7 +73,9 @@ val no_claims : claims
 type artifacts = {
   nbits : int;
   codes : int array;
-  cover : Cover.t;  (** the minimized encoded cover, over {!Encoded.build}'s domain *)
+  cover : Cover.t;
+      (** the minimized encoded cover, over the PLA domain: one binary
+          variable per input and per code bit, then the output variable *)
   claims : claims;
 }
 
@@ -114,7 +123,8 @@ val to_json : t -> Json_min.t
 (** Fault injection: mutate artifacts in ways that {e genuinely} break
     the contract, so the test harness can assert the checker catches
     them. Each injector vets its candidate mutation against the ground
-    truth (the transition table, re-encoded with [Logic] primitives) and
+    truth ([Encoded.build]'s on-set and [Encoded.dc], never the
+    certificate's own checks) and
     returns [None] only when the fault class cannot produce a genuine
     fault on this machine (e.g. corrupting a binary output column on a
     machine with no outputs). *)

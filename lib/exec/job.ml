@@ -51,8 +51,6 @@ let key t =
 
 let machine_digest m = Digest.string (Kiss.to_string m)
 
-(* Every task ticks a fresh root of its own: the shared
-   [Budget.unlimited] would be written by every pool domain at once. *)
 let run ?budget ?ctx t =
   let budget =
     match budget with Some b -> b | None -> Budget.create ?max_work:t.max_work ()

@@ -75,7 +75,7 @@ val success_equal : success -> success -> bool
 
 (** [run ?budget ?ctx t] executes the task through
     {!Harness.Driver.report}. [budget] defaults to a fresh root with
-    [t.max_work] (never the shared [Budget.unlimited]); pass one to add
+    [t.max_work]; pass one to add
     racing cancellation. [ctx] shares the symbolic minimization and
     equal-encoding ESPRESSO runs with the machine's other tasks, with
     the same result and the same [Budget.spent]

@@ -32,20 +32,12 @@ let domain (m : Fsm.t) ~nbits =
   Domain.create
     (Array.append (Array.make (m.Fsm.num_inputs + nbits) 2) [| nbits + m.Fsm.num_outputs |])
 
-let checked_domain who (m : Fsm.t) (e : Encoding.t) =
-  if Encoding.num_states e <> Array.length m.Fsm.states then
-    invalid_arg (who ^ ": encoding size mismatch");
-  domain m ~nbits:e.Encoding.nbits
-
 let build (m : Fsm.t) (e : Encoding.t) =
-  let dom = checked_domain "Encoded.build" m e in
+  if Encoding.num_states e <> Array.length m.Fsm.states then
+    invalid_arg "Encoded.build: encoding size mismatch";
+  let dom = domain m ~nbits:e.Encoding.nbits in
   let { Personality.on; off; care } = Personality.sets dom (rows m e dom) in
   { machine = m; encoding = e; dom; on; off; care }
-
-let on_off (m : Fsm.t) (e : Encoding.t) =
-  let dom = checked_domain "Encoded.on_off" m e in
-  let on, off = Personality.on_off dom (rows m e dom) in
-  (dom, on, off)
 
 let dc t = Personality.dc t.dom (rows t.machine t.encoding t.dom)
 let minimize ?budget t = Espresso.minimize_off ?budget ~off:t.off ~care:t.care t.on

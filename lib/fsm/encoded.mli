@@ -28,10 +28,6 @@ val domain : Fsm.t -> nbits:int -> Domain.t
     asserts or leaves free (see {!Personality.sets}). *)
 val build : Fsm.t -> Encoding.t -> t
 
-(** [on_off m e] is [(dom, on, off)] of [build m e], without building
-    the care set: what a containment check reads. *)
-val on_off : Fsm.t -> Encoding.t -> Domain.t * Cover.t * Cover.t
-
 (** [dc t] is the full don't-care cover — the region matched by no row
     (including unused state codes), rows with unspecified next states,
     and ['-'] output entries — computed from the rows with a complement,

@@ -52,18 +52,10 @@ type sets = { on : Cover.t; off : Cover.t; care : Cover.t }
    output parts is the union of its 1, '-' and 0 cubes. So [¬(on ∪ dc)]
    lies inside the rows' 0 cubes: it is those cubes minus what any row
    asserts or leaves free. *)
-let on_off_dashes dom rows =
+let sets dom rows =
   let on = cubes dom rows (fun r -> r.ones) and dc_rows = cubes dom rows (fun r -> r.dashes) in
   let zeros = cubes dom rows (fun r -> r.zeros) in
   let off = Metrics.span s_offset (fun () -> Cover.diff zeros (Cover.union on dc_rows)) in
-  (on, off, dc_rows)
-
-let on_off dom rows =
-  let on, off, _ = on_off_dashes dom rows in
-  (on, off)
-
-let sets dom rows =
-  let on, off, dc_rows = on_off_dashes dom rows in
   { on; off; care = Cover.diff on dc_rows }
 
 let dc dom rows =

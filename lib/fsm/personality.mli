@@ -36,9 +36,6 @@ type sets = { on : Cover.t; off : Cover.t; care : Cover.t }
 
 val sets : Domain.t -> row list -> sets
 
-(** [on_off dom rows] is [(on, off)] of {!sets}, without the care set. *)
-val on_off : Domain.t -> row list -> Cover.t * Cover.t
-
 (** [dc dom rows] is the full don't-care cover: the rows' free cubes plus
     the complement of the rows' projections (the region no row matches,
     unused codes included). Computed from the rows alone, never from

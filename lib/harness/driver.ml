@@ -327,7 +327,7 @@ let constraints budget c =
 
 let input_constraints c = constraints (Budget.create ()) c
 
-let implement ?budget c (e : Encoding.t) =
+let implement ?(budget = Budget.create ()) c (e : Encoding.t) =
   let cell =
     Mutex.protect c.impls_lock @@ fun () ->
     let key = (e.Encoding.nbits, e.Encoding.codes) in
@@ -338,7 +338,6 @@ let implement ?budget c (e : Encoding.t) =
         Hashtbl.add c.impls (e.Encoding.nbits, Array.copy e.Encoding.codes) cell;
         cell
   in
-  let budget = match budget with Some b -> b | None -> Budget.create () in
   fst (share budget cell (fun b -> Encoded.implement ~budget:b c.machine e))
 
 (* The root span of one encoding run. Its machine/algorithm attributes
@@ -355,7 +354,7 @@ let encode_end_attrs = function
   | Error err -> [ ("error", Trace.String (Nova_error.to_string err)) ]
 
 (* [encode] on the context {!context_for} chose. *)
-let encode_in c ?bits ?(budget = Budget.unlimited) ?(fallback = true) algo =
+let encode_in c ?bits ?(budget = Budget.create ()) ?(fallback = true) algo =
   let m = c.machine in
   Metrics.span s_encode ~end_attrs:encode_end_attrs
     ~attrs:[ ("machine", Trace.String m.Fsm.name); ("algorithm", Trace.String (name algo)) ]

@@ -147,9 +147,9 @@ val implement : ?budget:Budget.t -> context -> Encoding.t -> Encoded.result
 
 (** [encode ?ctx ?bits ?budget ?fallback machine algo] runs the algorithm.
     [bits] overrides the code length where the algorithm accepts one.
-    [budget] (default {!Budget.unlimited}) bounds the whole call — work,
-    wall-clock deadline and cancellation included; under an unlimited
-    budget the encodings are identical to the pre-pipeline driver's.
+    [budget] (default a fresh [Budget.create ()]) bounds the whole call —
+    work, wall-clock deadline and cancellation included; under an
+    unlimited budget the encodings are identical to the pre-pipeline driver's.
     [fallback] (default [true]) enables the degradation ladder; with
     [~fallback:false] a failing primary rung is reported as an error
     instead — e.g. [Iexact] out of budget returns

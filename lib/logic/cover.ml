@@ -472,98 +472,6 @@ let rec count_rec tally dom cubes space_size =
 let num_minterms t =
   tallied (fun tally -> count_rec tally t.dom t.cubes (Domain.num_minterms t.dom))
 
-(* --- Naive reference kernel -------------------------------------------- *)
-
-(* The seed's straight-line recursions, retained verbatim (minus
-   instrumentation) as the oracle for the randomized differential suite
-   in test/test_espresso_differential.ml: the fast kernel above must
-   agree with these on every generated cover. *)
-module Naive = struct
-  let most_binate_var dom cubes =
-    let n = Domain.num_vars dom in
-    let best = ref (-1) and best_count = ref 0 in
-    for v = 0 to n - 1 do
-      let count =
-        List.fold_left (fun acc c -> if Cube.var_full dom c v then acc else acc + 1) 0 cubes
-      in
-      if count > !best_count then begin
-        best := v;
-        best_count := count
-      end
-    done;
-    if !best_count = 0 then None else Some !best
-
-  let cofactor_literal dom cubes v p =
-    let off = Domain.offset dom v in
-    let sz = Domain.size dom v in
-    List.filter_map
-      (fun c ->
-        if Bitvec.get c (off + p) then begin
-          let c' = Bitvec.copy c in
-          Bitvec.set_range c' off sz;
-          Some c'
-        end
-        else None)
-      cubes
-
-  let rec taut_rec dom cubes =
-    match cubes with
-    | [] -> false
-    | _ when List.exists Bitvec.is_full cubes -> true
-    | _ -> (
-        match most_binate_var dom cubes with
-        | None -> false
-        | Some v ->
-            let sz = Domain.size dom v in
-            let rec parts p =
-              p = sz || (taut_rec dom (cofactor_literal dom cubes v p) && parts (p + 1))
-            in
-            parts 0)
-
-  let tautology t = taut_rec t.dom t.cubes
-
-  let merge_on_var dom cubes v =
-    let off = Domain.offset dom v in
-    let sz = Domain.size dom v in
-    let tbl = Hashtbl.create 31 in
-    List.iter
-      (fun c ->
-        let key = Bitvec.copy c in
-        Bitvec.clear_range key off sz;
-        let key = Bitvec.to_string key in
-        match Hashtbl.find_opt tbl key with
-        | None -> Hashtbl.add tbl key (Bitvec.copy c)
-        | Some existing -> Bitvec.union_into existing c)
-      cubes;
-    Hashtbl.fold (fun _ c acc -> c :: acc) tbl []
-
-  let rec compl_rec dom cubes =
-    match cubes with
-    | [] -> [ Bitvec.full (Domain.width dom) ]
-    | _ when List.exists Bitvec.is_full cubes -> []
-    | [ c ] -> complement_cube dom c
-    | _ -> (
-        match most_binate_var dom cubes with
-        | None -> []
-        | Some v ->
-            let sz = Domain.size dom v in
-            let off = Domain.offset dom v in
-            let branches = ref [] in
-            for p = 0 to sz - 1 do
-              let sub = compl_rec dom (cofactor_literal dom cubes v p) in
-              List.iter
-                (fun c ->
-                  let c' = Bitvec.copy c in
-                  Bitvec.clear_range c' off sz;
-                  Bitvec.set c' (off + p);
-                  branches := c' :: !branches)
-                sub
-            done;
-            merge_on_var dom !branches v)
-
-  let complement t = single_cube_containment { t with cubes = compl_rec t.dom t.cubes }
-end
-
 let pp ppf t =
   Format.fprintf ppf "@[<v>";
   List.iter (fun c -> Format.fprintf ppf "%a@," (Cube.pp t.dom) c) t.cubes;

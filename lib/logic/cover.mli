@@ -78,12 +78,4 @@ val contains_minterm : t -> int array -> bool
     for small spaces such as test domains). *)
 val num_minterms : t -> int
 
-(** The seed's straight-line recursive kernel, retained as the oracle for
-    the randomized differential suite: the fast unate-aware operations
-    above must agree with these on every cover. Slow — test use only. *)
-module Naive : sig
-  val tautology : t -> bool
-  val complement : t -> t
-end
-
 val pp : Format.formatter -> t -> unit

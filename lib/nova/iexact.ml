@@ -19,7 +19,7 @@ let advance levels lo hi =
   in
   bump (n - 1)
 
-let semiexact_code ~num_states ~k ?(max_work = 30_000) ?(budget = Budget.unlimited)
+let semiexact_code ~num_states ~k ?(max_work = 30_000) ?(budget = Budget.create ())
     ?(output_constraints = []) ics =
   if Budget.exhausted budget then None
   else begin
@@ -45,7 +45,7 @@ let accrete ~num_states ~k ~max_work ~budget ics =
       | None -> (codes, sic, ic :: ric))
     (None, [], []) ics
 
-let iexact_code ~num_states ?(max_work = 2_000_000) ?(budget = Budget.unlimited) ics =
+let iexact_code ~num_states ?(max_work = 2_000_000) ?(budget = Budget.create ()) ics =
   let poset = Input_poset.build ~num_states ics in
   let mincube = Input_poset.mincube_dim poset in
   let primaries =

@@ -4,7 +4,7 @@ type result = {
   unsatisfied : Constraints.input_constraint list;
 }
 
-let igreedy_code ~num_states ?nbits ?(budget = Budget.unlimited) ics =
+let igreedy_code ~num_states ?nbits ?(budget = Budget.create ()) ics =
   let k = max (Option.value nbits ~default:0) (Encoding.min_code_length num_states) in
   let weight_of states =
     List.fold_left

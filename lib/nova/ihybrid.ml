@@ -6,7 +6,7 @@ type result = {
 }
 
 let ihybrid_code ~num_states ?nbits ?(max_work = 30_000) ?order_seed
-    ?(budget = Budget.unlimited) ics =
+    ?(budget = Budget.create ()) ics =
   let min_len = Encoding.min_code_length num_states in
   let ordered =
     match order_seed with

@@ -28,7 +28,7 @@ let finish ~codes ~nbits ~ics ~clusters ~random_start =
 (* The work cap of each bounded search, ihybrid's default. *)
 let max_work = 30_000
 
-let run ~variant ?nbits ?(budget = Budget.unlimited) p =
+let run ~variant ?nbits ?(budget = Budget.create ()) p =
   let n = p.num_states in
   let min_len = Encoding.min_code_length n in
   let nbits = match nbits with Some b -> max b min_len | None -> min_len in

@@ -1,4 +1,4 @@
-let out_encoder ~num_states ?max_bits ?(budget = Budget.unlimited) ocs =
+let out_encoder ~num_states ?max_bits ?(budget = Budget.create ()) ocs =
   let min_len = Encoding.min_code_length num_states in
   let bit_budget = max (Option.value max_bits ~default:(max num_states min_len)) min_len in
   (* The free-code scans range over up to [2^bit_budget] candidates:

@@ -28,8 +28,6 @@ let make ?parent ?max_work ?deadline ?cancel () =
   { parent; max_work; deadline; cancel; work = 0; tripped = Atomic.make None;
     until_poll = poll_interval }
 
-let unlimited = make ()
-
 let create ?max_work ?deadline_ms ?cancel () =
   let deadline = Option.map (fun ms -> Unix.gettimeofday () +. (ms /. 1000.)) deadline_ms in
   make ?max_work ?deadline ?cancel ()
@@ -48,15 +46,10 @@ let min_opt a b =
   | None, x | x, None -> x
   | Some x, Some y -> Some (min x y)
 
-(* Always a fresh root, even when unconstrained: derived budgets are
-   ticked by concurrent request handlers, and sharing the global
-   [unlimited] value across them would share its counters. *)
 let derive ?deadline_ms ?max_work caps =
-  match
-    (min_opt caps.cap_deadline_ms deadline_ms, min_opt caps.cap_work max_work)
-  with
-  | None, None -> create ()
-  | deadline_ms, max_work -> create ?deadline_ms ?max_work ()
+  create
+    ?deadline_ms:(min_opt caps.cap_deadline_ms deadline_ms)
+    ?max_work:(min_opt caps.cap_work max_work) ()
 
 let m_trips =
   Metrics.interned (fun r ->

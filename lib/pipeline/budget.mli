@@ -37,12 +37,10 @@ val reason_name : reason -> string
 
 type t
 
-(** [unlimited] never exhausts: no caps, no deadline, no cancellation.
-    It is the default of every [?budget] parameter. *)
-val unlimited : t
-
 (** [create ?max_work ?deadline_ms ?cancel ()] is a fresh root budget.
-    [deadline_ms] is relative to now; [cancel] is polled periodically. *)
+    [deadline_ms] is relative to now; [cancel] is polled periodically.
+    [create ()] never exhausts: a fresh one is the default of every
+    [?budget] parameter, so no two calls share a counter. *)
 val create : ?max_work:int -> ?deadline_ms:float -> ?cancel:(unit -> bool) -> unit -> t
 
 (** [sub ?max_work parent] is a child budget: its ticks also count
@@ -56,10 +54,8 @@ type caps = { cap_deadline_ms : float option; cap_work : int option }
 (** [derive ?deadline_ms ?max_work caps] is the per-request budget a
     serving layer admits the request under: on each axis the minimum of
     the request's ask and the cap (an axis neither side bounds stays
-    unlimited). Always a {e fresh} root — never the shared {!unlimited}
-    value — because derived budgets are ticked concurrently by request
-    handlers; with no ceilings and no request limits it is behaviorally
-    the one-shot CLI's default. *)
+    unlimited). Always a fresh root; with no ceilings and no request
+    limits it is the one-shot CLI's default. *)
 val derive : ?deadline_ms:float -> ?max_work:int -> caps -> t
 
 (** [tick b] charges one unit of work. Returns [false] when the budget

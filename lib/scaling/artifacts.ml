@@ -140,7 +140,7 @@ let pipeline ?machines:ms ~quick ppf =
   Format.fprintf ppf "@.== staged pipeline benchmark (%s) ==@." (mode_name ~quick);
   let runs m =
     let unlimited =
-      pipeline_row ppf m ~mode:"unlimited" ~algo:Harness.Driver.Ihybrid ~budget:Budget.unlimited
+      pipeline_row ppf m ~mode:"unlimited" ~algo:Harness.Driver.Ihybrid ~budget:(Budget.create ())
     in
     let budget = Budget.create ~deadline_ms:50.0 () in
     [ unlimited; pipeline_row ppf m ~mode:"deadline50ms" ~algo:Harness.Driver.Iexact ~budget ]

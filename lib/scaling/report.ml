@@ -45,7 +45,7 @@ let has_prefix p s = String.length s >= String.length p && String.sub s 0 (Strin
 
 let run_cell ?(warmup = 1) ?(reps = 5) ~family ~sizes spec =
   let algo_name = Harness.Driver.name spec.algorithm in
-  let encode m = Harness.Driver.encode ~budget:Budget.unlimited ~fallback:false m spec.algorithm in
+  let encode m = Harness.Driver.encode ~fallback:false m spec.algorithm in
   let points =
     List.filter_map
       (fun size ->

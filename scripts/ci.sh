@@ -455,7 +455,7 @@ echo "== paper tables: quick run matches the expected tables =="
 mask_times() {
   awk '/^== /{s=$0} s~/Table VI:|semiexact work budget/{gsub(/[0-9]+\.[0-9]+/,"-")} {print}'
 }
-_build/default/bench/main.exe --quick --no-bechamel table2 table3 table4 table5 table6 \
+_build/default/bench/main.exe --quick table2 table3 table4 table5 table6 \
   fig8 fig9 ablations | mask_times > "$TMP/tables-quick.txt"
 diff bench/tables_quick.expected "$TMP/tables-quick.txt" \
   || { echo "paper tables moved"; exit 1; }
@@ -497,7 +497,13 @@ $NOVA bench espresso --quick -o "$TMP/BENCH_espresso.json"
 echo "== bench smoke (quick pipeline) =="
 $NOVA bench pipeline --quick -o "$TMP/BENCH_pipeline.json"
 
-echo "== bench smoke (quick certification) =="
+echo "== certification bench: every row certifies =="
+# A false "ok" in the artifact is a correctness regression, not a slow
+# run, and an "error" row is a report that never reached the checker.
 $NOVA bench check --quick -o "$TMP/BENCH_check.json"
+if grep -qF '"ok":false' "$TMP/BENCH_check.json" || grep -qF '"error":' "$TMP/BENCH_check.json"; then
+  echo "certification bench: a row failed or never certified"; exit 1
+fi
+echo "  every quick certification row ok: ok"
 
 echo "CI OK"

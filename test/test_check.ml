@@ -96,11 +96,11 @@ let test_fault_matrix () =
         Check.Inject.all)
     matrix_machines
 
-(* The containment check asks the off-set, cube by cube: a cover that
-   asserts one single off point, and is otherwise the certified cover,
-   must fail it. The point is checked to lie outside on-set + DC-set on
-   the full-DC route too, so the test does not trust the off-set it
-   probes. *)
+(* A cover that asserts one single off point, and is otherwise the
+   certified cover, must fail cover containment, with the detail the
+   containment oracle of test_check_exact gives. The point is checked to
+   lie outside on-set + DC-set on the full-DC route too, so the test does
+   not trust the off-set it probes. *)
 let test_single_off_point () =
   List.iter
     (fun name ->
@@ -122,7 +122,9 @@ let test_single_off_point () =
       let mutated = { a with Check.cover = Logic.Cover.union a.Check.cover (Logic.Cover.make dom [ point ]) } in
       let cert = Check.certify m mutated in
       check (name ^ " one off point caught by cover-containment") true
-        (List.exists (fun (c : Check.outcome) -> c.Check.id = Check.Cover_containment) (Check.failures cert)))
+        (List.exists (fun (c : Check.outcome) -> c.Check.id = Check.Cover_containment) (Check.failures cert));
+      check (name ^ " containment agrees with its oracle") true
+        (Test_check_exact.containment_agrees m mutated cert = Some true))
     matrix_machines
 
 (* A machine with no outputs: corrupt-output is the one class that can

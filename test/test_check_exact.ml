@@ -1,16 +1,49 @@
-(* The exact trace-equivalence check against the minterm walker it
-   replaced. [Check]'s trace-equivalence works on first-match row cubes
-   and never walks minterms; [Simulate.check_cover] walks every state
-   under every input minterm and is kept as its oracle. The two must
-   agree on every verdict, and every failure the exact check reports
-   must name a point where the walker sees the same mismatch. *)
+(* [Check]'s row-model checks against the oracles they replaced.
+
+   Trace equivalence works on first-match row cubes and never walks
+   minterms; [Simulate.check_cover] walks every state under every input
+   minterm. The two must agree on every verdict, and every failure the
+   exact check reports must name a point where the walker sees the same
+   mismatch.
+
+   Cover containment reads the rows' 1-, '-'- and 0-cubes; the oracle
+   asks the same two questions of [Encoded.build]'s on- and off-sets,
+   the minimizer's own input. The two must give the same pass and the
+   same detail. *)
 
 open Logic
 
 let check = Alcotest.(check bool)
 
-let trace_outcome cert =
-  List.find_opt (fun (o : Check.outcome) -> o.Check.id = Check.Trace_equivalence) cert.Check.checks
+let outcome id cert =
+  List.find_opt (fun (o : Check.outcome) -> o.Check.id = id) cert.Check.checks
+
+let trace_outcome = outcome Check.Trace_equivalence
+
+(* Cover containment as certify asked it of [Encoded]'s sets: the cover
+   is over the encoded machine's domain, covers the on-set, and meets no
+   off-set cube (the off-set is exactly the complement of on-set +
+   DC-set). *)
+let old_containment (m : Fsm.t) (a : Check.artifacts) =
+  let enc = Encoded.build m (Encoding.make ~nbits:a.Check.nbits a.Check.codes) in
+  let dom = enc.Encoded.dom and cover = a.Check.cover in
+  if not (Domain.equal cover.Cover.dom dom) then
+    (false, "cover domain does not match the encoded machine's domain")
+  else if not (Cover.covers cover enc.Encoded.on) then
+    (false, "a specified on-set point is not covered")
+  else if
+    List.exists
+      (fun k -> List.exists (Cube.intersects dom k) enc.Encoded.off.Cover.cubes)
+      cover.Cover.cubes
+  then (false, "the cover asserts a point outside on-set + DC-set")
+  else (true, "")
+
+(* The certificate's containment outcome is the oracle's. [None] when
+   the structural checks stopped the certificate first. *)
+let containment_agrees (m : Fsm.t) (a : Check.artifacts) cert =
+  Option.map
+    (fun (o : Check.outcome) -> (o.Check.pass, o.Check.detail) = old_containment m a)
+    (outcome Check.Cover_containment cert)
 
 (* "state S under input I: ..." names the witness point. *)
 let witness (m : Fsm.t) detail =
@@ -27,8 +60,8 @@ let witness (m : Fsm.t) detail =
    pass is a pass, and a failure names a point where the walker prints
    exactly the same detail. [None] when the structural checks stopped
    the certificate before trace equivalence. *)
-let agrees (m : Fsm.t) (a : Check.artifacts) =
-  match trace_outcome (Check.certify m a) with
+let trace_agrees (m : Fsm.t) (a : Check.artifacts) cert =
+  match trace_outcome cert with
   | None -> None
   | Some o ->
       let enc = Encoded.build m (Encoding.make ~nbits:a.Check.nbits a.Check.codes) in
@@ -44,6 +77,15 @@ let agrees (m : Fsm.t) (a : Check.artifacts) =
                o.Check.detail
                = Printf.sprintf "state %s under input %s: %s" m.Fsm.states.(state) input detail
            | Simulate.Equivalent -> false)
+
+(* Both checks of one certificate against their oracles: [Some
+   (containment, trace)], or [None] when neither ran. *)
+let agrees (m : Fsm.t) (a : Check.artifacts) =
+  let cert = Check.certify m a in
+  match (containment_agrees m a cert, trace_agrees m a cert) with
+  | Some containment, Some trace -> Some (containment, trace)
+  | None, None -> None
+  | _ -> Alcotest.fail "containment and trace equivalence ran apart"
 
 (* --- oracle: the suite, clean and under every fault class ------------- *)
 
@@ -73,11 +115,14 @@ let test_oracle_suite () =
               (fun (variant, a) ->
                 match Option.bind a (agrees m) with
                 | None -> ()
-                | Some ok ->
+                | Some (containment, trace) ->
                     incr compared;
-                    if not ok then
-                      Alcotest.failf "%s/%s/%s: exact check and walker disagree" m.Fsm.name
-                        (Harness.Driver.name algo) variant)
+                    let where =
+                      Printf.sprintf "%s/%s/%s" m.Fsm.name (Harness.Driver.name algo) variant
+                    in
+                    if not containment then
+                      Alcotest.failf "%s: containment and its oracle disagree" where;
+                    if not trace then Alcotest.failf "%s: exact check and walker disagree" where)
               variants)
           oracle_algorithms)
     Benchmarks.Suite.all;
@@ -127,6 +172,8 @@ let mutate dom cubes k =
   cubes.(i) <- c;
   Cover.make dom (Array.to_list cubes)
 
+(* Both checks agree with their oracles on the minimized cover and on a
+   mutated one. *)
 let prop_exact_is_walker =
   QCheck.Test.make ~name:"exact trace check = minterm walker (overlaps, '*', free entries)"
     ~count:300 (QCheck.make ~print:print_case gen_machine)
@@ -134,9 +181,31 @@ let prop_exact_is_walker =
       let cover = Encoded.minimize (Encoded.build m (Encoding.make ~nbits codes)) in
       let a = { Check.nbits; codes; cover; claims = Check.no_claims } in
       let mutated = { a with Check.cover = mutate cover.Cover.dom cover.Cover.cubes mutation } in
-      agrees m a = Some true && agrees m mutated = Some true)
+      agrees m a = Some (true, true) && agrees m mutated = Some (true, true))
 
 (* --- wide inputs: a one-minterm fault the old sampler misses --------- *)
+
+(* The sampler certification used past 12 inputs: [traces] random input
+   traces of [length] steps from the reset state, each step checked by
+   the walker until the table leaves the next state unspecified. [true]
+   when no step mismatched. *)
+let sampler_passes rng (enc : Encoded.t) cover ~traces ~length =
+  let m = enc.Encoded.machine in
+  let draw () =
+    List.init length (fun _ ->
+        String.init m.Fsm.num_inputs (fun _ -> if Random.State.bool rng then '1' else '0'))
+  in
+  let rec follow s = function
+    | [] -> true
+    | input :: rest -> (
+        Simulate.check_at enc cover ~state:s ~input = Simulate.Equivalent
+        &&
+        match Fsm.next m ~input ~src:s with
+        | Some (Some d, _) -> follow d rest
+        | Some (None, _) | None -> true)
+  in
+  let start = Option.value m.Fsm.reset ~default:0 in
+  List.for_all (fun _ -> follow start (draw ())) (List.init traces Fun.id)
 
 (* The 14-input machine CI certifies ([nova gen -s 12 -p 48 -i 14 -o 4
    -g 7]). Certification used to switch to 64 seeded traces of 32 steps
@@ -182,10 +251,9 @@ let test_wide_input_fault () =
   let faulty = { a with Check.cover = Cover.union a.Check.cover point } in
   let enc = Encoded.build m (Encoding.make ~nbits:nb a.Check.codes) in
   check "64 traces of 32 steps from certify's old seed miss it" true
-    (Simulate.check_cover_sampled
+    (sampler_passes
        (Random.State.make [| 0; 0x5eed |])
-       enc faulty.Check.cover ~traces:64 ~length:32
-    = Simulate.Equivalent);
+       enc faulty.Check.cover ~traces:64 ~length:32);
   match trace_outcome (Check.certify m faulty) with
   | Some { Check.pass = false; detail; _ } ->
       Alcotest.(check string) "witness is the faulty point"

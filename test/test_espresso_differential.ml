@@ -3,7 +3,7 @@
 
    The fast [Cover.tautology] / [Cover.complement] carry unate
    shortcuts, component reduction, minterm-count cutoffs and
-   word-parallel cofactor paths; [Cover.Naive] retains the seed's
+   word-parallel cofactor paths; [Cover_naive] retains the seed's
    straight-line recursion verbatim. Random small multiple-valued
    covers are thrown at both, and everything is additionally compared
    against the one oracle that cannot be wrong: exhaustive truth-table
@@ -61,7 +61,7 @@ let test_tautology_agrees () =
     let truth = List.for_all (Cover.contains_minterm f) (all_minterms dom) in
     let ctx = Printf.sprintf "case %d: %s" i (Format.asprintf "%a" Cover.pp f) in
     check (ctx ^ " fast=truth") truth (Cover.tautology f);
-    check (ctx ^ " naive=truth") truth (Cover.Naive.tautology f)
+    check (ctx ^ " naive=truth") truth (Cover_naive.tautology f)
   done
 
 (* --- complement: fast and naive both match the truth table --------------- *)
@@ -72,7 +72,7 @@ let test_complement_agrees () =
     let dom = random_domain rng in
     let f = random_cover rng dom ~max_cubes:6 in
     let fast = Cover.complement f in
-    let naive = Cover.Naive.complement f in
+    let naive = Cover_naive.complement f in
     List.iter
       (fun mt ->
         let inside = Cover.contains_minterm f mt in

@@ -9,7 +9,7 @@
    is exact, so both must return the same cube list, in the same order,
    on every problem — FSM covers of the suite and of the benchmark's
    generator families, symbolic covers, and random multiple-valued
-   problems. The reference is the oracle, the way [Cover.Naive] is for
+   problems. The reference is the oracle, the way [Cover_naive] is for
    the unate kernels: slow, and for tests only. *)
 
 open Logic

@@ -50,7 +50,40 @@ let test_deadline_and_cancel () =
   let c = Budget.create ~cancel:(fun () -> true) () in
   check "cancellation exhausts" true (Budget.exhausted c);
   check "cancel reason" true (Budget.reason c = Some Budget.Cancelled);
-  check "unlimited never exhausts" false (Budget.exhausted Budget.unlimited)
+  check "an uncapped budget never exhausts" false (Budget.exhausted (Budget.create ()))
+
+(* A budget-less call ticks a fresh root of its own: two consecutive
+   encodes end their rung span with the same [spent]. One default budget
+   shared by every call would report the second call's ticks on top of
+   the first's. *)
+let test_default_budget_is_fresh () =
+  let m = Benchmarks.Suite.find "lion" in
+  let path = Filename.temp_file "nova-budget" ".jsonl" in
+  Trace.reset ();
+  Trace.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.disable ();
+      Trace.reset ();
+      Sys.remove path)
+    (fun () ->
+      for _ = 1 to 2 do
+        ignore (Harness.Driver.encode m Harness.Driver.Ihybrid)
+      done;
+      Trace.export ~path ();
+      let spent =
+        List.filter_map
+          (fun (e : Trace.event) ->
+            if e.Trace.kind = Trace.End && e.Trace.name = "pipeline.rung.ihybrid" then
+              List.assoc_opt "spent" e.Trace.attrs
+            else None)
+          (fst (Validate.decode_file path))
+      in
+      match spent with
+      | [ Trace.Int first; Trace.Int second ] ->
+          check "the rung did some work" true (first > 0);
+          Alcotest.(check int) "the second call spent what the first did" first second
+      | _ -> Alcotest.failf "expected two ihybrid rung spans, got %d" (List.length spent))
 
 (* ------------------------------------------------------------------ *)
 (* Fallback ladder *)
@@ -250,6 +283,8 @@ let suite =
     Alcotest.test_case "budget exhausted pre-checks" `Quick test_exhausted_pre_checks;
     Alcotest.test_case "sub-budget trips on parent" `Quick test_sub_trips_on_parent;
     Alcotest.test_case "deadline and cancellation" `Quick test_deadline_and_cancel;
+    Alcotest.test_case "budget-less encodes do not share a counter" `Quick
+      test_default_budget_is_fresh;
     Alcotest.test_case "ladder degrades and records rungs" `Quick test_ladder_degrades_and_records;
     Alcotest.test_case "no-fallback returns a typed error" `Quick test_no_fallback_reports_error;
     Alcotest.test_case "igreedy never fails" `Quick test_igreedy_never_fails;

@@ -82,18 +82,6 @@ let test_rows_and_ticks_match () =
         reference rows)
     [ 1; 2 ]
 
-(* A pool domain never ticks the process-global unlimited budget: each
-   task gets a fresh root of its own. *)
-let test_unlimited_untouched () =
-  let before = Budget.spent Budget.unlimited in
-  let tasks =
-    List.concat_map
-      (fun n -> Exec.Portfolio.tasks_for (Benchmarks.Suite.find n))
-      [ "lion"; "bbara"; "dk15" ]
-  in
-  ignore (Exec.Portfolio.run ~jobs:2 tasks);
-  check_int "Budget.unlimited did not move" before (Budget.spent Budget.unlimited)
-
 (* The contexts are forced only on the compute path: a portfolio whose
    every row is a cache hit runs no ESPRESSO at all. Computing, the
    ESPRESSO count is the same under one domain and two, because a
@@ -262,8 +250,6 @@ let suite =
   [
     Alcotest.test_case "shared: rows and ticks match the context-free path" `Slow
       test_rows_and_ticks_match;
-    Alcotest.test_case "shared: Budget.unlimited untouched by a pooled run" `Quick
-      test_unlimited_untouched;
     Alcotest.test_case "shared: cells forced once, never on hits" `Quick test_cells_forced_once;
     Alcotest.test_case "shared: tick boundary, MV cover" `Quick test_tick_boundary_mv_cover;
     Alcotest.test_case "shared: tick boundary, ESPRESSO" `Quick test_tick_boundary_espresso;

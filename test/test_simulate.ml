@@ -33,13 +33,6 @@ let test_run_stops_on_unspecified () =
   | last :: _ -> check "last step unspecified" true (last.Simulate.state_after = None)
   | [] -> Alcotest.fail "no steps"
 
-let test_random_trace_shape () =
-  let rng = Random.State.make [| 1 |] in
-  let trace = Simulate.random_trace rng toggler ~length:7 in
-  Alcotest.(check int) "length" 7 (List.length trace);
-  check "fully specified" true
-    (List.for_all (fun s -> String.for_all (fun c -> c = '0' || c = '1') s) trace)
-
 let test_check_encoding_ok () =
   check "toggler 1-bit encoding" true
     (Simulate.check_encoding toggler (Encoding.make ~nbits:1 [| 0; 1 |]) = Simulate.Equivalent);
@@ -55,15 +48,6 @@ let test_check_encoding_benchmarks () =
       let e = (Ihybrid.ihybrid_code ~num_states:n ics).Ihybrid.encoding in
       check (name ^ " equivalent") true (Simulate.check_encoding m e = Simulate.Equivalent))
     [ "lion"; "bbtas"; "dk15" ]
-
-let test_check_sampled () =
-  let m = Benchmarks.Suite.find "beecount" in
-  let n = Fsm.num_states ~m in
-  let enc = Encoded.build m (Encoding.one_hot n) in
-  let rng = Random.State.make [| 9 |] in
-  check "sampled equivalent" true
-    (Simulate.check_cover_sampled rng enc (Encoded.minimize enc) ~traces:10 ~length:12
-    = Simulate.Equivalent)
 
 let test_check_detects_bad_pla () =
   (* Deliberately corrupt: claim equivalence against a machine whose
@@ -207,10 +191,8 @@ let suite =
     Alcotest.test_case "check_cover verifies the given artifact" `Quick
       test_check_cover_takes_artifact;
     Alcotest.test_case "run stops on unspecified" `Quick test_run_stops_on_unspecified;
-    Alcotest.test_case "random trace shape" `Quick test_random_trace_shape;
     Alcotest.test_case "check_encoding ok" `Quick test_check_encoding_ok;
     Alcotest.test_case "check_encoding on benchmarks" `Quick test_check_encoding_benchmarks;
-    Alcotest.test_case "check sampled" `Quick test_check_sampled;
     Alcotest.test_case "detects behavioural difference" `Quick test_check_detects_bad_pla;
     QCheck_alcotest.to_alcotest prop_all_benchmark_encodings_equivalent;
   ]

@@ -241,11 +241,6 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let reject (c : t) path =
-  Atomic.incr c.rejected;
-  Metrics.Registry.inc m_reject;
-  (try Sys.remove path with Sys_error _ -> ())
-
 let miss (c : t) task =
   Atomic.incr c.misses;
   Metrics.Registry.inc m_miss;
@@ -259,6 +254,14 @@ let miss (c : t) task =
    correctness and never the run. *)
 let find (c : t) (task : Job.task) =
   let path = entry_path c task in
+  let recover ~io_fault =
+    if io_fault then Metrics.Registry.inc m_io_faults;
+    Atomic.incr c.rejected;
+    Metrics.Registry.inc m_reject;
+    (try Sys.remove path with Sys_error _ -> ());
+    ev "reject" task;
+    miss c task
+  in
   if not (Sys.file_exists path) then miss c task
   else
     let read () =
@@ -267,41 +270,25 @@ let find (c : t) (task : Job.task) =
           read_file path)
     in
     match Supervise.protect ~what:("cache read " ^ Filename.basename path) read with
-    | Error _ ->
-        Metrics.Registry.inc m_io_faults;
-        reject c path;
-        ev "reject" task;
-        miss c task
+    | Error _ -> recover ~io_fault:true
     | Ok text -> (
         match parse_entry task text with
         | exception _ ->
             (* Corrupt on disk: drop the entry and recompute. *)
-            reject c path;
-            ev "reject" task;
-            miss c task
+            recover ~io_fault:false
         | s -> (
             (* Never trust storage: the independent checker re-establishes
                the full contract against the machine before the entry is
                served. A checker that crashes mid-flight proves nothing,
                so its entry is dropped too. *)
             match Supervise.protect ~what:"recertify" (fun () -> recertify task s) with
-            | Error _ ->
-                Metrics.Registry.inc m_io_faults;
-                reject c path;
-                ev "reject" task;
-                miss c task
-            | Ok cert ->
-                if cert.Check.ok then begin
-                  Atomic.incr c.hits;
-                  Metrics.Registry.inc m_hit;
-                  ev "hit" task;
-                  Some s
-                end
-                else begin
-                  reject c path;
-                  ev "reject" task;
-                  miss c task
-                end))
+            | Error _ -> recover ~io_fault:true
+            | Ok cert when not cert.Check.ok -> recover ~io_fault:false
+            | Ok _ ->
+                Atomic.incr c.hits;
+                Metrics.Registry.inc m_hit;
+                ev "hit" task;
+                Some s))
 
 (* One write attempt: tmp file + atomic rename under the exclusive
    entry lock. Any failure (ENOSPC, EIO, injected fault) cleans the

@@ -287,7 +287,7 @@ let context_for ctx (m : Fsm.t) =
 (* The tick rule: [share budget cell f] is [f budget] and whether it is
    the cell's value. A value that took [t] ticks is reused on [budget]
    only when [t] ticks there could neither trip it nor be observed: no
-   deadline, callback or trip on its chain, and more than [t] work left
+   deadline or trip on its chain, and more than [t] work left
    on every cap ({!Budget.headroom}); those [t] ticks are then charged
    instead. An empty cell is filled by the first such asker, under the
    cell's lock, running [f] on an uncapped child of [budget]: its ticks

@@ -111,8 +111,8 @@ val iexact_max_work : int
     [(nbits, codes)]. A cell is forced on first use, never before.
 
     {b The tick rule}: a call reuses a value that took [T] ticks only
-    when its own budget has no deadline, no cancellation callback and no
-    trip anywhere on its chain, and strictly more than [T] work left on
+    when its own budget has no deadline and no trip anywhere on its
+    chain, and strictly more than [T] work left on
     its cap and on every ancestor's ({!Budget.headroom}); it then charges
     those [T] ticks to its budget ({!Budget.charge}). An empty cell is
     filled by the first such call, which computes on an uncapped child of

@@ -20,11 +20,6 @@ let print_table ppf ~title ~header rows =
 
 let opt_int = function Some n -> string_of_int n | None -> "-"
 
-let ratio num den =
-  match (num, den) with
-  | Some n, Some d when d <> 0 -> Printf.sprintf "%.2f" (float_of_int n /. float_of_int d)
-  | Some _, _ | None, _ -> "-"
-
 let spark values =
   let glyphs = [| "\xe2\x96\x81"; "\xe2\x96\x82"; "\xe2\x96\x83"; "\xe2\x96\x84";
                   "\xe2\x96\x85"; "\xe2\x96\x86"; "\xe2\x96\x87"; "\xe2\x96\x88" |]

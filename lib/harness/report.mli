@@ -8,10 +8,6 @@ val print_table :
 (** [opt_int] renders [Some n] as the number and [None] as ["-"]. *)
 val opt_int : int option -> string
 
-(** [ratio num den] renders [num/den] with two decimals, ["-"] when
-    either side is missing or zero. *)
-val ratio : int option -> int option -> string
-
 (** [spark values] renders a one-line unicode sparkline of the ratio
     series (missing points as spaces), for the figure reproductions. *)
 val spark : float option list -> string

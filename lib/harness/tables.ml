@@ -3,17 +3,21 @@ let heavy name =
   | Some e -> e.Benchmarks.Suite.heavy
   | None -> false
 
-let names ~quick =
-  List.filter (fun n -> (not quick) || not (heavy n)) Benchmarks.Suite.table1
+(* The machines of [suite] run at the given effort: [quick] drops the
+   heavy ones. *)
+let select ~quick suite = List.filter (fun n -> not (quick && heavy n)) suite
+let names ~quick = select ~quick Benchmarks.Suite.table1
 
 let paper field name =
   match Benchmarks.Paper_data.find name with None -> None | Some row -> field row
 
 let soi = string_of_int
+let measured pairs = List.fold_left (fun a (o, _) -> a + o) 0 pairs
+let over a b = float_of_int (measured a) /. float_of_int (measured b)
 
 (* Measured-vs-paper total summary line. *)
-let totals ppf label pairs =
-  let ours = List.fold_left (fun a (o, _) -> a + o) 0 pairs in
+let summary ppf label pairs =
+  let ours = measured pairs in
   let theirs = List.fold_left (fun a (_, p) -> a + Option.value ~default:0 p) 0 pairs in
   let have_paper = List.for_all (fun (_, p) -> p <> None) pairs in
   if have_paper && theirs > 0 then
@@ -189,208 +193,158 @@ let areas name =
 
 (* --- Tables ------------------------------------------------------------- *)
 
+(* One table over the machines [names]: [row name mc] gives the row's
+   cells and one (measured, paper) pair per label of [totals]. The table
+   is printed with one summary line per label, and each label's pairs
+   are returned in row order. *)
+let table ppf ~title ~header ?(totals = []) names row =
+  let rows = List.map (fun name -> with_machine name (row name)) names in
+  Report.print_table ppf ~title ~header (List.map fst rows);
+  List.mapi
+    (fun i label ->
+      let pairs = List.map (fun (_, ps) -> List.nth ps i) rows in
+      summary ppf label pairs;
+      pairs)
+    totals
+
+(* The #bits, #cubes and area columns of one encoding. *)
+let encoding_cells mc (e : Encoding.t) =
+  let r = implement mc e in
+  [ soi e.Encoding.nbits; soi r.Encoded.num_cubes; soi r.Encoded.area ]
+
 let table1 ?(quick = false) ppf () =
-  let rows =
-    List.map
-      (fun name ->
-        let m = Benchmarks.Suite.find name in
-        let s = Fsm.stats m in
-        [
-          name;
-          soi s.Fsm.stat_inputs;
-          soi s.Fsm.stat_outputs;
-          soi s.Fsm.stat_states;
-          soi s.Fsm.stat_products;
-        ])
-      (names ~quick)
-  in
-  Report.print_table ppf ~title:"Table I: statistics of benchmark examples"
-    ~header:[ "example"; "#inputs"; "#outputs"; "#states"; "#products" ]
-    rows
+  ignore
+  @@ table ppf ~title:"Table I: statistics of benchmark examples"
+       ~header:[ "example"; "#inputs"; "#outputs"; "#states"; "#products" ]
+       (names ~quick)
+  @@ fun name mc ->
+  let s = Fsm.stats mc.fsm in
+  ( name
+    :: List.map soi
+         [ s.Fsm.stat_inputs; s.Fsm.stat_outputs; s.Fsm.stat_states; s.Fsm.stat_products ],
+    [] )
 
 let table2 ?(quick = false) ppf () =
-  let rows = ref [] and area_pairs = ref [] in
-  List.iter
-    (fun name ->
-      with_machine name @@ fun mc ->
-      let iex = if heavy name then Iexact.Exhausted else Lazy.force mc.iexact in
-      let iex_cells =
-        match iex with
-        | Iexact.Sat { k; codes; proven } ->
-            let r = implement mc (Encoding.make ~nbits:k codes) in
-            (* Unproven minimality is starred, like the paper's donfile
-               entry. *)
-            [ (soi k ^ if proven then "" else "*"); soi r.Encoded.num_cubes; soi r.Encoded.area ]
-        | Iexact.Exhausted -> [ "-"; "-"; "-" ]
-      in
-      let eh = encoding mc Driver.Ihybrid in
-      let rh = implement mc eh in
-      let eg = encoding mc Driver.Igreedy in
-      let rg = implement mc eg in
-      (* 1-hot codes only fit the int-based encoding up to 60 states. *)
-      let oh_cubes =
-        if Fsm.num_states ~m:mc.fsm > 60 then "-"
-        else soi (implement mc (encoding mc Driver.One_hot)).Encoded.num_cubes
-      in
-      area_pairs :=
-        (min rh.Encoded.area rg.Encoded.area,
-         paper (fun r -> r.Benchmarks.Paper_data.best_ig_ih_area) name)
-        :: !area_pairs;
-      rows :=
-        ([ name ] @ iex_cells
-        @ [
-            soi eh.Encoding.nbits; soi rh.Encoded.num_cubes; soi rh.Encoded.area;
-            soi eg.Encoding.nbits; soi rg.Encoded.num_cubes; soi rg.Encoded.area;
-            oh_cubes;
-          ])
-        :: !rows)
-    (names ~quick);
-  Report.print_table ppf ~title:"Table II: comparisons of iexact, ihybrid, igreedy"
-    ~header:
-      [
-        "example"; "ex:#bits"; "ex:#cubes"; "ex:area"; "ih:#bits"; "ih:#cubes"; "ih:area";
-        "ig:#bits"; "ig:#cubes"; "ig:area"; "1hot:#cubes";
-      ]
-    (List.rev !rows);
-  totals ppf "best of ihybrid/igreedy area" !area_pairs
+  ignore
+  @@ table ppf ~title:"Table II: comparisons of iexact, ihybrid, igreedy"
+       ~header:
+         [
+           "example"; "ex:#bits"; "ex:#cubes"; "ex:area"; "ih:#bits"; "ih:#cubes"; "ih:area";
+           "ig:#bits"; "ig:#cubes"; "ig:area"; "1hot:#cubes";
+         ]
+       ~totals:[ "best of ihybrid/igreedy area" ]
+       (names ~quick)
+  @@ fun name mc ->
+  let iex_cells =
+    match if heavy name then Iexact.Exhausted else Lazy.force mc.iexact with
+    | Iexact.Sat { k; codes; proven } ->
+        let r = implement mc (Encoding.make ~nbits:k codes) in
+        (* Unproven minimality is starred, like the paper's donfile
+           entry. *)
+        [ (soi k ^ if proven then "" else "*"); soi r.Encoded.num_cubes; soi r.Encoded.area ]
+    | Iexact.Exhausted -> [ "-"; "-"; "-" ]
+  in
+  let eh = encoding mc Driver.Ihybrid and eg = encoding mc Driver.Igreedy in
+  let ih = encoding_cells mc eh and ig = encoding_cells mc eg in
+  (* 1-hot codes only fit the int-based encoding up to 60 states. *)
+  let oh_cubes =
+    if Fsm.num_states ~m:mc.fsm > 60 then "-"
+    else soi (implement mc (encoding mc Driver.One_hot)).Encoded.num_cubes
+  in
+  ( (name :: iex_cells) @ ih @ ig @ [ oh_cubes ],
+    [
+      ( min (area_of mc eh) (area_of mc eg),
+        paper (fun r -> r.Benchmarks.Paper_data.best_ig_ih_area) name );
+    ] )
 
 let table3 ?(quick = false) ppf () =
-  let rows = ref [] in
-  let best_pairs = ref [] and rnd_pairs = ref [] in
-  List.iter
-    (fun name ->
-      with_machine name @@ fun mc ->
-      let eb = best_ih_ig mc in
-      let rb = implement mc eb in
-      let ek = encoding mc Driver.Kiss in
-      let rk = implement mc ek in
-      let rnd_best, rnd_avg = random_best_avg mc in
-      best_pairs := (rb.Encoded.area, paper (fun r -> r.Benchmarks.Paper_data.best_ig_ih_area) name) :: !best_pairs;
-      rnd_pairs := (rnd_best, paper (fun r -> r.Benchmarks.Paper_data.random_best_area) name) :: !rnd_pairs;
-      rows :=
+  match
+    table ppf ~title:"Table III: ihybrid/igreedy best vs KISS vs random"
+      ~header:
         [
-          name;
-          soi eb.Encoding.nbits; soi rb.Encoded.num_cubes; soi rb.Encoded.area;
-          soi ek.Encoding.nbits; soi rk.Encoded.num_cubes; soi rk.Encoded.area;
-          soi rnd_best; soi rnd_avg;
+          "example"; "nova:#bits"; "nova:#cubes"; "nova:area"; "kiss:#bits"; "kiss:#cubes";
+          "kiss:area"; "rnd:best"; "rnd:avg";
         ]
-        :: !rows)
-    (names ~quick);
-  Report.print_table ppf ~title:"Table III: ihybrid/igreedy best vs KISS vs random"
-    ~header:
+      ~totals:[ "best of ihybrid/igreedy area"; "random best area" ]
+      (names ~quick)
+    @@ fun name mc ->
+    let eb = best_ih_ig mc in
+    let best = encoding_cells mc eb and kiss = encoding_cells mc (encoding mc Driver.Kiss) in
+    let rnd_best, rnd_avg = random_best_avg mc in
+    ( (name :: best) @ kiss @ [ soi rnd_best; soi rnd_avg ],
       [
-        "example"; "nova:#bits"; "nova:#cubes"; "nova:area"; "kiss:#bits"; "kiss:#cubes";
-        "kiss:area"; "rnd:best"; "rnd:avg";
-      ]
-    (List.rev !rows);
-  totals ppf "best of ihybrid/igreedy area" !best_pairs;
-  totals ppf "random best area" !rnd_pairs;
-  let ours_best = List.fold_left (fun a (o, _) -> a + o) 0 !best_pairs in
-  let ours_rnd = List.fold_left (fun a (o, _) -> a + o) 0 !rnd_pairs in
-  if ours_rnd > 0 then
-    Format.fprintf ppf "nova/random-best ratio: %.2f (paper: 84/100 = 0.84)@."
-      (float_of_int ours_best /. float_of_int ours_rnd)
+        (area_of mc eb, paper (fun r -> r.Benchmarks.Paper_data.best_ig_ih_area) name);
+        (rnd_best, paper (fun r -> r.Benchmarks.Paper_data.random_best_area) name);
+      ] )
+  with
+  | [ best; rnd ] when measured rnd > 0 ->
+      Format.fprintf ppf "nova/random-best ratio: %.2f (paper: 84/100 = 0.84)@." (over best rnd)
+  | _ -> ()
 
 let table4 ?(quick = false) ppf () =
-  let rows = ref [] in
-  let io_pairs = ref [] and nova_pairs = ref [] in
-  List.iter
-    (fun name ->
-      with_machine name @@ fun mc ->
-      let eio = encoding mc Driver.Iohybrid in
-      let rio = implement mc eio in
-      let eb = best_ih_ig mc in
-      let rb = implement mc eb in
-      let en = nova_best mc in
-      let rn = implement mc en in
-      let rnd_best, rnd_avg = random_best_avg mc in
-      io_pairs := (rio.Encoded.area, paper (fun r -> r.Benchmarks.Paper_data.iohybrid_area) name) :: !io_pairs;
-      nova_pairs := (rn.Encoded.area, paper (fun r -> r.Benchmarks.Paper_data.nova_best_area) name) :: !nova_pairs;
-      rows :=
-        [
-          name;
-          soi eio.Encoding.nbits; soi rio.Encoded.num_cubes; soi rio.Encoded.area;
-          soi eb.Encoding.nbits; soi rb.Encoded.num_cubes; soi rb.Encoded.area;
-          soi en.Encoding.nbits; soi rn.Encoded.num_cubes; soi rn.Encoded.area;
-          soi rnd_best; soi rnd_avg;
-        ]
-        :: !rows)
-    (names ~quick);
-  Report.print_table ppf
-    ~title:"Table IV: iohybrid, ihybrid/igreedy, best of NOVA, random"
-    ~header:
-      [
-        "example"; "io:#bits"; "io:#cubes"; "io:area"; "ih/ig:#bits"; "ih/ig:#cubes";
-        "ih/ig:area"; "nova:#bits"; "nova:#cubes"; "nova:area"; "rnd:best"; "rnd:avg";
-      ]
-    (List.rev !rows);
-  totals ppf "iohybrid area" !io_pairs;
-  totals ppf "best of NOVA area" !nova_pairs
+  ignore
+  @@ table ppf ~title:"Table IV: iohybrid, ihybrid/igreedy, best of NOVA, random"
+       ~header:
+         [
+           "example"; "io:#bits"; "io:#cubes"; "io:area"; "ih/ig:#bits"; "ih/ig:#cubes";
+           "ih/ig:area"; "nova:#bits"; "nova:#cubes"; "nova:area"; "rnd:best"; "rnd:avg";
+         ]
+       ~totals:[ "iohybrid area"; "best of NOVA area" ]
+       (names ~quick)
+  @@ fun name mc ->
+  let eio = encoding mc Driver.Iohybrid in
+  let io = encoding_cells mc eio and best = encoding_cells mc (best_ih_ig mc) in
+  let en = nova_best mc in
+  let nova = encoding_cells mc en in
+  let rnd_best, rnd_avg = random_best_avg mc in
+  ( (name :: io) @ best @ nova @ [ soi rnd_best; soi rnd_avg ],
+    [
+      (area_of mc eio, paper (fun r -> r.Benchmarks.Paper_data.iohybrid_area) name);
+      (area_of mc en, paper (fun r -> r.Benchmarks.Paper_data.nova_best_area) name);
+    ] )
 
 let table5 ?(quick = false) ppf () =
-  let rows = ref [] and pairs = ref [] in
-  List.iter
-    (fun name ->
-      if (not quick) || not (heavy name) then begin
-        with_machine name @@ fun mc ->
-        let eio = encoding mc Driver.Iohybrid in
-        let rio = implement mc eio in
-        let capp = paper (fun r -> r.Benchmarks.Paper_data.cappuccino_area) name in
-        pairs := (rio.Encoded.area, capp) :: !pairs;
-        rows :=
-          [
-            name;
-            soi eio.Encoding.nbits; soi rio.Encoded.num_cubes; soi rio.Encoded.area;
-            Report.opt_int capp;
-          ]
-          :: !rows
-      end)
-    Benchmarks.Suite.table5;
-  Report.print_table ppf
-    ~title:"Table V: iohybrid vs Cappuccino/Cream (published areas)"
-    ~header:[ "example"; "io:#bits"; "io:#cubes"; "io:area"; "cappuccino:area" ]
-    (List.rev !rows);
-  totals ppf "iohybrid area vs Cappuccino" !pairs;
+  ignore
+  @@ table ppf ~title:"Table V: iohybrid vs Cappuccino/Cream (published areas)"
+       ~header:[ "example"; "io:#bits"; "io:#cubes"; "io:area"; "cappuccino:area" ]
+       ~totals:[ "iohybrid area vs Cappuccino" ]
+       (select ~quick Benchmarks.Suite.table5)
+       (fun name mc ->
+         let eio = encoding mc Driver.Iohybrid in
+         let capp = paper (fun r -> r.Benchmarks.Paper_data.cappuccino_area) name in
+         ((name :: encoding_cells mc eio) @ [ Report.opt_int capp ], [ (area_of mc eio, capp) ]));
   Format.fprintf ppf "(paper reports the iohybrid/Cappuccino total ratio as 71/100)@."
 
 let table6 ?(quick = false) ppf () =
-  let rows = ref [] in
-  List.iter
-    (fun name ->
-      with_machine name @@ fun mc ->
-      (* wsat is the weight of the constraints ihybrid claims satisfied;
-         time is the wall clock of a cold driver call (constraints,
-         embedding and ESPRESSO), on a fresh context. *)
-      let t0 = Unix.gettimeofday () in
-      let ih = driver_report (Driver.context mc.fsm) mc.fsm Driver.Ihybrid in
-      let time = Unix.gettimeofday () -. t0 in
-      let claimed = ih.Driver.claims.Check.claimed_ics in
-      let wsat, wunsat =
-        List.fold_left
-          (fun (s, u) (ic : Constraints.input_constraint) ->
-            if List.exists (Bitvec.equal ic.Constraints.states) claimed then
-              (s + ic.Constraints.weight, u)
-            else (s, u + ic.Constraints.weight))
-          (0, 0) (Driver.input_constraints mc.ctx)
-      in
-      let clength = (encoding mc Driver.Kiss).Encoding.nbits in
-      let ex_clength =
-        if heavy name then "?"
-        else
-          match Lazy.force mc.iexact with
-          | Iexact.Sat { k; proven; _ } -> if proven then soi k else "<=" ^ soi k
-          | Iexact.Exhausted -> "?"
-      in
-      rows :=
-        [ name; soi wsat; soi wunsat; soi clength; ex_clength; Printf.sprintf "%.2f" time ]
-        :: !rows)
-    (names ~quick);
-  Report.print_table ppf ~title:"Table VI: statistics of ihybrid"
-    ~header:[ "example"; "wsat"; "wunsat"; "clength"; "ex-clength"; "time(s)" ]
-    (List.rev !rows)
-
-let table7_names ~quick =
-  List.filter (fun n -> (not quick) || not (heavy n)) Benchmarks.Suite.table7
+  ignore
+  @@ table ppf ~title:"Table VI: statistics of ihybrid"
+       ~header:[ "example"; "wsat"; "wunsat"; "clength"; "ex-clength"; "time(s)" ]
+       (names ~quick)
+  @@ fun name mc ->
+  (* wsat is the weight of the constraints ihybrid claims satisfied;
+     time is the wall clock of a cold driver call (constraints,
+     embedding and ESPRESSO), on a fresh context. *)
+  let t0 = Unix.gettimeofday () in
+  let ih = driver_report (Driver.context mc.fsm) mc.fsm Driver.Ihybrid in
+  let time = Unix.gettimeofday () -. t0 in
+  let claimed = ih.Driver.claims.Check.claimed_ics in
+  let wsat, wunsat =
+    List.fold_left
+      (fun (s, u) (ic : Constraints.input_constraint) ->
+        if List.exists (Bitvec.equal ic.Constraints.states) claimed then
+          (s + ic.Constraints.weight, u)
+        else (s, u + ic.Constraints.weight))
+      (0, 0) (Driver.input_constraints mc.ctx)
+  in
+  let clength = (encoding mc Driver.Kiss).Encoding.nbits in
+  let ex_clength =
+    if heavy name then "?"
+    else
+      match Lazy.force mc.iexact with
+      | Iexact.Sat { k; proven; _ } -> if proven then soi k else "<=" ^ soi k
+      | Iexact.Exhausted -> "?"
+  in
+  ([ name; soi wsat; soi wunsat; soi clength; ex_clength; Printf.sprintf "%.2f" time ], [])
 
 (* NOVA's best minimum-code-length two-level result (Table VII protocol). *)
 let nova_best_minlen mc =
@@ -404,134 +358,87 @@ let nova_best_minlen mc =
   else argmin (fun e -> (implement mc e).Encoded.num_cubes) candidates
 
 let table7 ?(quick = false) ppf () =
-  let rows = ref [] in
-  let mu_c = ref [] and nc = ref [] and ml = ref [] and nl = ref [] and rl = ref [] in
-  List.iter
-    (fun name ->
-      with_machine name @@ fun mc ->
-      let emu, flavor = mustang_best_cubes mc in
-      let rmu = implement mc emu in
-      let en = nova_best_minlen mc in
-      let rn = implement mc en in
-      let mu_lits = factored_literals mc emu in
-      let nova_lits = factored_literals mc en in
-      let rnd_lits = factored_literals mc (argmin (area_of mc) (Lazy.force mc.randoms)) in
-      let p field = paper field name in
-      mu_c := (rmu.Encoded.num_cubes, p (fun r -> r.Benchmarks.Paper_data.mustang_cubes)) :: !mu_c;
-      nc := (rn.Encoded.num_cubes, p (fun r -> r.Benchmarks.Paper_data.nova_cubes)) :: !nc;
-      ml := (mu_lits, p (fun r -> r.Benchmarks.Paper_data.mustang_lits)) :: !ml;
-      nl := (nova_lits, p (fun r -> r.Benchmarks.Paper_data.nova_lits)) :: !nl;
-      rl := (rnd_lits, p (fun r -> r.Benchmarks.Paper_data.random_lits)) :: !rl;
-      rows :=
-        [
-          name; flavor;
-          soi rmu.Encoded.num_cubes; soi rn.Encoded.num_cubes;
-          soi mu_lits; soi nova_lits; soi rnd_lits;
-        ]
-        :: !rows)
-    (table7_names ~quick);
-  Report.print_table ppf
-    ~title:"Table VII: two-level and multilevel, MUSTANG vs NOVA vs random"
-    ~header:
-      [ "example"; "mu:flavor"; "mu:#cubes"; "nova:#cubes"; "mu:#lit"; "nova:#lit"; "rnd:#lit" ]
-    (List.rev !rows);
-  totals ppf "MUSTANG cubes" !mu_c;
-  totals ppf "NOVA cubes" !nc;
-  totals ppf "MUSTANG literals" !ml;
-  totals ppf "NOVA literals" !nl;
-  totals ppf "random literals" !rl;
-  let t l = List.fold_left (fun a (o, _) -> a + o) 0 l in
-  if t !nc > 0 && t !nl > 0 then
-    Format.fprintf ppf
-      "cube ratio MUSTANG/NOVA: %.2f (paper 1.24); literal ratio MUSTANG/NOVA: %.2f (paper 1.08); random/NOVA literals: %.2f (paper 1.30)@."
-      (float_of_int (t !mu_c) /. float_of_int (t !nc))
-      (float_of_int (t !ml) /. float_of_int (t !nl))
-      (float_of_int (t !rl) /. float_of_int (t !nl))
+  match
+    table ppf ~title:"Table VII: two-level and multilevel, MUSTANG vs NOVA vs random"
+      ~header:
+        [ "example"; "mu:flavor"; "mu:#cubes"; "nova:#cubes"; "mu:#lit"; "nova:#lit"; "rnd:#lit" ]
+      ~totals:
+        [ "MUSTANG cubes"; "NOVA cubes"; "MUSTANG literals"; "NOVA literals"; "random literals" ]
+      (select ~quick Benchmarks.Suite.table7)
+    @@ fun name mc ->
+    let emu, flavor = mustang_best_cubes mc in
+    let mu_cubes = (implement mc emu).Encoded.num_cubes in
+    let en = nova_best_minlen mc in
+    let nova_cubes = (implement mc en).Encoded.num_cubes in
+    let mu_lits = factored_literals mc emu in
+    let nova_lits = factored_literals mc en in
+    let rnd_lits = factored_literals mc (argmin (area_of mc) (Lazy.force mc.randoms)) in
+    let p field = paper field name in
+    ( [ name; flavor; soi mu_cubes; soi nova_cubes; soi mu_lits; soi nova_lits; soi rnd_lits ],
+      [
+        (mu_cubes, p (fun r -> r.Benchmarks.Paper_data.mustang_cubes));
+        (nova_cubes, p (fun r -> r.Benchmarks.Paper_data.nova_cubes));
+        (mu_lits, p (fun r -> r.Benchmarks.Paper_data.mustang_lits));
+        (nova_lits, p (fun r -> r.Benchmarks.Paper_data.nova_lits));
+        (rnd_lits, p (fun r -> r.Benchmarks.Paper_data.random_lits));
+      ] )
+  with
+  | [ mu_c; nc; ml; nl; rl ] when measured nc > 0 && measured nl > 0 ->
+      Format.fprintf ppf
+        "cube ratio MUSTANG/NOVA: %.2f (paper 1.24); literal ratio MUSTANG/NOVA: %.2f (paper 1.08); random/NOVA literals: %.2f (paper 1.30)@."
+        (over mu_c nc) (over ml nl) (over rl nl)
+  | _ -> ()
 
 (* --- Figures: ratio series over machines ordered by #states ------------ *)
 
-let figure ?(quick = false) ppf ~title ~series () =
-  let ns = names ~quick in
-  let columns = List.map fst series in
-  let data =
-    List.map
-      (fun name ->
-        with_machine name @@ fun mc -> (name, List.map (fun (_, fn) -> fn mc) series))
-      ns
-  in
-  let rows =
-    List.map
-      (fun (name, values) ->
-        name
-        :: List.map
-             (function Some v -> Printf.sprintf "%.2f" v | None -> "-")
-             values)
-      data
-  in
-  Report.print_table ppf ~title ~header:("example (by #states)" :: columns) rows;
+(* One figure over the machines [names]: [values mc] gives one ratio per
+   label of [columns]; each column is also drawn as a sparkline. *)
+let figure ppf ~title ~columns names values =
+  let data = List.map (fun name -> (name, with_machine name values)) names in
+  let cell = function Some v -> Printf.sprintf "%.2f" v | None -> "-" in
+  Report.print_table ppf ~title ~header:("example (by #states)" :: columns)
+    (List.map (fun (name, vs) -> name :: List.map cell vs) data);
   List.iteri
-    (fun i (label, _) ->
-      let vals = List.map (fun (_, values) -> List.nth values i) data in
-      Format.fprintf ppf "%-18s %s@." label (Report.spark vals))
-    series;
+    (fun i label ->
+      Format.fprintf ppf "%-18s %s@." label
+        (Report.spark (List.map (fun (_, vs) -> List.nth vs i) data)))
+    columns;
   Format.fprintf ppf "@."
 
 let ratio a b = if b = 0 then None else Some (float_of_int a /. float_of_int b)
 
-(* The area of [algo]'s encoding over the best-of-NOVA area. *)
-let over_nova area mc = ratio (area mc) (area_of mc (nova_best mc))
-let algo_area algo mc = area_of mc (encoding mc algo)
+(* Each area over the best-of-NOVA area. *)
+let over_nova mc areas =
+  let nova = area_of mc (nova_best mc) in
+  List.map (fun area -> ratio area nova) areas
 
-let fig8 ?quick ppf () =
-  figure ?quick ppf ~title:"Table VIII (figure): area ratios over best of NOVA"
-    ~series:
-      [
-        ("KISS/NOVA", over_nova (algo_area Driver.Kiss));
-        ("rnd-best/NOVA", over_nova (fun mc -> fst (random_best_avg mc)));
-        ("rnd-avg/NOVA", over_nova (fun mc -> snd (random_best_avg mc)));
-      ]
-    ()
+let algo_area mc algo = area_of mc (encoding mc algo)
 
-let fig9 ?quick ppf () =
-  figure ?quick ppf ~title:"Table IX (figure): NOVA algorithm area ratios"
-    ~series:
-      [
-        ("ihybrid/NOVA", over_nova (algo_area Driver.Ihybrid));
-        ("iohybrid/NOVA", over_nova (algo_area Driver.Iohybrid));
-      ]
-    ()
+let fig8 ?(quick = false) ppf () =
+  figure ppf ~title:"Table VIII (figure): area ratios over best of NOVA"
+    ~columns:[ "KISS/NOVA"; "rnd-best/NOVA"; "rnd-avg/NOVA" ]
+    (names ~quick)
+  @@ fun mc ->
+  let rnd_best, rnd_avg = random_best_avg mc in
+  over_nova mc [ algo_area mc Driver.Kiss; rnd_best; rnd_avg ]
+
+let fig9 ?(quick = false) ppf () =
+  figure ppf ~title:"Table IX (figure): NOVA algorithm area ratios"
+    ~columns:[ "ihybrid/NOVA"; "iohybrid/NOVA" ]
+    (names ~quick)
+  @@ fun mc -> over_nova mc [ algo_area mc Driver.Ihybrid; algo_area mc Driver.Iohybrid ]
 
 let fig10 ?(quick = false) ppf () =
-  let ns = List.filter (fun n -> List.mem n (table7_names ~quick)) (names ~quick) in
-  let data =
-    List.map
-      (fun name ->
-        with_machine name @@ fun mc ->
-        let emu, _ = mustang_best_cubes mc in
-        let en = nova_best_minlen mc in
-        let cubes e = (implement mc e).Encoded.num_cubes in
-        ( name,
-          [
-            ratio (cubes emu) (cubes en);
-            ratio (factored_literals mc emu) (factored_literals mc en);
-          ] ))
-      ns
-  in
-  let rows =
-    List.map
-      (fun (name, values) ->
-        name :: List.map (function Some v -> Printf.sprintf "%.2f" v | None -> "-") values)
-      data
-  in
-  Report.print_table ppf ~title:"Table X (figure): MUSTANG/NOVA ratios"
-    ~header:[ "example (by #states)"; "cubes MU/NOVA"; "lits MU/NOVA" ]
-    rows;
-  List.iteri
-    (fun i label ->
-      let vals = List.map (fun (_, values) -> List.nth values i) data in
-      Format.fprintf ppf "%-18s %s@." label (Report.spark vals))
-    [ "cubes MU/NOVA"; "lits MU/NOVA" ];
-  Format.fprintf ppf "@."
+  figure ppf ~title:"Table X (figure): MUSTANG/NOVA ratios"
+    ~columns:[ "cubes MU/NOVA"; "lits MU/NOVA" ]
+    (List.filter (fun n -> List.mem n Benchmarks.Suite.table7) (names ~quick))
+  @@ fun mc ->
+  let emu, _ = mustang_best_cubes mc in
+  let en = nova_best_minlen mc in
+  let cubes e = (implement mc e).Encoded.num_cubes in
+  [
+    ratio (cubes emu) (cubes en); ratio (factored_literals mc emu) (factored_literals mc en);
+  ]
 
 let all ?(quick = false) ppf () =
   table1 ~quick ppf ();

@@ -12,7 +12,6 @@ type t = {
   parent : t option;
   max_work : int option;
   deadline : float option;  (* absolute, Unix.gettimeofday clock *)
-  cancel : (unit -> bool) option;
   mutable work : int;
   tripped : reason option Atomic.t;
   mutable until_poll : int;
@@ -20,17 +19,16 @@ type t = {
 
 exception Out_of_budget of reason
 
-(* Deadline/cancellation are polled every [poll_interval] ticks, so a
-   tick on an unconstrained budget is just a couple of increments. *)
+(* Deadlines are polled every [poll_interval] ticks, so a tick on an
+   unconstrained budget is just a couple of increments. *)
 let poll_interval = 256
 
-let make ?parent ?max_work ?deadline ?cancel () =
-  { parent; max_work; deadline; cancel; work = 0; tripped = Atomic.make None;
-    until_poll = poll_interval }
+let make ?parent ?max_work ?deadline () =
+  { parent; max_work; deadline; work = 0; tripped = Atomic.make None; until_poll = poll_interval }
 
-let create ?max_work ?deadline_ms ?cancel () =
+let create ?max_work ?deadline_ms () =
   let deadline = Option.map (fun ms -> Unix.gettimeofday () +. (ms /. 1000.)) deadline_ms in
-  make ?max_work ?deadline ?cancel ()
+  make ?max_work ?deadline ()
 
 let sub ?max_work parent = make ~parent ?max_work ()
 
@@ -75,10 +73,7 @@ let rec poll b =
   (if Atomic.get b.tripped = None then
      match b.deadline with
      | Some d when Unix.gettimeofday () >= d -> trip b Deadline
-     | Some _ | None -> (
-         match b.cancel with
-         | Some f when f () -> trip b Cancelled
-         | Some _ | None -> ()));
+     | Some _ | None -> ());
   match b.parent with Some p -> poll p | None -> ()
 
 let rec first_tripped b =
@@ -121,7 +116,7 @@ let reason b =
 let spent b = b.work
 
 let rec headroom b =
-  if b.deadline <> None || b.cancel <> None || Atomic.get b.tripped <> None then None
+  if b.deadline <> None || Atomic.get b.tripped <> None then None
   else
     let own = match b.max_work with Some cap -> cap - b.work | None -> max_int in
     match b.parent with
@@ -129,8 +124,8 @@ let rec headroom b =
     | Some p -> Option.map (min own) (headroom p)
 
 (* [bump] [n] times over. No poll-counter bookkeeping: below the
-   headroom no node of the chain has a deadline or a callback, so a poll
-   there observes nothing. *)
+   headroom no node of the chain has a deadline, so a poll there
+   observes nothing. *)
 let rec charge b n =
   b.work <- b.work + n;
   (match b.max_work with

@@ -3,7 +3,7 @@
 
     A budget carries a monotone work counter (one unit per attempted face
     assignment, expanded cube, or similar elementary step), an optional
-    wall-clock deadline, and an optional cancellation callback. Budgets
+    wall-clock deadline, and a cancellation flag ({!cancel}). Budgets
     form a tree: {!sub} creates a child whose work also counts against
     every ancestor, so an algorithm can impose its intrinsic per-call cap
     (the historical [?max_work] defaults) while still respecting a global
@@ -30,18 +30,18 @@
 type reason =
   | Work  (** a work cap was reached *)
   | Deadline  (** the wall-clock deadline passed *)
-  | Cancelled  (** the cancellation callback returned [true] *)
+  | Cancelled  (** {!cancel} tripped the budget *)
 
 (** [reason_name r] is ["work"], ["deadline"] or ["cancelled"]. *)
 val reason_name : reason -> string
 
 type t
 
-(** [create ?max_work ?deadline_ms ?cancel ()] is a fresh root budget.
-    [deadline_ms] is relative to now; [cancel] is polled periodically.
-    [create ()] never exhausts: a fresh one is the default of every
-    [?budget] parameter, so no two calls share a counter. *)
-val create : ?max_work:int -> ?deadline_ms:float -> ?cancel:(unit -> bool) -> unit -> t
+(** [create ?max_work ?deadline_ms ()] is a fresh root budget.
+    [deadline_ms] is relative to now. [create ()] never exhausts unless
+    {!cancel}led: a fresh one is the default of every [?budget]
+    parameter, so no two calls share a counter. *)
+val create : ?max_work:int -> ?deadline_ms:float -> unit -> t
 
 (** [sub ?max_work parent] is a child budget: its ticks also count
     against [parent], and it is exhausted as soon as [parent] is. *)
@@ -69,7 +69,7 @@ val tick : t -> bool
 val cancel : t -> unit
 
 (** [exhausted b] pre-checks the budget without charging work, polling
-    the deadline and cancellation callback. *)
+    the deadline and observing a {!cancel}. *)
 val exhausted : t -> bool
 
 (** [reason b] is why the budget ran out, if it did. *)
@@ -79,11 +79,10 @@ val reason : t -> reason option
 val spent : t -> int
 
 (** [headroom b] is how many more ticks [b] could take unobserved:
-    [None] when some node of its chain has a deadline, a cancellation
-    callback or has already tripped (ticks there poll a clock or a
-    callback, or see the trip), otherwise [Some h] with [h] the least
-    [cap - work] over the capped nodes of the chain ([max_int] when none
-    is capped). [n < h] ticks on such a budget can neither trip it nor
+    [None] when some node of its chain has a deadline or has already
+    tripped (ticks there poll a clock or see the trip), otherwise
+    [Some h] with [h] the least [cap - work] over the capped nodes of
+    the chain ([max_int] when none is capped). [n < h] ticks on such a budget can neither trip it nor
     make {!exhausted} true, whatever they compute. *)
 val headroom : t -> int option
 

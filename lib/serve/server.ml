@@ -415,10 +415,11 @@ let record_request t (e : Metrics.Flight.entry) ~wall =
   Metrics.Flight.record ?sink t.flight
     { e with Metrics.Flight.at = Unix.gettimeofday (); wall_ms = wall *. 1000. }
 
-(* One request line in, one response line out. Anything non-fatal the
-   dispatch raises — the serve chaos site included — becomes a typed
-   Job_crashed response (the daemon's exit-7 equivalent); fatal
-   exceptions are never absorbed. *)
+(* One request line in, one response line out. A line that could not
+   be read whole arrives as its error and is answered and recorded like
+   an unparsable one. Anything non-fatal the dispatch raises — the serve
+   chaos site included — becomes a typed Job_crashed response (the
+   daemon's exit-7 equivalent); fatal exceptions are never absorbed. *)
 let handle_line t line =
   Atomic.incr t.c_requests;
   let t0 = Unix.gettimeofday () in
@@ -431,8 +432,13 @@ let handle_line t line =
     | Protocol.Encode _ -> "encode"
     | Protocol.Report _ -> "report"
   in
+  let parsed =
+    match line with
+    | Error e -> Error (None, e)
+    | Ok line -> timed m_parse (fun () -> Protocol.parse_request line)
+  in
   let response, entry =
-    match timed m_parse (fun () -> Protocol.parse_request line) with
+    match parsed with
     | Error (id, e) ->
         Atomic.incr t.c_errors;
         (Protocol.error_response ?id e, request_entry ~err:e "invalid")
@@ -505,11 +511,11 @@ let handle_conn t fd =
       | Error (Line_io.Eof | Line_io.Failed _) -> ()
       | Error Line_io.Too_long ->
           (* The stream cannot be resynchronized: answer once and close. *)
-          Atomic.incr t.c_errors;
           send fd
-            (Protocol.error_response
-               (Nova_error.Invalid_request
-                  (Printf.sprintf "request line exceeds %d bytes" Protocol.max_line_bytes)))
+            (handle_line t
+               (Error
+                  (Nova_error.Invalid_request
+                     (Printf.sprintf "request line exceeds %d bytes" Protocol.max_line_bytes))))
       | Ok line ->
           (* [active] covers handling *and* the response write, so the
              shutdown drain never closes a socket under a reply. *)
@@ -520,7 +526,7 @@ let handle_conn t fd =
             (fun () ->
               (* A client that disconnected mid-request gets nothing;
                  its work still settled (and cached/coalesced). *)
-              send fd (handle_line t line));
+              send fd (handle_line t (Ok line)));
           loop ()
   in
   Fun.protect

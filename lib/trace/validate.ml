@@ -149,7 +149,7 @@ let check_track track evs =
   List.iter (fun (n, _, _, _) -> err "track %d: span %S never ends" track n) !stack;
   (List.rev !errors, List.rev !roots, !spans, !instants)
 
-let check ?(require_meta = true) (events, meta) =
+let check (events, meta) =
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
   let by_track = Hashtbl.create 8 in
@@ -174,7 +174,7 @@ let check ?(require_meta = true) (events, meta) =
       tracks
   in
   if !num_spans = 0 then err "trace contains no spans";
-  if require_meta && not (List.mem_assoc "code_version" meta) then
+  if not (List.mem_assoc "code_version" meta) then
     err "run manifest has no \"code_version\" (trace-meta missing or incomplete)";
   {
     errors = List.rev !errors;
@@ -185,7 +185,7 @@ let check ?(require_meta = true) (events, meta) =
     roots;
   }
 
-let check_file ?require_meta path = check ?require_meta (decode_file path)
+let check_file path = check (decode_file path)
 
 let summary r =
   Printf.sprintf "%d events (%d spans, %d instants) on %d tracks" r.num_events r.num_spans

@@ -28,8 +28,8 @@ val decode_file : string -> Trace.event list * Trace.attrs
     trace JSON) into the event stream and the run manifest.
     @raise Json_min.Parse_error on malformed input. *)
 
-val check : ?require_meta:bool -> Trace.event list * Trace.attrs -> report
+val check : Trace.event list * Trace.attrs -> report
 
-val check_file : ?require_meta:bool -> string -> report
+val check_file : string -> report
 
 val summary : report -> string

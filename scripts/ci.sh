@@ -445,7 +445,7 @@ $NOVA bench-diff -t 25 "$TMP/BENCH_serve_metered_base.json" "$TMP/BENCH_serve.js
 echo "  metered wall within 25% of bare wall: ok"
 
 echo "== paper tables: quick run matches the expected tables =="
-# bench/main.exe prints the paper's Tables II-VI, the two area-ratio
+# bench/main.exe prints the paper's Tables I-VI, the two area-ratio
 # figures and the ablations; every number but a wall time is
 # deterministic. Table VI's time(s) column and the work-budget
 # ablation's seconds columns are masked on both sides. Tables VII and
@@ -455,11 +455,11 @@ echo "== paper tables: quick run matches the expected tables =="
 mask_times() {
   awk '/^== /{s=$0} s~/Table VI:|semiexact work budget/{gsub(/[0-9]+\.[0-9]+/,"-")} {print}'
 }
-_build/default/bench/main.exe --quick table2 table3 table4 table5 table6 \
-  fig8 fig9 ablations | mask_times > "$TMP/tables-quick.txt"
+_build/default/bench/main.exe --quick table1 table2 table3 table4 table5 \
+  table6 fig8 fig9 ablations | mask_times > "$TMP/tables-quick.txt"
 diff bench/tables_quick.expected "$TMP/tables-quick.txt" \
   || { echo "paper tables moved"; exit 1; }
-echo "  Tables II-VI, figures VIII-IX and ablations unchanged: ok"
+echo "  Tables I-VI, figures VIII-IX and ablations unchanged: ok"
 
 echo "== bench smoke (quick parallel executor) =="
 $NOVA bench parallel --quick --jobs 2 -o "$TMP/BENCH_parallel.json"

@@ -25,12 +25,9 @@ let test_print_table_ragged () =
     (fun () ->
       Harness.Report.print_table ppf ~title:"T" ~header:[ "a"; "b" ] [ [ "1" ] ])
 
-let test_opt_and_ratio () =
+let test_opt_int () =
   Alcotest.(check string) "opt some" "7" (Harness.Report.opt_int (Some 7));
-  Alcotest.(check string) "opt none" "-" (Harness.Report.opt_int None);
-  Alcotest.(check string) "ratio" "0.50" (Harness.Report.ratio (Some 1) (Some 2));
-  Alcotest.(check string) "ratio by zero" "-" (Harness.Report.ratio (Some 1) (Some 0));
-  Alcotest.(check string) "ratio missing" "-" (Harness.Report.ratio None (Some 2))
+  Alcotest.(check string) "opt none" "-" (Harness.Report.opt_int None)
 
 let test_spark () =
   let s = Harness.Report.spark [ Some 1.0; Some 2.0; None; Some 1.5 ] in
@@ -64,7 +61,7 @@ let suite =
   [
     Alcotest.test_case "print_table" `Quick test_print_table;
     Alcotest.test_case "print_table ragged" `Quick test_print_table_ragged;
-    Alcotest.test_case "opt_int and ratio" `Quick test_opt_and_ratio;
+    Alcotest.test_case "opt_int" `Quick test_opt_int;
     Alcotest.test_case "spark" `Quick test_spark;
     Alcotest.test_case "best of NOVA consistency" `Quick test_best_of_nova_consistency;
     Alcotest.test_case "quick machine list" `Quick test_names_quick;

@@ -47,7 +47,8 @@ let test_deadline_and_cancel () =
   let d = Budget.create ~deadline_ms:0.0 () in
   check "elapsed deadline exhausts" true (Budget.exhausted d);
   check "deadline reason" true (Budget.reason d = Some Budget.Deadline);
-  let c = Budget.create ~cancel:(fun () -> true) () in
+  let c = Budget.create () in
+  Budget.cancel c;
   check "cancellation exhausts" true (Budget.exhausted c);
   check "cancel reason" true (Budget.reason c = Some Budget.Cancelled);
   check "an uncapped budget never exhausts" false (Budget.exhausted (Budget.create ()))

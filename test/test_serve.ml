@@ -349,29 +349,55 @@ let test_serve_wire_truncation_reassembly () =
   check "ping after mid-request disconnect" true r.Serve.Protocol.ok;
   Serve.Client.close c
 
+(* The lines of a JSONL access log, parsed. *)
+let read_jsonl path =
+  let ic = open_in path in
+  let lines = ref [] in
+  (try
+     while true do
+       lines := input_line ic :: !lines
+     done
+   with End_of_file -> close_in ic);
+  List.rev_map Json_min.of_string !lines
+
 let test_serve_wire_oversized_line () =
-  with_server @@ fun path ->
-  let c = must_connect path in
-  let giant = String.make (Serve.Protocol.max_line_bytes + 16) 'a' in
-  (match Serve.Client.request_raw c giant with
-  | Ok line -> (
-      match Serve.Protocol.parse_reply line with
-      | Ok r ->
-          check "oversized answered with a typed error" false r.Serve.Protocol.ok;
-          check_int "oversized is an invalid request" 5 r.Serve.Protocol.code
-      | Error m -> Alcotest.failf "oversized reply did not parse: %s" m)
-  | Error m -> Alcotest.failf "oversized request transport failure: %s" m);
-  (* Past an unframeable line the stream cannot resync: the server
-     closes this connection — and keeps serving new ones. *)
-  check "connection closed after oversized" true
-    (match Serve.Client.request c (Serve.Protocol.verb_line "ping") with
-    | Error _ -> true
-    | Ok _ -> false);
-  Serve.Client.close c;
-  let c = must_connect path in
-  let r = must_request c (Serve.Protocol.verb_line "ping") in
-  check "fresh connection after oversized" true r.Serve.Protocol.ok;
-  Serve.Client.close c
+  with_temp_dir @@ fun dir ->
+  let log = Filename.concat dir "access.jsonl" in
+  with_server ~tweak:(fun c -> { c with Serve.Server.access_log = Some log }) (fun path ->
+      let c = must_connect path in
+      let giant = String.make (Serve.Protocol.max_line_bytes + 16) 'a' in
+      (match Serve.Client.request_raw c giant with
+      | Ok line -> (
+          match Serve.Protocol.parse_reply line with
+          | Ok r ->
+              check "oversized answered with a typed error" false r.Serve.Protocol.ok;
+              check_int "oversized is an invalid request" 5 r.Serve.Protocol.code
+          | Error m -> Alcotest.failf "oversized reply did not parse: %s" m)
+      | Error m -> Alcotest.failf "oversized request transport failure: %s" m);
+      (* Past an unframeable line the stream cannot resync: the server
+         closes this connection — and keeps serving new ones. *)
+      check "connection closed after oversized" true
+        (match Serve.Client.request c (Serve.Protocol.verb_line "ping") with
+        | Error _ -> true
+        | Ok _ -> false);
+      Serve.Client.close c;
+      let c = must_connect path in
+      let r = must_request c (Serve.Protocol.verb_line "ping") in
+      check "fresh connection after oversized" true r.Serve.Protocol.ok;
+      Serve.Client.close c);
+  (* The over-long line is recorded like an unparsable one: a request,
+     an error and an "invalid" access-log line with exit code 5. *)
+  let s = Serve.Server.last_stats () in
+  check_int "oversized is the only error" 1 s.Serve.Server.errors;
+  let docs = read_jsonl log in
+  check_int "one access-log line per request" s.Serve.Server.requests (List.length docs);
+  let str k d = Option.bind (Json_min.member k d) Json_min.to_string in
+  check "oversized logged as invalid with its exit code" true
+    (List.exists
+       (fun d ->
+         str "verb" d = Some "invalid"
+         && Option.bind (Json_min.member "code" d) Json_min.to_float = Some 5.)
+       docs)
 
 (* The serve chaos site: a seeded fault between parse and dispatch must
    surface as a typed code-7 response on exactly the scheduled request,
@@ -793,17 +819,9 @@ let test_serve_access_log () =
       ignore (must_request c (Serve.Protocol.verb_line "stats"));
       Serve.Client.close c);
   let s = Serve.Server.last_stats () in
-  let ic = open_in log in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> close_in ic);
-  let lines = List.rev !lines in
+  let docs = read_jsonl log in
   check_int "one line per request, shutdown included" s.Serve.Server.requests
-    (List.length lines);
-  let docs = List.map Json_min.of_string lines in
+    (List.length docs);
   let str k d = Option.bind (Json_min.member k d) Json_min.to_string in
   let encode_line_doc = List.find (fun d -> str "verb" d = Some "encode") docs in
   check "encode logged with machine" true (str "machine" encode_line_doc = Some "lion");

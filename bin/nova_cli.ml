@@ -403,21 +403,28 @@ let prepare_pool ~verb ~quiet jobs chaos chaos_seed =
         | Ok () -> Ok ()
         | Error msg -> Error (Nova_error.Invalid_request ("--chaos " ^ msg)))
 
+(* A cache path that is a file, or that cannot be created, is an
+   invalid request: refused before any work is done. *)
 let open_cache ~no_cache cache_dir =
-  if no_cache then None
-  else Some (Exec.Cache.open_dir (Option.value cache_dir ~default:(default_cache_dir ())))
+  if no_cache then Ok None
+  else
+    match Exec.Cache.open_dir (Option.value cache_dir ~default:(default_cache_dir ())) with
+    | c -> Ok (Some c)
+    | exception Sys_error msg -> Error (Nova_error.Invalid_request msg)
 
 (* stdout carries only deterministic data (the table); wall-clock and
    cache statistics go to stderr so output is byte-comparable across
    --jobs levels and cold/warm cache runs. *)
 let report jobs race cache_dir no_cache heavy instrument quiet trace chaos chaos_seed
     machines =
-  match prepare_pool ~verb:"report" ~quiet jobs chaos chaos_seed with
+  let setup =
+    Result.bind (prepare_pool ~verb:"report" ~quiet jobs chaos chaos_seed) @@ fun () ->
+    Result.bind (report_machines machines heavy) @@ fun ms ->
+    Result.map (fun cache -> (ms, cache)) (open_cache ~no_cache cache_dir)
+  in
+  match setup with
   | Error err -> fail_with err
-  | Ok () -> (
-  match report_machines machines heavy with
-  | Error err -> fail_with err
-  | Ok ms ->
+  | Ok (ms, cache) ->
       run_traced trace
         ~meta:
           [
@@ -428,7 +435,6 @@ let report jobs race cache_dir no_cache heavy instrument quiet trace chaos chaos
             ("jobs", Trace.Int jobs);
           ]
       @@ fun () ->
-      let cache = open_cache ~no_cache cache_dir in
       let t0 = Unix.gettimeofday () in
       (* [rows] feeds the table; [all_rows] (racing losers included)
          feeds the exit code, so a portfolio whose every member crashed
@@ -462,7 +468,7 @@ let report jobs race cache_dir no_cache heavy instrument quiet trace chaos chaos
             s.Exec.Cache.hits s.Exec.Cache.misses s.Exec.Cache.stores s.Exec.Cache.rejected
             (Exec.Cache.dir c));
       if instrument then prerr_string (Metrics.Expose.prometheus ());
-      match Exec.Portfolio.first_error all_rows with None -> 0 | Some e -> fail_with e)
+      match Exec.Portfolio.first_error all_rows with None -> 0 | Some e -> fail_with e
 
 let report_cmd =
   Cmd.v
@@ -818,13 +824,15 @@ let serve_cmd =
   in
   let run socket jobs max_inflight cap_ms cap_work cache_dir no_cache quiet trace chaos
       chaos_seed access_log flight_record flight_capacity =
-    match prepare_pool ~verb:"serve" ~quiet jobs chaos chaos_seed with
+    match
+      Result.bind (prepare_pool ~verb:"serve" ~quiet jobs chaos chaos_seed) (fun () ->
+          open_cache ~no_cache cache_dir)
+    with
     | Error err -> fail_with err
-    | Ok () -> (
+    | Ok cache -> (
         run_traced trace
           ~meta:[ ("socket", Trace.String socket); ("jobs", Trace.Int jobs) ]
         @@ fun () ->
-        let cache = open_cache ~no_cache cache_dir in
         let cfg =
           {
             Serve.Server.socket_path = socket; jobs; max_inflight;

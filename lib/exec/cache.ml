@@ -33,7 +33,10 @@ let open_dir dir =
      if not (Sys.is_directory dir) then
        raise (Sys_error (Printf.sprintf "cache path %s is not a directory" dir))
    end
-   else Unix.mkdir dir 0o755);
+   else
+     try Unix.mkdir dir 0o755
+     with Unix.Unix_error (e, _, _) ->
+       raise (Sys_error (Printf.sprintf "cache path %s: %s" dir (Unix.error_message e))));
   { dir; hits = Atomic.make 0; misses = Atomic.make 0; stores = Atomic.make 0;
     rejected = Atomic.make 0 }
 
@@ -294,10 +297,7 @@ let find (c : t) (task : Job.task) =
    entry lock. Any failure (ENOSPC, EIO, injected fault) cleans the
    tmp file up and reports the error. *)
 let write_once path text =
-  let tmp =
-    Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ())
-      (Domain.self () :> int)
-  in
+  let tmp = Trace.temp_path path in
   match
     with_entry_lock path (fun () ->
         let oc = open_out_bin tmp in
@@ -357,7 +357,7 @@ let contains_substring sub s =
   at 0
 
 (* The shutdown half of fsck, scoped to what *this process* may have
-   leaked: its own writer temp files (named [...tmp.<pid>.<domain>]) and
+   leaked: its own writer temp files (named [...tmp.<pid>.<n>]) and
    lock files whose entry is gone. A daemon interrupted mid-store calls
    this on the way out so the shared cache directory never needs a
    manual [nova cache fsck] after a SIGINT — and because the sweep only
@@ -417,7 +417,7 @@ let fsck (c : t) =
         end
       end
       else if contains_substring (entry_suffix ^ ".tmp.") name then begin
-        (* writer temp files: <key>.nova-cache.tmp.<pid>.<domain> *)
+        (* writer temp files: <key>.nova-cache.tmp.<pid>.<n> *)
         if remove path then incr tmp_removed
       end
       else if String.ends_with ~suffix:(entry_suffix ^ ".lock") name then begin

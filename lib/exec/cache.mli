@@ -32,7 +32,8 @@ type t
 type stats = { hits : int; misses : int; stores : int; rejected : int }
 
 (** [open_dir dir] creates [dir] if needed and returns a handle.
-    Raises [Sys_error] if [dir] exists and is not a directory. *)
+    Raises [Sys_error] if [dir] exists and is not a directory, or if it
+    cannot be created (a missing parent, no permission). *)
 val open_dir : string -> t
 
 val dir : t -> string
@@ -58,12 +59,6 @@ val store : t -> Job.task -> Job.success -> unit
 (** [entry_path c task] is the file a [store] would write — exposed for
     the corrupt-cache tests and CI smokes. *)
 val entry_path : t -> Job.task -> string
-
-(** [render task s] is the exact entry text a [store] would persist
-    (checksum header included) — exposed for the tamper tests, which
-    need to re-checksum a modified payload to reach the
-    re-certification gate. *)
-val render : Job.task -> Job.success -> string
 
 (** What a {!fsck} sweep found: [scanned]/[valid] count [.nova-cache]
     entries, [removed] the entries whose magic or checksum failed

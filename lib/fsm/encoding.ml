@@ -50,8 +50,3 @@ let used_codes e = List.sort compare (Array.to_list e.codes)
 
 let code_string e s =
   String.init e.nbits (fun i -> if bit e s (e.nbits - 1 - i) = 1 then '1' else '0')
-
-let pp ppf e =
-  Format.fprintf ppf "@[<v>";
-  Array.iteri (fun s _ -> Format.fprintf ppf "state %d -> %s@," s (code_string e s)) e.codes;
-  Format.fprintf ppf "@]"

@@ -32,10 +32,6 @@ val bit : t -> int -> int -> int
 (** [used_codes e] is the sorted list of codes in use. *)
 val used_codes : t -> int list
 
-(** [pp ppf e] prints state codes as binary strings (bit 0 leftmost is
-    NOT used: the most significant declared bit prints first). *)
-val pp : Format.formatter -> t -> unit
-
 (** [code_string e s] is the code of state [s] as an [nbits]-character
     binary string, most significant bit first. *)
 val code_string : t -> int -> string

@@ -93,7 +93,3 @@ let next m ~input ~src =
   match List.find_opt matches m.transitions with
   | None -> None
   | Some tr -> Some (tr.dst, tr.output)
-
-let pp ppf m =
-  Format.fprintf ppf "@[<v>fsm %s: %d inputs, %d outputs, %d states, %d rows@]" m.name
-    m.num_inputs m.num_outputs (Array.length m.states) (List.length m.transitions)

@@ -62,4 +62,3 @@ val stats : t -> stats
     unspecified output bits. *)
 val next : t -> input:string -> src:int -> (int option * string) option
 
-val pp : Format.formatter -> t -> unit

@@ -170,4 +170,3 @@ let pp d ppf c =
   done
 
 let equal = Bitvec.equal
-let compare = Bitvec.compare

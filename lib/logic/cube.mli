@@ -86,4 +86,3 @@ val num_literal_bits : Domain.t -> t -> int
 val pp : Domain.t -> Format.formatter -> t -> unit
 
 val equal : t -> t -> bool
-val compare : t -> t -> int

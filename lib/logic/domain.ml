@@ -93,10 +93,3 @@ let num_minterms d =
       if acc <> 0 && m / acc <> s then invalid_arg "Domain.num_minterms: overflow";
       m)
     1 d.sizes
-
-let pp ppf d =
-  Format.fprintf ppf "domain(%a)"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_char ppf ',')
-       Format.pp_print_int)
-    (Array.to_list d.sizes)

@@ -61,5 +61,3 @@ val equal : t -> t -> bool
 (** [num_minterms d] is the number of points of the product space,
     [prod_v size d v]. Raises [Invalid_argument] on overflow. *)
 val num_minterms : t -> int
-
-val pp : Format.formatter -> t -> unit

@@ -5,11 +5,26 @@
 let str s = Json_min.Str s
 let int n = Json_min.Num (float_of_int n)
 
-let fixed digits f =
+let round digits f =
   let k = 10. ** float_of_int digits in
-  Json_min.Num (Float.round (f *. k) /. k)
+  Float.round (f *. k) /. k
 
+let fixed digits f = Json_min.Num (round digits f)
 let seconds f = fixed 6 f
+
+(* One wall gate of this run, decided where it is measured: [value]
+   against [limit], both at the artifact's resolution, by the differ's
+   wall rule with [slack] as its threshold. *)
+let gate name ~value ~limit ~slack =
+  let value = round 6 value and limit = round 6 limit in
+  Json_min.Obj
+    [
+      ("gate", str name); ("value_s", Json_min.Num value);
+      ("limit_s", Json_min.Num limit); ("slack", Json_min.Num slack);
+      ( "pass",
+        Json_min.Bool (not (Bench_diff.wall_regressed ~threshold:slack ~reference:limit value)) );
+    ]
+
 let mode_name ~quick = if quick then "quick" else "full"
 
 let timed f =
@@ -245,6 +260,12 @@ let parallel ?machines:ms ~quick ~jobs ppf =
             ("stores", int stats.Exec.Cache.stores); ("rejected", int stats.Exec.Cache.rejected);
             ("hit_rate", fixed 4 hit_rate);
           ] );
+      ( "gates",
+        Arr
+          [
+            gate "pool_vs_sequential" ~value:par_wall ~limit:seq_wall ~slack:0.30;
+            gate "supervised_vs_bare" ~value:sup_wall ~limit:unsup_wall ~slack:0.25;
+          ] );
     ]
 
 (* --- serve --------------------------------------------------------------- *)
@@ -359,7 +380,21 @@ let serve_tiers ~dir ~machine ~clients ppf =
       ("bare_wall_s", seconds bare_wall_s); ("metrics_overhead", fixed 4 metrics_overhead);
     ]
   in
-  Obj [ ("schema", Str "nova-bench-serve/v1"); ("mode", Str "default"); ("runs", Arr [ Obj row ]) ]
+  (* The fast tiers must beat a fifth of the recorded cold wall, and
+     metering may cost no more than the slack over bare. *)
+  let tier_limit = round 6 cold_s /. 5. in
+  let gates =
+    [
+      gate "warm_vs_cold" ~value:warm_s ~limit:tier_limit ~slack:0.25;
+      gate "coalesced_vs_cold" ~value:coalesced_s ~limit:tier_limit ~slack:0.25;
+      gate "metered_vs_bare" ~value:metered_wall_s ~limit:bare_wall_s ~slack:0.25;
+    ]
+  in
+  Obj
+    [
+      ("schema", Str "nova-bench-serve/v1"); ("mode", Str "default"); ("runs", Arr [ Obj row ]);
+      ("gates", Arr gates);
+    ]
 
 let serve ~machine ~clients ppf =
   match Benchmarks.Suite.find machine with

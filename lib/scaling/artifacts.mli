@@ -24,7 +24,12 @@ val parallel :
   ?machines:Fsm.t list -> quick:bool -> jobs:int -> Format.formatter -> Json_min.t
 (** [nova-bench-parallel/v1]: the portfolio sequentially, on [jobs]
     domains, bare and supervised, and cold then warm against a fresh
-    cache. *)
+    cache. Its ["gates"] array holds this run's two wall gates, each
+    [{"gate", "value_s", "limit_s", "slack", "pass"}] with [pass]
+    decided by {!Bench_diff.wall_regressed}: [pool_vs_sequential]
+    ([par_wall_s] against [seq_wall_s], slack 0.30) and
+    [supervised_vs_bare] (the supervised wall against the bare one,
+    slack 0.25). *)
 
 val serve : machine:string -> clients:int -> Format.formatter -> (Json_min.t, string) result
 (** [nova-bench-serve/v1]: the daemon's three latency tiers for an
@@ -33,8 +38,12 @@ val serve : machine:string -> clients:int -> Format.formatter -> (Json_min.t, st
     directory: cold compute, certified cache hit (timed again with the
     metrics registry off, for the overhead ratio) and the per-request
     share of [clients] identical concurrent requests coalesced onto one
-    computation. Prints one summary line. [Error] names an unknown
-    machine (before any file is made) or a request that failed. *)
+    computation. Its ["gates"] array holds three wall gates in the
+    [parallel] format: [warm_vs_cold] and [coalesced_vs_cold] (the tier
+    against a fifth of the recorded cold wall) and [metered_vs_bare],
+    each with slack 0.25. Prints one summary line. [Error] names an
+    unknown machine (before any file is made) or a request that
+    failed. *)
 
 val fixed : int -> float -> Json_min.t
 (** [fixed digits f] is [f] rounded to [digits] decimals: the artifacts'

@@ -130,6 +130,12 @@ exception Schema_mismatch of string * string
 let default_threshold = 0.25
 let wall_floor_s = 0.005
 
+(* The one wall rule: worse than the reference by more than the
+   threshold and by more than the floor, so microsecond jitter on a tiny
+   row cannot fail. The artifacts' in-run gates use it too. *)
+let wall_regressed ~threshold ~reference v =
+  v -. reference > wall_floor_s && v > reference *. (1. +. threshold)
+
 (* Complexity metrics ignore the relative threshold: the fitted class
    rank regresses on any increase, and the continuous exponent on an
    absolute drift past this tolerance (2.0 → 2.3 is a real asymptotic
@@ -155,9 +161,7 @@ let diff ?(threshold = default_threshold) old_a new_a =
                   if new_v <> old_v then begin
                     let regression =
                       match classify metric with
-                      | Wall ->
-                          new_v -. old_v > wall_floor_s
-                          && new_v > old_v *. (1. +. threshold)
+                      | Wall -> wall_regressed ~threshold ~reference:old_v new_v
                       | Size -> new_v > old_v *. (1. +. threshold)
                       | Complexity ->
                           if metric_base metric = "model_order" then new_v > old_v

@@ -40,6 +40,13 @@ val default_threshold : float
 (** 0.25 — a wall or size metric regresses when it worsens by more than
     25%. *)
 
+val wall_regressed : threshold:float -> reference:float -> float -> bool
+(** [wall_regressed ~threshold ~reference v]: [v] is worse than
+    [reference] by more than [threshold] (relative) and by more than
+    5 ms, so jitter on a tiny row never regresses. The rule {!diff}
+    applies to every wall metric, and the verdict of every in-artifact
+    wall gate ([Scaling.Artifacts.serve]'s and [parallel]'s ["gates"]). *)
+
 val exponent_tolerance : float
 (** 0.25 — absolute drift of a [fitted_exponent] past this is a
     regression, independent of the relative threshold; [model_order]

@@ -196,10 +196,17 @@ let snapshot () =
 
 let track_name ~main id = if id = main then "main" else Printf.sprintf "domain-%d" id
 
+(* Unique per write within the process, so two threads or domains
+   writing one path never share a temp file. *)
+let temp_count = Atomic.make 0
+
+let temp_path path =
+  Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ()) (Atomic.fetch_and_add temp_count 1)
+
 (* tmp + rename, like the cache: a reader never sees a half-written
    file, and a crashed write leaves the previous file intact. *)
 let write_channel path render =
-  let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
+  let tmp = temp_path path in
   let oc = open_out_bin tmp in
   match
     Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> render oc);

@@ -52,6 +52,13 @@ val set_meta : attrs -> unit
     every export: machine, options fingerprint, code version, jobs,
     totals. Later writes to the same key win. *)
 
+val temp_path : string -> string
+(** [temp_path path] is a fresh temp-file name beside [path]:
+    [<path>.tmp.<pid>.<n>], [n] from a per-process atomic counter, so no
+    two writers in any thread or domain of one process share it. The
+    temp name of every atomic writer: {!write_atomic}, the exports and
+    the result cache. *)
+
 val write_atomic : path:string -> Json_min.t -> unit
 (** [write_atomic ~path v] writes [v] as one JSON line to a temp file
     beside [path], then renames it over [path]: readers never see half a

@@ -3,8 +3,9 @@
 # property + randomized differential), smoke the CLI's exit-code
 # contract, certify suite machines with the independent checker (and
 # prove the checker catches injected faults), stress the
-# deadline/fallback path on a large generated machine, then smoke the
-# benchmark JSON emitters.
+# deadline/fallback path on a large generated machine, smoke the
+# benchmark JSON emitters, and last check the wall gates the serve and
+# parallel benches decided on their own measurements.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -247,35 +248,21 @@ $VALIDATE "$TMP/trace.jsonl" \
   || { echo "JSONL trace failed validation"; exit 1; }
 echo "  traced report bit-identical, both export formats validate: ok"
 
-echo "== bench-diff smoke: self-diff clean, injected regression fails =="
+echo "== bench-diff smoke: the committed parallel artifact self-diffs clean =="
+# Injected regressions are tier-1 rules over the fixtures in test/cli.
 $NOVA bench-diff BENCH_parallel.json BENCH_parallel.json > /dev/null \
   || { echo "self bench-diff reported a regression"; exit 1; }
-sed 's/"seq_wall_s":[0-9.eE+-]*/"seq_wall_s":9999.0/' BENCH_parallel.json \
-  > "$TMP/bench-regressed.json"
-rc=0; $NOVA bench-diff BENCH_parallel.json "$TMP/bench-regressed.json" \
-  > /dev/null || rc=$?
-[ "$rc" -eq 1 ] || { echo "injected regression: expected exit 1, got $rc"; exit 1; }
-echo "  bench-diff: self-diff exit 0, injected slowdown exit 1: ok"
+echo "  bench-diff: self-diff exit 0: ok"
 
-echo "== scaling bench smoke: quick grid, fitted-complexity gate =="
+echo "== scaling bench smoke: quick grid, valid artifact, clean self-diff =="
 # The quick grid (states 8-64, cheap algorithms, 3 reps) must produce a
-# valid nova-bench-scaling/v1 artifact...
+# valid nova-bench-scaling/v1 artifact that self-diffs clean.
 $NOVA bench scaling --quick --out "$TMP/BENCH_scaling.json" > /dev/null 2>&1
 grep -q '"schema":"nova-bench-scaling/v1"' "$TMP/BENCH_scaling.json" \
   || { echo "scaling artifact missing schema"; exit 1; }
-# ...that self-diffs clean...
 $NOVA bench-diff "$TMP/BENCH_scaling.json" "$TMP/BENCH_scaling.json" > /dev/null \
   || { echo "scaling self-diff reported a regression"; exit 1; }
-# ...while an injected complexity bump on one cell (a quadratic -> cubic
-# style class flip plus exponent drift; the values are pinned above any
-# class the noisy quick fit can legitimately produce) must fail the gate.
-sed '0,/"model_order":[0-9]*/s//"model_order":9/' "$TMP/BENCH_scaling.json" \
-  | sed '0,/"fitted_exponent":[-0-9.eE+]*/s//"fitted_exponent":99.0/' \
-  > "$TMP/BENCH_scaling_regressed.json"
-rc=0; $NOVA bench-diff "$TMP/BENCH_scaling.json" "$TMP/BENCH_scaling_regressed.json" \
-  > /dev/null || rc=$?
-[ "$rc" -eq 1 ] || { echo "injected exponent bump: expected exit 1, got $rc"; exit 1; }
-echo "  scaling: quick artifact valid, self-diff exit 0, exponent bump exit 1: ok"
+echo "  scaling: quick artifact valid, self-diff exit 0: ok"
 
 echo "== serve smoke: daemon round-trip, determinism, clean shutdown =="
 SOCK="$TMP/serve.sock"
@@ -409,7 +396,8 @@ rc=0; TMPDIR="$TMP/bt" $NOVA bench serve -m no-such-machine > /dev/null 2>&1 || 
 [ -z "$(ls -A "$TMP/bt")" ] || { echo "bench serve left files behind"; ls -A "$TMP/bt"; exit 1; }
 echo "  unknown machine: exit 5, nothing left in TMPDIR: ok"
 
-echo "== serve bench gates: warm and coalesced >= 5x better than cold =="
+echo "== serve bench: tier artifact valid, wall gates recorded =="
+# The artifact's "gates" are checked in the last step (wall gates).
 TMPDIR="$TMP/bt" $NOVA bench serve -o "$TMP/BENCH_serve.json" > /dev/null 2>&1
 [ -z "$(ls -A "$TMP/bt")" ] || { echo "bench serve left files behind"; ls -A "$TMP/bt"; exit 1; }
 grep -q '"schema":"nova-bench-serve/v1"' "$TMP/BENCH_serve.json" \
@@ -418,31 +406,7 @@ grep -q '"warm_origin":"cached"' "$TMP/BENCH_serve.json" \
   || { echo "warm tier missed the cache"; exit 1; }
 $NOVA bench-diff BENCH_serve.json BENCH_serve.json > /dev/null \
   || { echo "serve self-diff reported a regression"; exit 1; }
-# Pseudo-baseline gate (the par<=seq pattern): set both fast tiers to
-# cold/5; bench-diff then fails iff a measured tier is slower than
-# that — i.e. less than 5x better than this run's own cold tier.
-cold=$(sed 's/.*"cold_wall_s":\([0-9.eE+-]*\).*/\1/' "$TMP/BENCH_serve.json")
-tier_gate=$(awk "BEGIN{printf \"%.6f\", $cold / 5}")
-sed "s/\"warm_wall_s\":[0-9.eE+-]*/\"warm_wall_s\":$tier_gate/; \
-     s/\"coalesced_wall_s\":[0-9.eE+-]*/\"coalesced_wall_s\":$tier_gate/" \
-  "$TMP/BENCH_serve.json" > "$TMP/BENCH_serve_gate.json"
-$NOVA bench-diff "$TMP/BENCH_serve_gate.json" "$TMP/BENCH_serve.json" > /dev/null \
-  || { echo "warm/coalesced tier less than 5x better than cold"; exit 1; }
-echo "  nova-bench-serve/v1 valid, self-diff clean, 5x tier gates: ok"
-
-echo "== metrics gate: the metered hot path must cost ~nothing =="
-# The serve artifact records the same warm loop metered (registry on)
-# and bare (registry off); a pseudo-baseline whose metered wall equals
-# the bare wall makes bench-diff fail iff metering costs more than the
-# threshold + wall floor.
-metered=$(sed 's/.*"metered_wall_s":\([0-9.eE+-]*\).*/\1/' "$TMP/BENCH_serve.json")
-bare=$(sed 's/.*"bare_wall_s":\([0-9.eE+-]*\).*/\1/' "$TMP/BENCH_serve.json")
-sed "s/\"metered_wall_s\":[0-9.eE+-]*/\"metered_wall_s\":$bare/" \
-  "$TMP/BENCH_serve.json" > "$TMP/BENCH_serve_metered_base.json"
-$NOVA bench-diff -t 25 "$TMP/BENCH_serve_metered_base.json" "$TMP/BENCH_serve.json" \
-  > /dev/null \
-  || { echo "metrics overhead beyond threshold (bare=$bare metered=$metered)"; exit 1; }
-echo "  metered wall within 25% of bare wall: ok"
+echo "  nova-bench-serve/v1 valid, self-diff clean: ok"
 
 echo "== paper tables: quick run matches the expected tables =="
 # bench/main.exe prints the paper's Tables I-VI, the two area-ratio
@@ -462,34 +426,8 @@ diff bench/tables_quick.expected "$TMP/tables-quick.txt" \
 echo "  Tables I-VI, figures VIII-IX and ablations unchanged: ok"
 
 echo "== bench smoke (quick parallel executor) =="
+# The artifact's "gates" are checked in the last step (wall gates).
 $NOVA bench parallel --quick --jobs 2 -o "$TMP/BENCH_parallel.json"
-
-echo "== parallel gate: pool must not be slower than sequential =="
-# Sequential fallback satellite: construct a pseudo-baseline whose
-# par_wall_s equals the measured seq_wall_s; bench-diff then fails iff
-# the pool path is slower than sequential beyond the threshold. On a
-# single-core runner effective_jobs forces the pool path to run
-# sequentially, so this gate also catches the fallback regressing.
-seq_wall=$(sed 's/.*"seq_wall_s":\([0-9.eE+-]*\).*/\1/' "$TMP/BENCH_parallel.json")
-sed "s/\"par_wall_s\":[0-9.eE+-]*/\"par_wall_s\":$seq_wall/" "$TMP/BENCH_parallel.json" \
-  > "$TMP/BENCH_parallel_seqbase.json"
-$NOVA bench-diff -t 30 "$TMP/BENCH_parallel_seqbase.json" "$TMP/BENCH_parallel.json" \
-  > /dev/null \
-  || { echo "pool path slower than sequential beyond threshold"; exit 1; }
-echo "  par_wall <= seq_wall (30% slack): ok"
-
-echo "== supervision gate: retry machinery must cost ~nothing =="
-# The committed artifact now records supervised vs bare walls; on this
-# run's fresh artifact the overhead must stay under 1% + measurement
-# slack (gated as a wall metric pair at 25%).
-sup_wall=$(sed 's/.*"supervised_wall_s":\([0-9.eE+-]*\).*/\1/' "$TMP/BENCH_parallel.json")
-unsup_wall=$(sed 's/.*"unsupervised_wall_s":\([0-9.eE+-]*\).*/\1/' "$TMP/BENCH_parallel.json")
-sed "s/\"supervised_wall_s\":[0-9.eE+-]*/\"supervised_wall_s\":$unsup_wall/" \
-  "$TMP/BENCH_parallel.json" > "$TMP/BENCH_parallel_barebase.json"
-$NOVA bench-diff -t 25 "$TMP/BENCH_parallel_barebase.json" "$TMP/BENCH_parallel.json" \
-  > /dev/null \
-  || { echo "supervision overhead beyond threshold (bare=$unsup_wall supervised=$sup_wall)"; exit 1; }
-echo "  supervised wall within 25% of bare wall: ok"
 
 echo "== bench smoke (quick espresso kernels) =="
 $NOVA bench espresso --quick -o "$TMP/BENCH_espresso.json"
@@ -505,5 +443,21 @@ if grep -qF '"ok":false' "$TMP/BENCH_check.json" || grep -qF '"error":' "$TMP/BE
   echo "certification bench: a row failed or never certified"; exit 1
 fi
 echo "  every quick certification row ok: ok"
+
+echo "== wall gates: the serve and parallel benches' own verdicts =="
+# Each artifact's "gates" were decided where they were measured, by
+# bench-diff's wall rule: a value fails when it is over its limit by more
+# than its slack and by more than 5 ms. The fast serve tiers' limit is
+# cold/5 at 25 % slack: at least 4x faster than cold when cold >= 0.1 s,
+# less below that. Checked last, so a wall flake hides no other step.
+rc=0
+for gates in "BENCH_serve.json 3" "BENCH_parallel.json 2"; do
+  set -- $gates
+  [ "$(grep -o '"gate":' "$TMP/$1" | wc -l)" -eq "$2" ] || { echo "$1: not $2 gates"; exit 1; }
+  failed=$(grep -o '{"gate":[^}]*"pass":false}' "$TMP/$1" || true)
+  [ -z "$failed" ] || { echo "$1: wall gate failed: $failed"; rc=1; }
+done
+[ "$rc" -eq 0 ] || exit 1
+echo "  3 serve and 2 parallel wall gates pass: ok"
 
 echo "CI OK"

@@ -414,6 +414,62 @@ let test_bench_diff_threshold () =
   check_int "past a tight threshold" 1
     (Bench_diff.num_regressions (Bench_diff.diff ~threshold:0.10 old_a new_a))
 
+(* The one wall rule, at its edges: the relative slack is inclusive,
+   and nothing within the 5 ms floor fails however large in relative
+   terms. *)
+let test_wall_rule_edges () =
+  let regressed = Bench_diff.wall_regressed ~threshold:0.25 in
+  let limit = 0.1 in
+  check "limit x 1.25 passes" false (regressed ~reference:limit (limit *. 1.25));
+  check "just above limit x 1.25, over the floor, fails" true
+    (regressed ~reference:limit (Float.succ (limit *. 1.25)));
+  check "4.9 ms over a 10 ms limit passes (49% worse)" false (regressed ~reference:0.010 0.0149);
+  check "an equal value passes" false (regressed ~reference:limit limit)
+
+(* A parallel artifact carries exactly its two wall gates, and each
+   verdict is the rule applied to the values it records. *)
+let test_parallel_artifact_gates () =
+  let quiet = Format.make_formatter (fun _ _ _ -> ()) ignore in
+  let a =
+    Scaling.Artifacts.parallel ~machines:[ Benchmarks.Suite.find "lion" ] ~quick:true ~jobs:1
+      quiet
+  in
+  let field k g = Option.get (Json_min.member k g) in
+  let num k g = Option.get (Json_min.to_float (field k g)) in
+  let gates = Option.get (Option.bind (Json_min.member "gates" a) Json_min.to_list) in
+  Alcotest.(check (list string))
+    "the two parallel gates" [ "pool_vs_sequential"; "supervised_vs_bare" ]
+    (List.map (fun g -> Option.get (Json_min.to_string (field "gate" g))) gates);
+  List.iter
+    (fun g ->
+      let rule =
+        not
+          (Bench_diff.wall_regressed ~threshold:(num "slack" g) ~reference:(num "limit_s" g)
+             (num "value_s" g))
+      in
+      check "pass is the wall rule on the recorded values" rule
+        (field "pass" g = Json_min.Bool true))
+    gates
+
+(* Two domains writing one path each get their own temp file: no write
+   raises, every read parses, and no temp file is left behind. *)
+let test_write_atomic_two_writers () =
+  with_temp_dir @@ fun dir ->
+  let path = Filename.concat dir "artifact.json" in
+  let value = Json_min.Arr (List.init 20_000 (fun i -> Json_min.Num (float_of_int i))) in
+  let writer () =
+    for _ = 1 to 200 do
+      Trace.write_atomic ~path value;
+      ignore (Json_min.of_file path)
+    done
+  in
+  let d = Stdlib.Domain.spawn writer in
+  writer ();
+  Stdlib.Domain.join d;
+  check "the file holds the value" true (Json_min.of_file path = value);
+  check "no temp file left" false
+    (Array.exists (fun f -> f <> "artifact.json") (Sys.readdir dir))
+
 let suite =
   [
     Alcotest.test_case "taut_fast saturates past-max_int spaces (overflow fix)" `Quick
@@ -451,4 +507,9 @@ let suite =
     Alcotest.test_case "bench-diff: complexity metrics gate absolutely" `Quick
       test_bench_diff_complexity_gate;
     Alcotest.test_case "bench-diff: threshold is configurable" `Quick test_bench_diff_threshold;
+    Alcotest.test_case "bench-diff: the wall rule at its edges" `Quick test_wall_rule_edges;
+    Alcotest.test_case "artifacts: parallel gates follow the wall rule" `Quick
+      test_parallel_artifact_gates;
+    Alcotest.test_case "trace: two writers of one path never tear it" `Quick
+      test_write_atomic_two_writers;
   ]

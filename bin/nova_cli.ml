@@ -316,8 +316,8 @@ let encode_cmd =
 
 let jobs_arg =
   let doc =
-    "Worker domains for the portfolio executor (1 = sequential, below 1 is refused; results \
-     are bit-identical for every value)."
+    "Worker domains for the portfolio executor (1 = sequential, below 1 is refused, above \
+     the available cores is capped at them; results are bit-identical for every value)."
   in
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
@@ -649,8 +649,7 @@ let bench_parallel_cmd =
   Cmd.v
     (Cmd.info "parallel"
        ~doc:
-         "Run the portfolio sequentially, pooled, supervised and bare, and cold then warm \
-          against a fresh cache.")
+         "Run the portfolio sequentially, pooled, and cold then warm against a fresh cache.")
     Term.(const run $ quick_arg $ jobs_arg $ out_arg "parallel")
 
 let bench_serve_cmd =
@@ -690,8 +689,9 @@ let bench_cmd =
 
 let bench_diff_cmd =
   let run threshold old_path new_path =
-    if threshold < 0. then
-      fail_with (Nova_error.Invalid_request "bench-diff: threshold must be non-negative")
+    if not (Float.is_finite threshold && threshold >= 0.) then
+      fail_with
+        (Nova_error.Invalid_request "bench-diff: threshold must be finite and non-negative")
     else
       let threshold = threshold /. 100. in
       match (Bench_diff.load old_path, Bench_diff.load new_path) with
@@ -783,8 +783,9 @@ let serve_cmd =
   let max_inflight_arg =
     let doc =
       "Concurrent compute slots: how many requests may be computing at once (coalesced \
-       requests share a slot; connections are unbounded). The default of 1 serializes \
-       compute, which also keeps a $(b,--trace) artifact's span stacks valid."
+       requests share a slot; connections are unbounded; below 1 is refused). The default \
+       of 1 serializes compute, which also keeps a $(b,--trace) artifact's span stacks \
+       valid."
     in
     Arg.(value & opt int 1 & info [ "max-inflight" ] ~docv:"N" ~doc)
   in
@@ -816,7 +817,7 @@ let serve_cmd =
     Arg.(value & opt (some string) None & info [ "flight-record" ] ~docv:"FILE" ~doc)
   in
   let flight_capacity_arg =
-    let doc = "Flight-recorder ring size (last N request summaries)." in
+    let doc = "Flight-recorder ring size (last N request summaries; below 1 is refused)." in
     Arg.(
       value
       & opt int Serve.Server.default_flight_capacity
@@ -824,9 +825,16 @@ let serve_cmd =
   in
   let run socket jobs max_inflight cap_ms cap_work cache_dir no_cache quiet trace chaos
       chaos_seed access_log flight_record flight_capacity =
+    let below_one flag n =
+      if n < 1 then Error (Nova_error.Invalid_request ("serve: " ^ flag ^ " must be >= 1"))
+      else Ok ()
+    in
     match
-      Result.bind (prepare_pool ~verb:"serve" ~quiet jobs chaos chaos_seed) (fun () ->
-          open_cache ~no_cache cache_dir)
+      let ( let* ) = Result.bind in
+      let* () = below_one "--max-inflight" max_inflight in
+      let* () = below_one "--flight-capacity" flight_capacity in
+      let* () = prepare_pool ~verb:"serve" ~quiet jobs chaos chaos_seed in
+      open_cache ~no_cache cache_dir
     with
     | Error err -> fail_with err
     | Ok cache -> (
@@ -932,6 +940,8 @@ let client_cmd =
     let run socket interval_ms count =
       if interval_ms <= 0 then
         fail_with (Nova_error.Invalid_request "client watch: --interval must be positive")
+      else if count < 0 then
+        fail_with (Nova_error.Invalid_request "client watch: --count must be >= 0")
       else begin
         (* Counter deltas are against the previous tick, keyed by the
            rendered series (name plus sorted labels). *)
@@ -1024,7 +1034,7 @@ let client_cmd =
       Arg.(value & opt int 1000 & info [ "interval" ] ~docv:"MS" ~doc)
     in
     let count_arg =
-      let doc = "Stop after N polls (0 = poll until interrupted)." in
+      let doc = "Stop after N polls (0 = poll until interrupted; below 0 is refused)." in
       Arg.(value & opt int 0 & info [ "n"; "count" ] ~docv:"N" ~doc)
     in
     Cmd.v

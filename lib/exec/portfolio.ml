@@ -58,14 +58,13 @@ let count_row (row : Job.row) =
          match row.Job.result with Ok _ -> "ok" | Error _ -> "error" ));
   row
 
-(* Sequential fallback: a domain pool on a machine without spare cores
-   is pure overhead (domain spawn/join, cache-line contention) — the
-   measured BENCH_parallel slowdown. When the runtime recommends no
-   more parallelism than one domain, run in-process regardless of the
-   requested [jobs]; rows are bit-identical either way, so this is a
-   pure wall-clock fix. *)
-let effective_jobs ~available ~requested =
-  if requested <= 1 then 1 else if available <= 1 then 1 else requested
+(* Sequential fallback: domains beyond the cores the runtime
+   recommends are pure overhead (domain spawn/join, cache-line
+   contention) — the measured BENCH_parallel slowdown. [jobs] is capped
+   at that count, so one core runs in-process whatever was requested;
+   rows are bit-identical either way, so this is a pure wall-clock
+   fix. *)
+let effective_jobs ~available ~requested = max 1 (min requested available)
 
 let plan_jobs requested =
   let effective = effective_jobs ~available:(Pool.available_jobs ()) ~requested in
@@ -94,13 +93,13 @@ let traced_job (task : Job.task) f =
         ("algorithm", Trace.String (Harness.Driver.name task.Job.algorithm)) ]
 
 (* The supervised compute step: quarantine check, then Job.run under
-   retry/backoff. The Rung chaos site fires at the job boundary (an
+   immediate retry. The Rung chaos site fires at the job boundary (an
    encoding algorithm crashing); because it fires before Job.run builds
    its budget, a retried attempt starts from clean budget state and a
    fully absorbed schedule reproduces the fault-free result bit for
    bit. *)
-let supervised_run policy ?budget ?ctx (task : Job.task) =
-  Supervise.run policy ~machine:task.Job.machine.Fsm.name
+let supervised_run ?budget ?ctx (task : Job.task) =
+  Supervise.run ~machine:task.Job.machine.Fsm.name
     ~algorithm:(Harness.Driver.name task.Job.algorithm)
     (fun () ->
       Chaos.maybe_raise Chaos.Rung;
@@ -119,7 +118,7 @@ let supervised_run policy ?budget ?ctx (task : Job.task) =
    enter the cache. The intrinsic cap trips on the child, never the
    parent, so those stores proceed as usual. [settle] sees each row
    before it is counted (the racing bookkeeping). *)
-let job_step ~policy ?cache ?outer ?ctx ?(settle = Fun.id) (task : Job.task) =
+let job_step ?cache ?outer ?ctx ?(settle = Fun.id) (task : Job.task) =
   traced_job task @@ fun () ->
   let t0 = Unix.gettimeofday () in
   let finish result origin =
@@ -133,15 +132,14 @@ let job_step ~policy ?cache ?outer ?ctx ?(settle = Fun.id) (task : Job.task) =
         | Some b, Some w -> Some (Budget.sub ~max_work:w b)
         | outer, _ -> outer
       in
-      let result = supervised_run policy ?budget ?ctx task in
+      let result = supervised_run ?budget ?ctx task in
       let externally_degraded = match outer with Some b -> Budget.exhausted b | None -> false in
       (match (cache, result) with
       | Some c, Ok s when not externally_degraded -> Cache.store c task s
       | _ -> ());
       finish result Job.Computed
 
-let run_task ?(policy = Supervise.default_policy) ?cache ?budget task =
-  job_step ~policy ?cache ?outer:budget task
+let run_task ?cache ?budget task = job_step ?cache ?outer:budget task
 
 (* [step] over the tasks on the pool, in task order. A slot the pool
    itself had to isolate (an injected domain death, or a crash outside
@@ -183,12 +181,12 @@ let contexts tasks =
           ctx)
     tasks
 
-let run ?(jobs = 1) ?cache ?(policy = Supervise.default_policy) tasks =
+let run ?(jobs = 1) ?cache tasks =
   let jobs = plan_jobs jobs in
   let tasks = Array.of_list tasks in
   let ctxs = contexts tasks in
   Array.to_list
-    (run_pooled ~jobs tasks (fun i t -> job_step ~policy ?cache ~ctx:ctxs.(i) t))
+    (run_pooled ~jobs tasks (fun i t -> job_step ?cache ~ctx:ctxs.(i) t))
 
 (* --- racing ------------------------------------------------------------- *)
 
@@ -196,7 +194,7 @@ let acceptable = function
   | Ok (s : Job.success) -> s.Job.degraded = []
   | Error _ -> false
 
-let race ?(jobs = 1) ?cache ?(policy = Supervise.default_policy) tasks =
+let race ?(jobs = 1) ?cache tasks =
   let jobs = plan_jobs jobs in
   let tasks = Array.of_list tasks in
   let n = Array.length tasks in
@@ -267,7 +265,7 @@ let race ?(jobs = 1) ?cache ?(policy = Supervise.default_policy) tasks =
   in
   let run_racer i (task : Job.task) =
     if Atomic.get winner < i then traced_job task (fun () -> skipped task)
-    else job_step ~policy ?cache ~outer:roots.(i) ~settle:(settle i) task
+    else job_step ?cache ~outer:roots.(i) ~settle:(settle i) task
   in
   let rows = run_pooled ~jobs tasks run_racer in
   let best_by_area () =

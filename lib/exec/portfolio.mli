@@ -22,39 +22,34 @@
     root ({!race}).
 
     {b Supervision}: every compute step runs under {!Supervise.run} —
-    a crash inside an encoder retries with seeded backoff per the
-    [policy] (default {!Supervise.default_policy}), exhausted retries
-    settle the row as [Error (Job_crashed _)], and an algorithm that
-    exhausts its retries twice on the same machine is quarantined
-    (skipped with a typed row, [attempts = 0]) for the rest of the
-    process. A crash that escapes the supervisor and kills a pool
+    a crashed encoder runs again at once, up to three attempts in all,
+    exhausted retries settle the row as [Error (Job_crashed _)], and
+    an algorithm that exhausts its retries twice on the same machine
+    is quarantined (skipped with a typed row, [attempts = 0]) for the
+    rest of the process. A crash that escapes the supervisor and kills a pool
     worker (e.g. an injected [Chaos.Pool_worker] fault) is isolated to
     its slot by {!Pool.mapi_isolated} and the job restarts once,
     supervised, on the calling domain. No failure mode raises out of
     [run] or [race] short of [Out_of_memory]/[Stack_overflow]/
     [Sys.Break].
 
-    {b Sequential fallback}: when {!Pool.available_jobs} recommends no
-    parallelism (a single-core container), [jobs] is forced to 1 —
-    spawning domains there is measurable pure overhead. Rows are
-    bit-identical either way. *)
+    {b Sequential fallback}: [jobs] is capped at
+    {!Pool.available_jobs}, so a single-core container runs
+    sequentially — domains beyond the cores are measurable pure
+    overhead. Rows are bit-identical either way. *)
 
 (** [effective_jobs ~available ~requested] is the domain count actually
-    used: [requested], or [1] when [available <= 1] (pure-overhead
-    pool). Exposed for tests and the bench harness. *)
+    used: [requested] capped at [available], and at least [1].
+    Exposed for tests and the bench harness. *)
 val effective_jobs : available:int -> requested:int -> int
 
-(** [run ?jobs ?cache ?policy tasks] executes every task and returns one
-    row per task, in task order. [jobs] defaults to 1. With [cache],
-    each task first consults the content-addressed store (entries
-    re-certify before being trusted) and stores its freshly computed
-    result. [policy] governs crash retry/backoff (default
-    {!Supervise.default_policy}; pass {!Supervise.off} to fail fast). *)
-val run :
-  ?jobs:int -> ?cache:Cache.t -> ?policy:Supervise.policy ->
-  Job.task list -> Job.row list
+(** [run ?jobs ?cache tasks] executes every task and returns one row
+    per task, in task order. [jobs] defaults to 1. With [cache], each
+    task first consults the content-addressed store (entries re-certify
+    before being trusted) and stores its freshly computed result. *)
+val run : ?jobs:int -> ?cache:Cache.t -> Job.task list -> Job.row list
 
-(** [run_task ?policy ?cache ?budget task] is the job step {!run}
+(** [run_task ?cache ?budget task] is the job step {!run}
     applies to each task, exposed for callers that schedule jobs
     themselves (the [lib/serve] daemon). [budget] is the {e outer}
     budget: an admission budget (a serving layer's per-request
@@ -66,11 +61,9 @@ val run :
     its degradation came from something outside the content address.
     A trip of the task's intrinsic cap stores as usual. With [budget]
     absent this is bit-identical to a 1-task {!run}. *)
-val run_task :
-  ?policy:Supervise.policy -> ?cache:Cache.t -> ?budget:Budget.t ->
-  Job.task -> Job.row
+val run_task : ?cache:Cache.t -> ?budget:Budget.t -> Job.task -> Job.row
 
-(** [race ?jobs ?cache ?policy tasks] races the tasks (one machine's
+(** [race ?jobs ?cache tasks] races the tasks (one machine's
     portfolio rungs) against each other and returns the rows (task
     order: losers keep their cancelled/partial status) plus the index
     of the winner, or [None] if no task produced a usable result.
@@ -103,9 +96,7 @@ val run_task :
     settles as [Error (Job_crashed _)] — never acceptable, so the race
     falls through to the next-preferred rung exactly as a degraded
     result would. *)
-val race :
-  ?jobs:int -> ?cache:Cache.t -> ?policy:Supervise.policy ->
-  Job.task list -> Job.row list * int option
+val race : ?jobs:int -> ?cache:Cache.t -> Job.task list -> Job.row list * int option
 
 (** [default_algorithms] is the racing/reporting portfolio, preference
     first: iexact (capped), iohybrid, ihybrid, igreedy, then the kiss /

@@ -3,12 +3,14 @@
 
    Three mechanisms, composed by Portfolio and Cache:
 
-   - [retry]: runs a job thunk under a policy of seeded jittered
-     exponential backoff. Only *crashes* (exceptions) are retried —
-     typed [Nova_error.t] results are deterministic verdicts and pass
-     straight through (Nova_error.is_transient). Asynchronous/fatal
-     exceptions (Out_of_memory, Stack_overflow, user interrupt) are
-     never swallowed: the supervisor re-raises them immediately.
+   - retry: runs a job thunk again at once when it crashes, up to
+     [max_attempts] attempts in all. Only *crashes* (exceptions) are
+     retried — typed [Nova_error.t] results are deterministic verdicts
+     and pass straight through. Asynchronous/fatal exceptions
+     (Out_of_memory, Stack_overflow, user interrupt) are never
+     swallowed: the supervisor re-raises them immediately. Faults come
+     from in-process encoder runs and Chaos fires by invocation index,
+     so waiting between attempts would outrun nothing.
 
    - quarantine: a per-process registry of (machine, algorithm) pairs
      whose jobs crashed through their whole attempt budget. After
@@ -24,8 +26,7 @@
 (* Production metrics: crash counts labeled by the site that crashed
    ("job" for supervised runs, the first word of [protect]'s ~what for
    infrastructure — "cache", "recertify" — keeping label cardinality
-   bounded), retry/skip totals, the backoff latency distribution, and
-   the quarantine occupancy gauge. *)
+   bounded), retry/skip totals, and the quarantine occupancy gauge. *)
 let m_retries = Metrics.Registry.counter ~help:"Supervised retries." "nova_supervise_retries_total"
 
 let m_crashes site =
@@ -36,10 +37,6 @@ let m_skips =
   Metrics.Registry.counter ~help:"Jobs skipped because their (machine, algorithm) is quarantined."
     "nova_quarantine_skips_total"
 
-let m_backoff =
-  Metrics.Registry.histogram ~help:"Retry backoff sleeps in seconds."
-    "nova_supervise_backoff_seconds"
-
 let m_occupancy =
   Metrics.Registry.gauge ~help:"(machine, algorithm) pairs currently past the quarantine threshold."
     "nova_quarantine_occupancy"
@@ -47,34 +44,12 @@ let m_occupancy =
 let crash_site_of_what what =
   match String.index_opt what ' ' with Some i -> String.sub what 0 i | None -> what
 
-type policy = { max_attempts : int; base_backoff_ms : float }
-
-let default_policy = { max_attempts = 3; base_backoff_ms = 1.0 }
-
-(* One attempt, no backoff: the unsupervised reference path the bench
-   overhead measurement compares against. *)
-let off = { max_attempts = 1; base_backoff_ms = 0.0 }
-
-let backoff_multiplier = 2.0
-let backoff_jitter = 0.5
+let max_attempts = 3
 
 let quiet = ref false
 
 let warn fmt =
   Printf.ksprintf (fun line -> if not !quiet then prerr_endline ("nova: warning: " ^ line)) fmt
-
-(* Backoff for the [attempt]-th failure (1-based): exponential in the
-   attempt with a deterministic jitter drawn from (job key, attempt) —
-   seeded, so a replayed run backs off identically. *)
-let backoff_ms policy ~key ~attempt =
-  if policy.base_backoff_ms <= 0.0 then 0.0
-  else
-    let base = policy.base_backoff_ms *. (backoff_multiplier ** float_of_int (attempt - 1)) in
-    let rng = Random.State.make [| 0xbac0ff; 0; Hashtbl.hash key; attempt |] in
-    let spread = backoff_jitter *. base in
-    base -. spread +. (2.0 *. spread *. Random.State.float rng 1.0)
-
-let sleep_ms ms = if ms > 0.0 then Unix.sleepf (ms /. 1000.0)
 
 let describe_exn e bt =
   let head =
@@ -156,7 +131,7 @@ let quarantine_snapshot () =
 
 let job_name ~machine ~algorithm = Printf.sprintf "%s on %s" algorithm machine
 
-let retry_instant ~machine ~algorithm ~attempt ~backoff detail =
+let retry_instant ~machine ~algorithm ~attempt detail =
   if Trace.enabled () then
     Trace.instant "supervise.retry"
       ~attrs:
@@ -164,7 +139,6 @@ let retry_instant ~machine ~algorithm ~attempt ~backoff detail =
           ("machine", Trace.String machine);
           ("algorithm", Trace.String algorithm);
           ("attempt", Trace.Int attempt);
-          ("backoff_ms", Trace.Float backoff);
           ("error", Trace.String detail);
         ]
 
@@ -179,12 +153,12 @@ let quarantine_instant ~machine ~algorithm ~crashes detail =
           ("error", Trace.String detail);
         ]
 
-(* [run policy ~machine ~algorithm f] is [f ()] under supervision:
-   typed results pass through; a crash is retried with backoff up to
-   [policy.max_attempts] total attempts, then recorded as an exhausted
-   cycle and returned as [Job_crashed]. A pair past the quarantine
-   threshold is skipped without running [f] at all. *)
-let run policy ~machine ~algorithm f =
+(* [run ~machine ~algorithm f] is [f ()] under supervision: typed
+   results pass through; a crash is retried at once up to
+   [max_attempts] total attempts, then recorded as an exhausted cycle
+   and returned as [Job_crashed]. A pair past the quarantine threshold
+   is skipped without running [f] at all. *)
+let run ~machine ~algorithm f =
   match quarantined ~machine ~algorithm with
   | Some (crashes, detail) ->
       Metrics.Registry.inc m_skips;
@@ -206,20 +180,17 @@ let run policy ~machine ~algorithm f =
         | exception e when not (Nova_error.is_fatal e) ->
             let detail = describe_exn e (Printexc.get_backtrace ()) in
             Metrics.Registry.inc (m_crashes "job");
-            if n < policy.max_attempts then begin
-              let backoff = backoff_ms policy ~key:(machine ^ "/" ^ algorithm) ~attempt:n in
+            if n < max_attempts then begin
               Metrics.Registry.inc m_retries;
-              Metrics.Registry.observe m_backoff (backoff /. 1000.);
-              retry_instant ~machine ~algorithm ~attempt:n ~backoff detail;
-              warn "%s crashed (attempt %d/%d): %s; retrying in %.1fms"
-                (job_name ~machine ~algorithm) n policy.max_attempts detail backoff;
-              sleep_ms backoff;
+              retry_instant ~machine ~algorithm ~attempt:n detail;
+              warn "%s crashed (attempt %d/%d): %s; retrying" (job_name ~machine ~algorithm) n
+                max_attempts detail;
               attempt_from (n + 1)
             end
             else begin
               let cycles = record_crash_cycle ~machine ~algorithm detail in
               warn "%s crashed %d/%d attempts, giving up (crashed runs: %d): %s"
-                (job_name ~machine ~algorithm) n policy.max_attempts cycles detail;
+                (job_name ~machine ~algorithm) n max_attempts cycles detail;
               Error
                 (Nova_error.Job_crashed
                    { job = job_name ~machine ~algorithm; attempts = n; detail })

@@ -1,15 +1,15 @@
 (** The supervision layer of the execution stack.
 
-    Converts runtime failures into typed, traced, recoverable events,
-    per the taxonomy in {!Nova_error.is_transient}: crashes (exceptions)
-    are transient and retried; typed error results are deterministic
-    verdicts and pass through untouched; fatal exceptions
+    Converts runtime failures into typed, traced, recoverable events:
+    crashes (exceptions) are retried; typed error results are
+    deterministic verdicts and pass through untouched; fatal exceptions
     ([Out_of_memory], [Stack_overflow], [Sys.Break]) are re-raised
     immediately and never swallowed.
 
-    {b Retry}: seeded jittered exponential backoff. The jitter is drawn
-    from (job key, attempt), so a replayed run backs off identically —
-    supervision adds no nondeterminism.
+    {b Retry}: a crashed job runs again at once, up to
+    {!max_attempts} attempts in all. There is no wait between
+    attempts: the jobs are in-process encoder runs, and nothing a
+    delay could outrun makes them crash.
 
     {b Quarantine}: a per-process registry of (machine, algorithm)
     pairs whose jobs crashed through their whole attempt budget. After
@@ -22,32 +22,11 @@
     skip, with attempt counts and reasons; {!quiet} (the CLI's
     [--quiet]) suppresses them. *)
 
-type policy = {
-  max_attempts : int;  (** total attempts, including the first (>= 1) *)
-  base_backoff_ms : float;  (** backoff before the second attempt *)
-}
-
-(** 3 attempts, 1ms base backoff. *)
-val default_policy : policy
-
-(** One attempt, no backoff: the unsupervised reference path (bench
-    measures its wall time against {!default_policy}'s). *)
-val off : policy
+(** Total attempts per supervised job, the first included (3). *)
+val max_attempts : int
 
 (** Suppresses the retry / give-up / quarantine stderr warnings. *)
 val quiet : bool ref
-
-(** Backoff growth per further attempt (2.0) and relative jitter: a
-    backoff varies by +-[backoff_jitter] (0.5). *)
-val backoff_multiplier : float
-
-val backoff_jitter : float
-
-(** [backoff_ms policy ~key ~attempt] is the deterministic backoff
-    before retry number [attempt + 1] (1-based failures) of job [key].
-    Always within [base * backoff_multiplier^(attempt-1)] times
-    [1 +- backoff_jitter]. *)
-val backoff_ms : policy -> key:string -> attempt:int -> float
 
 (** Exhausted crash cycles after which a (machine, algorithm) pair is
     skipped (currently 2). *)
@@ -79,12 +58,11 @@ type quarantine_entry = {
     verbs. *)
 val quarantine_snapshot : unit -> quarantine_entry list
 
-(** [run policy ~machine ~algorithm f] supervises one job: quarantine
-    check, then [f] with retry/backoff on crashes. Returns [f]'s own
-    result, or [Error (Job_crashed _)] after the attempt budget (or a
-    quarantine skip). Never raises except fatal exceptions. *)
+(** [run ~machine ~algorithm f] supervises one job: quarantine check,
+    then [f], run again at once on a crash. Returns [f]'s own result,
+    or [Error (Job_crashed _)] after {!max_attempts} crashed attempts
+    (or a quarantine skip). Never raises except fatal exceptions. *)
 val run :
-  policy ->
   machine:string ->
   algorithm:string ->
   (unit -> ('a, Nova_error.t) result) ->

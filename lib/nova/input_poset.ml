@@ -179,14 +179,3 @@ let count_cond3 t k0 =
 let mincube_dim t =
   let k0 = Encoding.min_code_length t.num_states in
   count_cond3 t (count_cond2 t (count_cond1 t k0))
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>input poset over %d states:@," t.num_states;
-  Array.iter
-    (fun e ->
-      Format.fprintf ppf "  [%d] %a card=%d cat=%d fathers=%a@," e.id Bitvec.pp e.states e.card
-        e.category
-        (Format.pp_print_list ~pp_sep:Format.pp_print_space Format.pp_print_int)
-        e.fathers)
-    t.elements;
-  Format.fprintf ppf "@]"

@@ -49,5 +49,3 @@ val share_children : element -> element -> bool
     the paper's three counting arguments (Section 3.3.2): face supply per
     level, father counts, and virtual states of uneven constraints. *)
 val mincube_dim : t -> int
-
-val pp : Format.formatter -> t -> unit

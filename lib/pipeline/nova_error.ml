@@ -41,18 +41,6 @@ let exit_code = function
   | Certification_failed _ -> 6
   | Job_crashed _ -> 7
 
-(* The supervisor's retry taxonomy. Crashes are transient: they come
-   from runtime faults (a dying domain, injected chaos, an I/O error
-   surfacing as an exception) that a retry can genuinely outrun. Every
-   other constructor is a deterministic verdict about the input or the
-   budget — retrying replays the same computation to the same end, so
-   the supervisor must not burn attempts on them. *)
-let is_transient = function
-  | Job_crashed _ -> true
-  | Budget_exhausted _ | Parse_error _ | Infeasible _ | Invalid_request _
-  | Certification_failed _ ->
-      false
-
 (* Fatal exceptions cross every barrier that turns the others into
    values (a pool slot, a retry, a cache write, a daemon response):
    absorbing an OOM or a user interrupt would hide a dying process. *)

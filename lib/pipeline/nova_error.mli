@@ -48,13 +48,6 @@ val to_string : t -> string
     crash (distinct per constructor). *)
 val exit_code : t -> int
 
-(** [is_transient e] is the supervisor's retry taxonomy: [true] only for
-    {!Job_crashed} (runtime faults a retry can outrun). Deterministic
-    verdicts — [Parse_error], [Certification_failed], [Infeasible],
-    [Invalid_request], [Budget_exhausted] — are permanent: retrying
-    replays the same computation to the same end. *)
-val is_transient : t -> bool
-
 (** [is_fatal e] holds for the exceptions no layer may turn into a
     value — [Out_of_memory], [Stack_overflow] and [Sys.Break]: the pool,
     the supervisor, the cache writer and the daemon re-raise them. *)

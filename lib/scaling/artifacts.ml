@@ -218,14 +218,6 @@ let parallel ?machines:ms ~quick ~jobs ppf =
   let effective_jobs = Exec.Portfolio.effective_jobs ~available ~requested:jobs in
   Format.fprintf ppf "%d tasks  seq=%8.3fs  jobs=%d(eff %d)=%8.3fs  speedup=%.2fx  identical=%b@."
     (List.length tasks) seq_wall jobs effective_jobs par_wall (seq_wall /. par_wall) identical;
-  (* Supervision overhead with no faults injected: the retry machinery
-     is a quarantine-table probe and an exception handler per job, so
-     supervised and bare walls should be within noise. *)
-  let seq_wall_under policy = snd (timed (fun () -> Exec.Portfolio.run ~jobs:1 ~policy tasks)) in
-  let unsup_wall = seq_wall_under Exec.Supervise.off in
-  let sup_wall = seq_wall_under Exec.Supervise.default_policy in
-  Format.fprintf ppf "supervision  bare=%8.3fs  supervised=%8.3fs  overhead=%+.2f%%@." unsup_wall
-    sup_wall ((sup_wall /. unsup_wall -. 1.) *. 100.);
   let cold_wall, warm_wall, warm_identical, stats =
     with_temp_dir "nova-bench-cache" @@ fun dir ->
     let cold = Exec.Cache.open_dir dir in
@@ -245,12 +237,6 @@ let parallel ?machines:ms ~quick ~jobs ppf =
       ("tasks", int (List.length tasks)); ("seq_wall_s", seconds seq_wall);
       ("par_wall_s", seconds par_wall); ("speedup", fixed 4 (seq_wall /. par_wall));
       ("identical", Bool identical);
-      ( "supervision",
-        Obj
-          [
-            ("unsupervised_wall_s", seconds unsup_wall); ("supervised_wall_s", seconds sup_wall);
-            ("overhead", fixed 4 ((sup_wall /. unsup_wall) -. 1.));
-          ] );
       ( "cache",
         Obj
           [
@@ -260,12 +246,7 @@ let parallel ?machines:ms ~quick ~jobs ppf =
             ("stores", int stats.Exec.Cache.stores); ("rejected", int stats.Exec.Cache.rejected);
             ("hit_rate", fixed 4 hit_rate);
           ] );
-      ( "gates",
-        Arr
-          [
-            gate "pool_vs_sequential" ~value:par_wall ~limit:seq_wall ~slack:0.30;
-            gate "supervised_vs_bare" ~value:sup_wall ~limit:unsup_wall ~slack:0.25;
-          ] );
+      ("gates", Arr [ gate "pool_vs_sequential" ~value:par_wall ~limit:seq_wall ~slack:0.30 ]);
     ]
 
 (* --- serve --------------------------------------------------------------- *)

@@ -22,14 +22,12 @@ val check : ?machines:Fsm.t list -> quick:bool -> Format.formatter -> Json_min.t
 
 val parallel :
   ?machines:Fsm.t list -> quick:bool -> jobs:int -> Format.formatter -> Json_min.t
-(** [nova-bench-parallel/v1]: the portfolio sequentially, on [jobs]
-    domains, bare and supervised, and cold then warm against a fresh
-    cache. Its ["gates"] array holds this run's two wall gates, each
+(** [nova-bench-parallel/v1]: the portfolio once sequentially, once on
+    [jobs] domains, and cold then warm against a fresh cache. Its
+    ["gates"] array holds this run's one wall gate,
     [{"gate", "value_s", "limit_s", "slack", "pass"}] with [pass]
     decided by {!Bench_diff.wall_regressed}: [pool_vs_sequential]
-    ([par_wall_s] against [seq_wall_s], slack 0.30) and
-    [supervised_vs_bare] (the supervised wall against the bare one,
-    slack 0.25). *)
+    ([par_wall_s] against [seq_wall_s], slack 0.30). *)
 
 val serve : machine:string -> clients:int -> Format.formatter -> (Json_min.t, string) result
 (** [nova-bench-serve/v1]: the daemon's three latency tiers for an

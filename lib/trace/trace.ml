@@ -135,14 +135,6 @@ let instant ?(attrs = []) name =
     let inherited = match (track_state track).stack with (_, a) :: _ -> a | [] -> [] in
     ignore (append Instant name (merge_attrs inherited attrs))
 
-let annotate attrs =
-  if !on then
-    locked @@ fun () ->
-    let st = track_state (Domain.self () :> int) in
-    match st.stack with
-    | [] -> ()
-    | (name, a) :: rest -> st.stack <- (name, merge_attrs a attrs) :: rest
-
 let span_begin name attrs =
   locked @@ fun () ->
   let track = (Domain.self () :> int) in

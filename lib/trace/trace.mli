@@ -43,10 +43,6 @@ val instant : ?attrs:attrs -> string -> unit
 (** A point event (degradation, budget trip, cache hit, race win...),
     inheriting the open span's attributes. *)
 
-val annotate : attrs -> unit
-(** Add attributes to the innermost open span of the calling domain's
-    track (they also flow to subsequently opened child spans). *)
-
 val set_meta : attrs -> unit
 (** Merge key/values into the run manifest ("trace-meta") embedded in
     every export: machine, options fingerprint, code version, jobs,

@@ -451,13 +451,13 @@ echo "== wall gates: the serve and parallel benches' own verdicts =="
 # cold/5 at 25 % slack: at least 4x faster than cold when cold >= 0.1 s,
 # less below that. Checked last, so a wall flake hides no other step.
 rc=0
-for gates in "BENCH_serve.json 3" "BENCH_parallel.json 2"; do
+for gates in "BENCH_serve.json 3" "BENCH_parallel.json 1"; do
   set -- $gates
   [ "$(grep -o '"gate":' "$TMP/$1" | wc -l)" -eq "$2" ] || { echo "$1: not $2 gates"; exit 1; }
   failed=$(grep -o '{"gate":[^}]*"pass":false}' "$TMP/$1" || true)
   [ -z "$failed" ] || { echo "$1: wall gate failed: $failed"; rc=1; }
 done
 [ "$rc" -eq 0 ] || exit 1
-echo "  3 serve and 2 parallel wall gates pass: ok"
+echo "  3 serve wall gates and 1 parallel wall gate pass: ok"
 
 echo "CI OK"

@@ -1,5 +1,5 @@
 (* Tests for the supervision layer and the seeded chaos harness: spec
-   parsing, deterministic backoff, quarantine, pool crash isolation,
+   parsing, immediate retry, quarantine, pool crash isolation,
    cache checksums / fsck / concurrent-process safety, and the central
    invariant — under any fault schedule the executor returns either
    rows byte-identical to the fault-free run or typed errors, never an
@@ -101,34 +101,13 @@ let test_rewind_replays_schedule () =
   check "rewind replays the identical schedule" true (draw () = first)
 
 (* ------------------------------------------------------------------ *)
-(* Supervision: backoff, retry, quarantine *)
-
-let test_backoff_deterministic_and_bounded () =
-  let p = Exec.Supervise.default_policy in
-  for attempt = 1 to 4 do
-    let b1 = Exec.Supervise.backoff_ms p ~key:"lion/igreedy" ~attempt in
-    let b2 = Exec.Supervise.backoff_ms p ~key:"lion/igreedy" ~attempt in
-    check "backoff is deterministic" true (b1 = b2);
-    let base =
-      p.Exec.Supervise.base_backoff_ms
-      *. (Exec.Supervise.backoff_multiplier ** float (attempt - 1))
-    in
-    let jitter = Exec.Supervise.backoff_jitter in
-    check "within jitter envelope" true
-      (b1 >= base *. (1. -. jitter) -. 1e-9 && b1 <= base *. (1. +. jitter) +. 1e-9)
-  done;
-  let b_other = Exec.Supervise.backoff_ms p ~key:"dk15/igreedy" ~attempt:1 in
-  let b_lion = Exec.Supervise.backoff_ms p ~key:"lion/igreedy" ~attempt:1 in
-  check "distinct keys, distinct jitter" true (b_other <> b_lion)
+(* Supervision: retry, quarantine *)
 
 let test_supervise_retries_then_succeeds () =
   with_quarantine_reset @@ fun () ->
   let calls = ref 0 in
   let result =
-    Exec.Supervise.run
-      { Exec.Supervise.default_policy with Exec.Supervise.base_backoff_ms = 0.01 }
-      ~machine:"m" ~algorithm:"a"
-      (fun () ->
+    Exec.Supervise.run ~machine:"m" ~algorithm:"a" (fun () ->
         incr calls;
         if !calls < 3 then failwith "flaky" else Ok "done")
   in
@@ -139,10 +118,7 @@ let test_supervise_exhausts_to_job_crashed () =
   with_quarantine_reset @@ fun () ->
   let calls = ref 0 in
   let result =
-    Exec.Supervise.run
-      { Exec.Supervise.default_policy with Exec.Supervise.base_backoff_ms = 0.01 }
-      ~machine:"m" ~algorithm:"a"
-      (fun () ->
+    Exec.Supervise.run ~machine:"m" ~algorithm:"a" (fun () ->
         incr calls;
         failwith "always")
   in
@@ -156,27 +132,18 @@ let test_supervise_never_retries_typed_errors () =
   let calls = ref 0 in
   let err = Nova_error.Invalid_request "no" in
   let result =
-    Exec.Supervise.run Exec.Supervise.default_policy ~machine:"m" ~algorithm:"a"
-      (fun () ->
+    Exec.Supervise.run ~machine:"m" ~algorithm:"a" (fun () ->
         incr calls;
         Error err)
   in
   check "typed error passes through" true (result = Error err);
-  check_int "typed errors are verdicts, not crashes: one attempt" 1 !calls;
-  check "permanent per taxonomy" false (Nova_error.is_transient err);
-  check "crashes are transient per taxonomy" true
-    (Nova_error.is_transient
-       (Nova_error.Job_crashed { job = "j"; attempts = 1; detail = "d" }))
+  check_int "typed errors are verdicts, not crashes: one attempt" 1 !calls
 
 let test_quarantine_after_two_exhausted_cycles () =
   with_quarantine_reset @@ fun () ->
-  let policy =
-    { Exec.Supervise.default_policy with Exec.Supervise.base_backoff_ms = 0.01 }
-  in
   let calls = ref 0 in
   let crash () =
-    Exec.Supervise.run policy ~machine:"m" ~algorithm:"a"
-      (fun () ->
+    Exec.Supervise.run ~machine:"m" ~algorithm:"a" (fun () ->
         incr calls;
         failwith "always")
   in
@@ -464,14 +431,16 @@ let test_chaos_matrix_overwhelmed () =
   | _ -> Alcotest.fail "first task must exhaust its attempts and crash"
 
 (* ------------------------------------------------------------------ *)
-(* Satellites: sequential fallback, racing under chaos, taxonomy *)
+(* Satellites: sequential fallback, racing under chaos, error surface *)
 
 let test_effective_jobs_fallback () =
   check_int "no cores, no pool" 1 (Exec.Portfolio.effective_jobs ~available:1 ~requested:8);
   check_int "requested 1 stays 1" 1 (Exec.Portfolio.effective_jobs ~available:16 ~requested:1);
   check_int "cores available, requested honored" 4
     (Exec.Portfolio.effective_jobs ~available:16 ~requested:4);
-  check_int "degenerate available" 1 (Exec.Portfolio.effective_jobs ~available:0 ~requested:3)
+  check_int "degenerate available" 1 (Exec.Portfolio.effective_jobs ~available:0 ~requested:3);
+  check_int "capped at the available cores" 2
+    (Exec.Portfolio.effective_jobs ~available:2 ~requested:8)
 
 let test_job_crashed_error_surface () =
   let e = Nova_error.Job_crashed { job = "igreedy on lion"; attempts = 3; detail = "boom" } in
@@ -498,20 +467,6 @@ let test_supervise_protect_one_shot () =
   match Exec.Supervise.protect ~what:"fatal" (fun () -> raise Out_of_memory) with
   | _ -> Alcotest.fail "fatal exceptions must escape protect"
   | exception Out_of_memory -> ()
-
-let test_off_policy_single_attempt () =
-  with_quarantine_reset @@ fun () ->
-  let calls = ref 0 in
-  let r =
-    Exec.Supervise.run Exec.Supervise.off ~machine:"m" ~algorithm:"a"
-      (fun () ->
-        incr calls;
-        failwith "once")
-  in
-  check_int "off policy tries exactly once" 1 !calls;
-  match r with
-  | Error (Nova_error.Job_crashed { attempts = 1; _ }) -> ()
-  | _ -> Alcotest.fail "expected a single-attempt Job_crashed"
 
 let test_race_falls_through_crashed_rung () =
   with_quarantine_reset @@ fun () ->
@@ -593,8 +548,6 @@ let suite =
     t "chaos: schedule deterministic, windowed, exhaustible"
       test_schedule_deterministic_and_exhaustible;
     t "chaos: rewind replays the identical schedule" test_rewind_replays_schedule;
-    t "supervise: backoff deterministic and within envelope"
-      test_backoff_deterministic_and_bounded;
     t "supervise: transient crash retries then succeeds" test_supervise_retries_then_succeeds;
     t "supervise: exhausted retries settle as Job_crashed"
       test_supervise_exhausts_to_job_crashed;
@@ -616,7 +569,6 @@ let suite =
     t "portfolio: effective_jobs falls back to sequential" test_effective_jobs_fallback;
     t "nova-error: Job_crashed exit code and message" test_job_crashed_error_surface;
     t "supervise: protect is one-shot and fatal-transparent" test_supervise_protect_one_shot;
-    t "supervise: off policy is single-attempt" test_off_policy_single_attempt;
     t "race: crashed primary falls through to next rung" test_race_falls_through_crashed_rung;
     t "portfolio: quarantined pair skipped with typed row"
       test_quarantine_skips_repeat_offender_in_run;

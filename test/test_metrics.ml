@@ -302,12 +302,7 @@ let test_flight_dump_artifact () =
 let test_quarantine_snapshot () =
   Exec.Supervise.reset_quarantine ();
   Fun.protect ~finally:Exec.Supervise.reset_quarantine @@ fun () ->
-  let policy =
-    { Exec.Supervise.default_policy with Exec.Supervise.base_backoff_ms = 0.01 }
-  in
-  let crash () =
-    Exec.Supervise.run policy ~machine:"qm" ~algorithm:"qa" (fun () -> failwith "always")
-  in
+  let crash () = Exec.Supervise.run ~machine:"qm" ~algorithm:"qa" (fun () -> failwith "always") in
   ignore (crash ());
   ignore (crash ());
   (* Two exhausted cycles: quarantined. Two further calls are skips. *)

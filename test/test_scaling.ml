@@ -318,11 +318,7 @@ let test_report_inconclusive_regresses_against_fitted () =
 (* ------------------------------------------------------------------ *)
 (* Artifacts: the point-sample modes keep the committed schemas *)
 
-(* A row's own keys, without the in-run "gates" array: the committed
-   parallel artifact predates it, and the differ skips arrays. *)
-let keys = function
-  | Json_min.Obj kvs -> List.filter (( <> ) "gates") (List.map fst kvs)
-  | _ -> []
+let keys = function Json_min.Obj kvs -> List.map fst kvs | _ -> []
 let identity row = List.map (fun f -> Json_min.member f row) [ "name"; "mode"; "algorithm" ]
 
 (* Written with the one atomic writer and read back by the differ, the
